@@ -482,11 +482,16 @@ def lower_bound_check(alpha: float, x: float) -> LowerBoundResult:
     root interval of a quadratic whose coefficients use the f_minus
     envelope; the all-plus family caps f_plus(x) from above. An empty
     intersection of the interval with [0, cap] rules the ratio out.
+
+    The family's triangle (x, x, 2x) has its "-" edge at length 2x, so
+    the probe exists only for x <= 1/2; beyond that it is vacuous. On
+    that domain the leading coefficient A = 2 - rad is at least 1, so
+    the quadratic is convex and its feasible set is the root interval.
     """
     rad = 1.0 - alpha * (1.0 - 2.0 * x)
     cap_rad = 1.0 - alpha * x
     cap = 1.0 - math.sqrt(cap_rad) if cap_rad >= 0 else 1.0
-    if rad < 0:
+    if rad < 0 or x > 0.5:
         return LowerBoundResult(alpha, x, None, None, cap, False)
     s = math.sqrt(rad)
     A = 1.0 + alpha - 2.0 * alpha * x

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import SplitMix64
+from .rng import CHUNK_WORDS, SplitMix64, unit_floats
 
 COMPLETE = "complete"
 KPARTITE = "kpartite"
@@ -46,6 +46,20 @@ def pair_iter(n: int):
     for u in range(n):
         for v in range(u + 1, n):
             yield u, v
+
+
+def symmetric_from_upper(n: int, vals, dtype=np.float64) -> np.ndarray:
+    """Symmetric (..., n, n) matrices, zero diagonal, from per-pair values.
+
+    The last axis of vals runs over the pairs in pair_iter order (the
+    order of np.triu_indices); leading axes are kept.
+    """
+    vals = np.asarray(vals)
+    out = np.zeros(vals.shape[:-1] + (n, n), dtype=dtype)
+    iu, ju = np.triu_indices(n, 1)
+    out[..., iu, ju] = vals
+    out[..., ju, iu] = vals
+    return out
 
 
 @dataclass(eq=False)
@@ -244,9 +258,12 @@ def clustering_cost(inst: Instance, c: Clustering) -> float:
     """
     if c.n != inst.n:
         raise ValueError(f"clustering covers {c.n} vertices, instance has {inst.n}")
-    a = c.assignment
+    return assignment_cost(c.assignment, *inst.pair_weights())
+
+
+def assignment_cost(a: np.ndarray, wp: np.ndarray, wm: np.ndarray) -> float:
+    """clustering_cost from a cluster-id vector and the instance's pair weights."""
     same = a[:, None] == a[None, :]
-    wp, wm = inst.pair_weights()
     cut_cost = wp[~same].sum() / 2.0
     keep_cost = wm[same].sum() / 2.0  # diagonal of wm is zero
     return float(cut_cost + keep_cost)
@@ -257,34 +274,37 @@ def clustering_cost(inst: Instance, c: Clustering) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _pair_uniforms(seed: int, count: int) -> np.ndarray:
+    """The first count uniforms of the seed's stream, one per pair in order."""
+    return unit_floats(SplitMix64(seed).block(count))
+
+
 def gen_complete_random(n: int, plus_prob: float, seed: int) -> Instance:
     """Complete instance with each pair independently '+' with plus_prob."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 <= plus_prob <= 1.0:
         raise ValueError("plus_prob must be in [0, 1]")
-    rng = SplitMix64(seed)
-    labels = np.zeros((n, n), dtype=np.int8)
-    for u, v in pair_iter(n):
-        s = 1 if rng.uniform() < plus_prob else -1
-        labels[u, v] = labels[v, u] = s
-    return Instance.complete(labels)
+    u = _pair_uniforms(seed, n * (n - 1) // 2)
+    return Instance.complete(symmetric_from_upper(n, np.where(u < plus_prob, 1, -1), np.int8))
 
 
 def gen_kpartite_random(part_sizes, plus_prob: float, seed: int) -> Instance:
-    """K-partite instance: intra-part pairs neutral, cross pairs random."""
+    """K-partite instance: intra-part pairs neutral, cross pairs random.
+
+    Only cross-part pairs draw, in pair_iter order.
+    """
     sizes = list(part_sizes)
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("part sizes must all be >= 1")
     parts = np.repeat(np.arange(len(sizes)), sizes)
     n = int(parts.shape[0])
-    rng = SplitMix64(seed)
-    labels = np.zeros((n, n), dtype=np.int8)
-    for u, v in pair_iter(n):
-        if parts[u] != parts[v]:
-            s = 1 if rng.uniform() < plus_prob else -1
-            labels[u, v] = labels[v, u] = s
-    return Instance.kpartite(labels, parts)
+    iu, ju = np.triu_indices(n, 1)
+    cross = parts[iu] != parts[ju]
+    u = _pair_uniforms(seed, int(cross.sum()))
+    s = np.zeros(iu.shape[0], dtype=np.int8)
+    s[cross] = np.where(u < plus_prob, 1, -1)
+    return Instance.kpartite(symmetric_from_upper(n, s, np.int8), parts)
 
 
 def gen_planted(n: int, k: int, corruption: float, seed: int) -> tuple[Instance, Clustering]:
@@ -298,24 +318,17 @@ def gen_planted(n: int, k: int, corruption: float, seed: int) -> tuple[Instance,
         raise ValueError("corruption must be in [0, 1]")
     sizes = [n // k + (1 if i < n % k else 0) for i in range(k)]
     truth = np.repeat(np.arange(k), sizes)
-    rng = SplitMix64(seed)
-    labels = np.zeros((n, n), dtype=np.int8)
-    for u, v in pair_iter(n):
-        s = 1 if truth[u] == truth[v] else -1
-        if rng.uniform() < corruption:
-            s = -s
-        labels[u, v] = labels[v, u] = s
-    return Instance.complete(labels), Clustering(truth)
+    iu, ju = np.triu_indices(n, 1)
+    s = np.where(truth[iu] == truth[ju], 1, -1)
+    s = np.where(_pair_uniforms(seed, iu.shape[0]) < corruption, -s, s)
+    return Instance.complete(symmetric_from_upper(n, s, np.int8)), Clustering(truth)
 
 
 def gen_weighted_random(n: int, seed: int) -> Instance:
     """Weighted-complete instance with lam_plus uniform on [0, 1] per pair."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = SplitMix64(seed)
-    w = np.zeros((n, n), dtype=np.float64)
-    for u, v in pair_iter(n):
-        w[u, v] = w[v, u] = rng.uniform()
+    w = symmetric_from_upper(n, _pair_uniforms(seed, n * (n - 1) // 2))
     return Instance.weighted(w, ti=False)
 
 
@@ -402,13 +415,17 @@ def weighted_to_unweighted(inst: Instance, N: int, seed: int):
     for u in range(n):
         lo, hi = u * N, (u + 1) * N
         labels[lo:hi, lo:hi] = 1
-    for u, v in pair_iter(n):
-        lp = inst.lam_plus[u, v]
-        for i in range(N):
-            for j in range(N):
-                s = 1 if rng.uniform() < lp else -1
-                a, b = u * N + i, v * N + j
-                labels[a, b] = labels[b, a] = s
+    # blocks[u, i, v, j] is labels[u * N + i, v * N + j]; each pair (u, v)
+    # takes N * N draws, its copy pairs (u_i, v_j) in row-major order
+    blocks = labels.reshape(n, N, n, N)
+    us, vs = np.triu_indices(n, 1)
+    per_chunk = max(1, CHUNK_WORDS // (N * N))
+    for c in range(0, us.shape[0], per_chunk):
+        u, v = us[c:c + per_chunk], vs[c:c + per_chunk]
+        coins = unit_floats(rng.block(u.shape[0] * N * N)).reshape(-1, N, N)
+        s = np.where(coins < inst.lam_plus[u, v][:, None, None], 1, -1)
+        blocks[u, :, v, :] = s
+        blocks[v, :, u, :] = s.transpose(0, 2, 1)
     np.fill_diagonal(labels, 0)
     return Instance.complete(labels), vmap
 

@@ -5,12 +5,30 @@ The generator is splitmix64: a counter stream passed through a fixed
 same seed produces the same stream on every machine, which is what the
 reproducibility contract of the generators and rounding routines needs.
 Nothing in this package ever falls back to wall-clock seeding.
+
+Word k = 1, 2, ... of a stream is ``mix64((seed + k * GAMMA) mod 2**64)``,
+a closed form in the seed and k, so ``block(k)`` computes the next k
+words at once with wrapping numpy arithmetic, and ``block_rows`` does so
+for many streams in one call. Block and scalar draws interleave freely:
+``block(k)`` returns exactly what k ``next_u64`` calls would and leaves
+the stream in the same state. ``unit_floats`` maps words to the same
+floats as ``uniform``, and ``rejection_bound`` is the cut-off ``randint``
+uses, so callers that decide from a block make the scalar decisions.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_U64 = np.uint64
+_G, _M1, _M2 = _U64(_GAMMA), _U64(0xBF58476D1CE4E5B9), _U64(0x94D049BB133111EB)
+_S11, _S27, _S30, _S31 = _U64(11), _U64(27), _U64(30), _U64(31)
+
+# Word budget of one block when a caller splits a long draw into several:
+# bounds the temporaries whatever the size of the whole draw.
+CHUNK_WORDS = 1 << 10
 
 
 def mix64(z: int) -> int:
@@ -19,6 +37,40 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
+
+
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """mix64 in place on a uint64 array (uint64 products wrap mod 2**64)."""
+    z ^= z >> _S30
+    z *= _M1
+    z ^= z >> _S27
+    z *= _M2
+    z ^= z >> _S31
+    return z
+
+
+def block_rows(streams: list["SplitMix64"], k: int) -> np.ndarray:
+    """Row i holds the next k words of streams[i]; each stream advances by k."""
+    if k < 0:
+        raise ValueError("block needs k >= 0")
+    states = np.array([s._state for s in streams], dtype=_U64)
+    steps = np.arange(1, k + 1, dtype=_U64) * _G
+    words = _mix64_array(states[:, None] + steps)
+    for s in streams:
+        s._state = (s._state + k * _GAMMA) & _MASK
+    return words
+
+
+def unit_floats(words: np.ndarray) -> np.ndarray:
+    """Floats in [0, 1) from words, element-wise equal to ``uniform``."""
+    return (words >> _S11).astype(np.float64) * 2.0**-53
+
+
+def rejection_bound(n: int) -> int:
+    """``randint(n)`` accepts a word v iff v < this bound (then returns v % n)."""
+    if n <= 0:
+        raise ValueError("randint needs n >= 1")
+    return _MASK + 1 - ((_MASK + 1) % n)
 
 
 class SplitMix64:
@@ -38,15 +90,17 @@ class SplitMix64:
         self._state = (self._state + _GAMMA) & _MASK
         return mix64(self._state)
 
+    def block(self, k: int) -> np.ndarray:
+        """The next k words as a uint64 array; advances the stream by k."""
+        return block_rows([self], k)[0]
+
     def uniform(self) -> float:
         """Uniform float in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * 2.0**-53
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via rejection."""
-        if n <= 0:
-            raise ValueError("randint needs n >= 1")
-        bound = _MASK + 1 - ((_MASK + 1) % n)
+        bound = rejection_bound(n)
         while True:
             v = self.next_u64()
             if v < bound:

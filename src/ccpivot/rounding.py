@@ -8,19 +8,38 @@ weighted variant first flips one coin per pair to choose which function
 supplies p_uv; the derandomized variant rounds every p_uv to 0/1
 greedily against the step surplus and then picks the best pivot, which
 turns the expected guarantee into a deterministic one.
+
+Every randomized run reads its seed's splitmix64 stream in a fixed
+order. A weighted run first draws one coin per pair, in ``pair_iter``
+order. Then each pivot step draws one ``randint`` over the active
+vertices and one uniform per active vertex, in ascending id order.
+Trial t of ``monte_carlo_ratio`` runs on the stream seeded by word t of
+the master stream. The words are computed in blocks (``rng.block_rows``)
+and every decision is the one the scalar draws would make, so outputs
+at a given seed do not depend on how the stream is computed.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import COMPLETE, KPARTITE, WEIGHTED, Clustering, Instance
+from .instance import (
+    COMPLETE,
+    KPARTITE,
+    WEIGHTED,
+    Clustering,
+    Instance,
+    assignment_cost,
+    symmetric_from_upper,
+)
 from .lp import LpSolution, lp_objective
-from .rng import SplitMix64
+from .rng import CHUNK_WORDS, SplitMix64, block_rows, rejection_bound, unit_floats
 
 EDGE_PLUS = "+"
 EDGE_MINUS = "-"
@@ -301,6 +320,25 @@ def probability_matrix(inst: Instance, x: LpSolution, scheme: RoundingScheme) ->
     return p
 
 
+def _coin_candidates(inst: Instance, x: LpSolution, scheme: RoundingScheme):
+    """(f_plus, f_minus, lam_plus) on the pairs of a weighted instance, in pair_iter order."""
+    if inst.kind != WEIGHTED:
+        raise ValueError("only weighted instances flip label coins")
+    iu = np.triu_indices(inst.n, 1)
+    xu = np.clip(x.matrix[iu], 0.0, 1.0)
+    return scheme.f_plus(xu), scheme.f_minus(xu), inst.lam_plus[iu]
+
+
+def _flip_coins(n: int, candidates, unif: np.ndarray) -> np.ndarray:
+    """Probability matrices from coin uniforms of shape (..., n(n-1)/2).
+
+    A pair takes its f_plus value when its uniform is below lam_plus,
+    else its f_minus value; leading axes of unif are separate runs.
+    """
+    fp, fm, lam = candidates
+    return symmetric_from_upper(n, np.where(unif < lam, fp, fm))
+
+
 def weighted_probability_matrix(
     inst: Instance, x: LpSolution, scheme: RoundingScheme, rng: SplitMix64
 ) -> np.ndarray:
@@ -308,16 +346,8 @@ def weighted_probability_matrix(
 
     One coin per pair, drawn before any pivoting, in ascending pair order.
     """
-    if inst.kind != WEIGHTED:
-        raise ValueError("only weighted instances flip label coins")
-    n = inst.n
-    xm = np.clip(x.matrix, 0.0, 1.0)
-    p = np.zeros((n, n))
-    for u in range(n):
-        for v in range(u + 1, n):
-            f = scheme.f_plus if rng.uniform() < inst.lam_plus[u, v] else scheme.f_minus
-            p[u, v] = p[v, u] = float(f(xm[u, v]))
-    return p
+    candidates = _coin_candidates(inst, x, scheme)
+    return _flip_coins(inst.n, candidates, unit_floats(rng.block(len(candidates[2]))))
 
 
 # ---------------------------------------------------------------------------
@@ -342,44 +372,95 @@ class PivotTrace:
             raise AssertionError("clusters do not cover the vertex set")
 
 
-def _pivot_loop(p: np.ndarray, rng: SplitMix64) -> tuple[Clustering, PivotTrace]:
-    n = p.shape[0]
-    active = list(range(n))
-    assignment = np.full(n, -1, dtype=np.int64)
-    trace = PivotTrace()
-    cid = 0
+def _pivot_kernel(keep: list, raw: list, unif: list, rng: SplitMix64) -> list:
+    """One randomized pivot run; returns [(pivot, members in id order), ...].
+
+    keep[w][u] = 1 - p[u, w]. raw holds the stream's next words and unif
+    their unit floats, n + n(n+1)/2 or more of each: a run makes at most n
+    steps, each drawing one randint and one uniform per active vertex,
+    so it needs no more unless a randint rejects. rng continues the
+    stream after them. Per step: one randint over the active list, with
+    SplitMix64.randint's rejection bound, then one uniform per active
+    vertex in ascending id order; u joins the pivot iff its uniform is
+    below keep[w][u].
+    """
+    steps = []
+    active = list(range(len(keep)))
+    i = 0
     while active:
-        w = active[rng.randint(len(active))]
-        cluster = []
-        survivors = []
-        for u in active:  # ascending id: one coin per active vertex
-            if rng.uniform() < 1.0 - p[u, w]:
-                cluster.append(u)
-            else:
-                survivors.append(u)
-        assignment[cluster] = cid
-        trace.steps.append((w, cluster))
+        k = len(active)
+        bound = rejection_bound(k)
+        while raw[i] >= bound:
+            # each rejected word is one more than the block budgets for
+            extra = rng.block(1)
+            raw += extra.tolist()
+            unif += unit_floats(extra).tolist()
+            i += 1
+        pivot = active[raw[i] % k]
+        col = keep[pivot]
+        cluster, survivors = [], []
+        for u, r in zip(active, unif[i + 1:i + 1 + k]):
+            (cluster if r < col[u] else survivors).append(u)
+        i += 1 + k
+        steps.append((pivot, cluster))
         active = survivors
-        cid += 1
-    return Clustering(assignment), trace
+    return steps
+
+
+def _pivot_runs(streams: Iterable[SplitMix64], n: int, keep=None, candidates=None):
+    """Yield the pivot steps of one run per stream.
+
+    Labeled runs share one keep matrix (nested lists, as _pivot_kernel
+    reads it). Weighted runs pass the coin candidates instead: each run
+    first flips its pair coins on its own stream, then pivots. The words
+    of a chunk of runs are computed in one block_rows call; streams are
+    taken from the iterable one chunk at a time.
+    """
+    coins = 0 if candidates is None else n * (n - 1) // 2
+    width = coins + n + n * (n + 1) // 2
+    per_chunk = max(1, CHUNK_WORDS // width)
+    streams = iter(streams)
+    while chunk := list(itertools.islice(streams, per_chunk)):
+        words = block_rows(chunk, width)
+        unif = unit_floats(words)
+        if candidates is not None:
+            p = _flip_coins(n, candidates, unif[:, :coins])
+            keeps = (1.0 - p).transpose(0, 2, 1).tolist()
+        raws, unifs = words[:, coins:].tolist(), unif[:, coins:].tolist()
+        for t, rng in enumerate(chunk):
+            run_keep = keep if candidates is None else keeps[t]
+            yield _pivot_kernel(run_keep, raws[t], unifs[t], rng)
+
+
+def _labeled_keep(inst: Instance, x: LpSolution, scheme: RoundingScheme) -> list:
+    return (1.0 - probability_matrix(inst, x, scheme)).T.tolist()
+
+
+def _assignment(n: int, steps: list) -> list:
+    """Cluster id per vertex, clusters numbered in pivot order."""
+    a = [0] * n
+    for cid, (_pivot, members) in enumerate(steps):
+        for u in members:
+            a[u] = cid
+    return a
 
 
 def pivot_round(
     inst: Instance, x: LpSolution, scheme: RoundingScheme, seed: int
 ) -> tuple[Clustering, PivotTrace]:
     """One run of the randomized pivot algorithm on a labeled instance."""
-    p = probability_matrix(inst, x, scheme)
-    return _pivot_loop(p, SplitMix64(seed))
+    keep = _labeled_keep(inst, x, scheme)
+    steps = next(_pivot_runs([SplitMix64(seed)], inst.n, keep=keep))
+    return Clustering(_assignment(inst.n, steps)), PivotTrace(steps)
 
 
 def pivot_round_weighted(
     inst: Instance, x: LpSolution, scheme: RoundingScheme, seed: int
 ) -> Clustering:
     """Coin-flip variant for weighted instances (one label coin per pair)."""
-    rng = SplitMix64(seed)
-    p = weighted_probability_matrix(inst, x, scheme, rng)
-    clustering, _trace = _pivot_loop(p, rng)
-    return clustering
+    candidates = _coin_candidates(inst, x, scheme)
+    steps = next(_pivot_runs([SplitMix64(seed)], inst.n, candidates=candidates))
+    return Clustering(_assignment(inst.n, steps))
 
 
 def round_instance(
@@ -534,17 +615,22 @@ def monte_carlo_ratio(
     """Empirical cost of repeated randomized rounding against the LP value.
 
     Per-trial seeds come from the master stream, so any single trial can
-    be replayed in isolation.
+    be replayed in isolation: trial t equals round_instance with seed
+    word t. The probability matrix (or the weighted coin candidates) and
+    the pair weights are computed once per run.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    from .instance import clustering_cost
-
-    master = SplitMix64(seed)
+    n = inst.n
+    streams = (SplitMix64(int(s)) for s in SplitMix64(seed).block(trials))
+    if inst.kind == WEIGHTED:
+        runs = _pivot_runs(streams, n, candidates=_coin_candidates(inst, x, scheme))
+    else:
+        runs = _pivot_runs(streams, n, keep=_labeled_keep(inst, x, scheme))
+    wp, wm = inst.pair_weights()
     costs = np.empty(trials)
-    for t in range(trials):
-        c = round_instance(inst, x, scheme, master.next_u64())
-        costs[t] = clustering_cost(inst, c)
+    for t, steps in enumerate(runs):
+        costs[t] = assignment_cost(np.array(_assignment(n, steps)), wp, wm)
     lp = lp_objective(inst, x)
     mean = float(costs.mean())
     if lp > 0:

@@ -333,3 +333,24 @@ def test_step_inequality_random_certified_pairs(seed):
     kinst = cc.gen_kpartite_random([3, 3, 2], 0.5, seed)
     kx, _ = cc.solve_relaxation(kinst)
     assert cc.step_inequality_check(kinst, kx, KP3, 3.0).holds
+
+
+@pytest.mark.parametrize("x", [(1.0 + 2.025) / (2.0 * 2.025), 0.747, 0.8, 0.9, 1.0])
+def test_lower_bound_vacuous_past_half(x):
+    # the family's "-" edge would have length 2x > 1: no triangle, no claim
+    r = cc.lower_bound_check(2.025, x)
+    assert r.root_interval is None and r.roots_raw is None
+    assert not r.contradiction
+
+
+def test_lower_bound_never_rules_out_a_certified_ratio():
+    # complete206 certifies 2.06, so no probe may call 2.06 or 2.5 impossible
+    for alpha in (2.06, 2.5):
+        for x in np.linspace(0.0, 1.0, 2001):
+            assert not cc.lower_bound_check(alpha, float(x)).contradiction
+
+
+def test_lower_bound_at_half_is_convex_interval():
+    r = cc.lower_bound_check(2.025, 0.5)  # (0.5, 0.5, 1): the widest valid triangle
+    lo, hi = r.root_interval
+    assert lo <= hi and r.roots_raw[0] <= r.roots_raw[1]

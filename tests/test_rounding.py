@@ -283,3 +283,34 @@ def test_piecewise_rejects_gaps():
         PiecewiseFn(
             [Piece(0.0, 0.3, "constant", (0.0,)), Piece(0.5, 1.0, "constant", (1.0,))]
         )
+
+
+# -- derandomization on weighted-metric instances ---------------------------------
+
+
+def line_metric_instance(n, seed):
+    """lam_minus = |p_u - p_v| for points p in [0, 1]: a metric."""
+    rng = SplitMix64(seed)
+    pts = np.array([rng.uniform() for _ in range(n)])
+    lam_plus = 1.0 - np.abs(pts[:, None] - pts[None, :])
+    np.fill_diagonal(lam_plus, 0.0)
+    return cc.Instance.weighted(lam_plus, ti=True)
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [cc.gen_gap_triangle_ineq(n) for n in (1, 2, 3, 4, 5, 6)]
+    + [line_metric_instance(n, seed) for n in (4, 8, 12) for seed in (1, 2, 3)],
+)
+def test_derand_weighted_metric_within_150(inst):
+    x, _stats = cc.solve_relaxation(inst)
+    c = cc.derandomize_round(inst, x, cc.get_scheme("weighted_ti_150"), 1.5)
+    lp = cost = 0.0
+    for u in range(inst.n):
+        for v in range(u + 1, inst.n):
+            lplus = float(inst.lam_plus[u, v])
+            d = min(max(x.value(u, v), 0.0), 1.0)
+            lp += lplus * d + (1.0 - lplus) * (1.0 - d)
+            cut = c.assignment[u] != c.assignment[v]
+            cost += lplus if cut else 1.0 - lplus
+    assert cost <= 1.5 * lp + 1e-9
