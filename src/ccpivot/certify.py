@@ -30,7 +30,9 @@ from .rounding import (
     EDGE_PLUS,
     IneligibleSchemeError,
     RoundingScheme,
+    cut_probabilities,
     pair_model,
+    pivot_terms,
 )
 
 COMPLETE_TYPES = [
@@ -669,23 +671,15 @@ def step_inequality_check(
     complete-type classes include the positive self-loop terms, so the
     left side upper-bounds the true expectation.
     """
-    from .rounding import probability_matrix
-
     n = inst.n
-    if inst.kind == WEIGHTED:
-        xm = np.clip(x.matrix, 0.0, 1.0)
-        p = inst.lam_plus * scheme.f_plus(xm) + (1.0 - inst.lam_plus) * scheme.f_minus(xm)
-        np.fill_diagonal(p, 0.0)
-    else:
-        p = probability_matrix(inst, x, scheme)
+    p = cut_probabilities(inst, x, scheme)
     wp, wm, L = pair_model(inst, x)
     cost_sum = 0.0
     lp_sum = 0.0
     for w in range(n):
-        pw = p[:, w]
-        q = 1.0 - pw
-        cost_sum += 2.0 * (pw @ wp @ q) + q @ wm @ q
-        lp_sum += L.sum() - pw @ L @ pw
+        cost, lp = pivot_terms(wp, wm, L, p[:, w])
+        cost_sum += cost
+        lp_sum += lp
     lhs = cost_sum / (2.0 * n)
     rhs = alpha * lp_sum / (2.0 * n)
     return StepInequality(float(lhs), float(rhs), bool(lhs <= rhs + 1e-9))

@@ -84,7 +84,10 @@ def _load_instance(path: str) -> Instance:
 
 def _resolve_scheme(name: str) -> RoundingScheme:
     if Path(name).exists():
-        return RoundingScheme.from_json(Path(name).read_text(encoding="utf-8"))
+        try:
+            return RoundingScheme.from_json(Path(name).read_text(encoding="utf-8"))
+        except (KeyError, TypeError, ValueError) as e:
+            raise FormatError(f"bad scheme file {name}: {e!r}") from e
     try:
         return get_scheme(name)
     except KeyError as e:
@@ -143,6 +146,8 @@ def _cmd_lp(args) -> int:
 def _cmd_round(args) -> int:
     inst = _load_instance(args.instance)
     x = solution_from_json(Path(args.lp_solution).read_text(encoding="utf-8"))
+    if x.n != inst.n:
+        raise FormatError(f"LP solution has {x.n} vertices, instance has {inst.n}")
     scheme = _resolve_scheme(args.scheme)
     if args.mode == "random":
         if args.seed is None:
@@ -367,7 +372,7 @@ def main(argv=None) -> int:
     except IneligibleSchemeError as e:
         print(f"ineligible scheme: {e}", file=sys.stderr)
         return EXIT_INELIGIBLE
-    except (FormatError, FileNotFoundError, json.JSONDecodeError, KeyError) as e:
+    except (FormatError, FileNotFoundError, json.JSONDecodeError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except LpNumericalError as e:

@@ -129,7 +129,7 @@ class Instance:
             if self.ti:
                 lm = 1.0 - w
                 np.fill_diagonal(lm, 0.0)
-                worst = _worst_metric_violation(lm)
+                worst, _triple = worst_triangle(lm)
                 if worst > 1e-9:
                     raise ValueError(f"lam_minus violates triangle inequality by {worst:.3g}")
 
@@ -163,18 +163,25 @@ class Instance:
         return {1: "+", -1: "-", 0: "0"}[s]
 
 
-def _worst_metric_violation(d: np.ndarray) -> float:
-    """max over triples of d[u,w] - d[u,v] - d[v,w]."""
+def worst_triangle(d: np.ndarray) -> tuple[float, tuple | None]:
+    """(gap, (u, v, w)) maximizing d[u,w] - d[u,v] - d[v,w] over distinct u < w, v.
+
+    d is symmetric. Ties go to the first triple in (u, v, w) order, NaN
+    gaps are skipped, and memory stays O(n^2): one n x n slab per u.
+    With fewer than three vertices the result is (-inf, None).
+    """
     n = d.shape[0]
-    worst = -math.inf
-    for v in range(n):
-        slack = d - d[:, v][:, None] - d[v, :][None, :]
-        np.fill_diagonal(slack, -math.inf)
-        slack[v, :] = -math.inf
-        slack[:, v] = -math.inf
-        m = slack.max() if n > 1 else -math.inf
-        worst = max(worst, float(m))
-    return worst if worst > -math.inf else 0.0
+    best, where = -math.inf, None
+    for u in range(n):
+        # slab[v, w] = d[u, w] - d[u, v] - d[v, w]
+        slab = d[u][None, :] - d[u][:, None] - d
+        slab[:, :u + 1] = -math.inf
+        slab[u, :] = -math.inf
+        np.fill_diagonal(slab, -math.inf)
+        v, w = divmod(int(np.nanargmax(slab)), n)
+        if slab[v, w] > best:
+            best, where = float(slab[v, w]), (u, v, w)
+    return best, where
 
 
 class Clustering:
@@ -526,6 +533,7 @@ def _from_edgelist(text: str) -> Instance:
             raise FormatError(f"unexpected header tokens {extra}")
     elif extra:
         raise FormatError(f"unexpected header tokens {extra}")
+    _check_pair_count(n, len(rows) - 1)
 
     labels = np.zeros((n, n), dtype=np.int8)
     lam = np.zeros((n, n), dtype=np.float64)
@@ -572,6 +580,19 @@ def _from_edgelist(text: str) -> Instance:
         raise FormatError(str(e)) from e
 
 
+def _check_pair_count(n: int, count: int) -> None:
+    """Refuse a pair count other than n(n-1)/2 before any n x n allocation."""
+    if count != n * (n - 1) // 2:
+        raise FormatError(f"{count} pair entries for {n} vertices; need {n * (n - 1) // 2}")
+
+
+def _json_float(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as e:
+        raise FormatError(f"bad {what} {value!r}") from e
+
+
 def _to_json(inst: Instance) -> str:
     edges = []
     for u, v in pair_iter(inst.n):
@@ -588,19 +609,25 @@ def _to_json(inst: Instance) -> str:
 def _from_json(text: str) -> Instance:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
         raise FormatError(f"bad JSON: {e}") from e
     try:
         kind = doc["class"]
         n = int(doc["n"])
         raw_edges = doc["edges"]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"missing or bad field: {e}") from e
     if kind not in _CLASSES:
         raise FormatError(f"unknown class {kind!r}")
     if n < 1:
         raise FormatError("vertex count must be >= 1")
-    ti = bool(doc.get("flags", {}).get("ti", False))
+    flags = doc.get("flags", {})
+    if not isinstance(flags, dict):
+        raise FormatError("flags must be an object")
+    ti = bool(flags.get("ti", False))
+    if not isinstance(raw_edges, list):
+        raise FormatError("edges must be an array")
+    _check_pair_count(n, len(raw_edges))
 
     labels = np.zeros((n, n), dtype=np.int8)
     lam = np.zeros((n, n), dtype=np.float64)
@@ -608,7 +635,7 @@ def _from_json(text: str) -> Instance:
     for e in raw_edges:
         try:
             u, v = int(e["u"]), int(e["v"])
-        except (KeyError, TypeError, ValueError) as err:
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise FormatError(f"bad edge entry {e!r}") from err
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise FormatError(f"pair ({u}, {v}) out of range")
@@ -621,14 +648,14 @@ def _from_json(text: str) -> Instance:
             lp = e.get("lplus", e.get("lp"))
             if lp is None:
                 raise FormatError(f"weighted edge {e!r} lacks lplus")
-            lp = float(lp)
-            if "lminus" in e and abs(lp + float(e["lminus"]) - 1.0) > WEIGHT_SUM_TOL:
-                raise FormatError(
-                    f"pair ({u}, {v}): lplus + lminus = {lp + float(e['lminus'])!r} != 1"
-                )
+            lp = _json_float(lp, "lplus")
+            if "lminus" in e:
+                total = lp + _json_float(e["lminus"], "lminus")
+                if abs(total - 1.0) > WEIGHT_SUM_TOL:
+                    raise FormatError(f"pair ({u}, {v}): lplus + lminus = {total!r} != 1")
             lam[u, v] = lam[v, u] = lp
         else:
-            if e.get("label") not in _CHAR_TO_LABEL:
+            if not isinstance(e.get("label"), str) or e["label"] not in _CHAR_TO_LABEL:
                 raise FormatError(f"bad label in {e!r}")
             s = _CHAR_TO_LABEL[e["label"]]
             labels[u, v] = labels[v, u] = s
@@ -643,11 +670,11 @@ def _from_json(text: str) -> Instance:
             return Instance.complete(labels)
         if kind == KPARTITE:
             parts = doc.get("parts")
-            if parts is None or len(parts) != n:
+            if not isinstance(parts, list) or len(parts) != n:
                 raise FormatError("k-partite JSON needs a parts array of length n")
             return Instance.kpartite(labels, np.asarray(parts, dtype=np.int64))
         return Instance.weighted(lam, ti=ti)
     except FormatError:
         raise
-    except ValueError as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise FormatError(str(e)) from e

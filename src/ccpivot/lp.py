@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import WEIGHTED, Instance
+from .instance import WEIGHTED, FormatError, Instance, worst_triangle
 
 FEAS_TOL = 1e-6          # separation / reported-solution feasibility
 SIMPLEX_TOL = 1e-8       # pivot feasibility tolerance inside the simplex
@@ -149,12 +149,9 @@ def validate_solution(x: LpSolution, tol: float = FEAS_TOL) -> ValidationReport:
     rep = ValidationReport()
     rep.box = max(0.0, float(max(np.max(-m, initial=0.0), np.max(m - 1.0, initial=0.0))))
     rep.diagonal = float(np.max(np.abs(np.diag(m)), initial=0.0))
-    viols = separate_triangle_violations(x, tol=-math.inf)
-    if viols:
-        u, v, w, g = viols[0]
-        if g > 0:
-            rep.triangle = g
-            rep.worst_triple = (u, v, w)
+    gap, triple = worst_triangle(m)
+    if gap > 0:
+        rep.triangle, rep.worst_triple = gap, triple
     return rep
 
 
@@ -345,9 +342,20 @@ def solution_to_json(x: LpSolution, objective: float | None = None) -> str:
 
 
 def solution_from_json(text: str) -> LpSolution:
-    doc = json.loads(text)
-    n = int(doc["n"])
-    raw = doc["x"]
-    if raw and isinstance(raw[0], list):
-        return LpSolution.from_matrix(np.asarray(raw, dtype=np.float64))
-    return LpSolution.from_upper(n, np.asarray(raw, dtype=np.float64))
+    """Inverse of solution_to_json ("x" may also be the upper-triangle vector).
+
+    FormatError on bad JSON, a missing key, or an "n" that disagrees with x.
+    """
+    try:
+        doc = json.loads(text)
+        n = int(doc["n"])
+        raw = doc["x"]
+        if raw and isinstance(raw[0], list):
+            x = LpSolution.from_matrix(np.asarray(raw, dtype=np.float64))
+        else:
+            x = LpSolution.from_upper(n, np.asarray(raw, dtype=np.float64))
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise FormatError(f"bad LP solution: {e!r}") from e
+    if x.n != n:
+        raise FormatError(f"LP solution says n = {n} but carries a {x.n}-vertex matrix")
+    return x

@@ -16,9 +16,15 @@ import os
 
 import numpy as np
 
-from .instance import Clustering, Instance
+from .instance import WEIGHTED, Clustering, Instance, pair_iter
 from .lp import LpSolution, solve_relaxation
-from .rounding import RoundingScheme
+from .rounding import (
+    RoundingScheme,
+    cut_probabilities,
+    pair_model,
+    pivot_terms,
+    probability_matrix,
+)
 
 DEFAULT_BRUTE_CAP = 13
 _RGS_MAX = 10
@@ -221,42 +227,63 @@ def integrality_ratio(inst: Instance) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _labeled_probability_matrix(inst: Instance, x: LpSolution, scheme: RoundingScheme):
-    from .rounding import probability_matrix
+def _join_outcomes(p: np.ndarray, verts: list, w: int):
+    """(members, probability) of each outcome of pivot w; u joins w.p. 1 - p[u, w]."""
+    others = [u for u in verts if u != w]
+    for bits in range(1 << len(others)):
+        members = {w}
+        prob = 1.0
+        for i, u in enumerate(others):
+            join = (bits >> i) & 1
+            q = 1.0 - p[u, w]
+            prob *= q if join else 1.0 - q
+            if join:
+                members.add(u)
+        if prob != 0.0:
+            yield members, prob
 
-    return probability_matrix(inst, x, scheme)
+
+def _label_coin_outcomes(inst: Instance):
+    """(probability, labeled instance) of each label-coin outcome of a weighted instance."""
+    n = inst.n
+    pairs = list(pair_iter(n))
+    for bits in range(1 << len(pairs)):
+        labels = np.zeros((n, n), dtype=np.int8)
+        prob = 1.0
+        for i, (u, v) in enumerate(pairs):
+            plus = (bits >> i) & 1
+            prob *= inst.lam_plus[u, v] if plus else 1.0 - inst.lam_plus[u, v]
+            labels[u, v] = labels[v, u] = 1 if plus else -1
+        if prob != 0.0:
+            yield prob, Instance.complete(labels)
+
+
+def _step_masses(verts: list, members: set, wp, wm, L) -> tuple[float, float]:
+    """(violated mass, LP mass removed) of one step over the pairs of verts."""
+    alg = 0.0
+    lpmass = 0.0
+    for ui, u in enumerate(verts):
+        for v in verts[ui + 1:]:
+            u_in, v_in = u in members, v in members
+            if u_in != v_in:
+                alg += wp[u, v]
+            elif u_in:
+                alg += wm[u, v]
+            if u_in or v_in:
+                lpmass += L[u, v]
+    return alg, lpmass
 
 
 def _enumerate_step(p: np.ndarray, wp: np.ndarray, wm: np.ndarray,
-                    lpcost: np.ndarray) -> tuple[float, float]:
+                    L: np.ndarray) -> tuple[float, float]:
     """Step-0 expectations by brute enumeration of pivot and memberships."""
     n = p.shape[0]
+    verts = list(range(n))
     e_alg = 0.0
     e_lp = 0.0
-    for w in range(n):
-        others = [u for u in range(n) if u != w]
-        for bits in range(1 << (n - 1)):
-            members = {w}
-            prob = 1.0
-            for i, u in enumerate(others):
-                join = (bits >> i) & 1
-                q = 1.0 - p[u, w]
-                prob *= q if join else 1.0 - q
-                if join:
-                    members.add(u)
-            if prob == 0.0:
-                continue
-            alg = 0.0
-            lpmass = 0.0
-            for u in range(n):
-                for v in range(u + 1, n):
-                    u_in, v_in = u in members, v in members
-                    if u_in != v_in:
-                        alg += wp[u, v]
-                    elif u_in and v_in:
-                        alg += wm[u, v]
-                    if u_in or v_in:
-                        lpmass += lpcost[u, v]
+    for w in verts:
+        for members, prob in _join_outcomes(p, verts, w):
+            alg, lpmass = _step_masses(verts, members, wp, wm, L)
             e_alg += prob * alg / n
             e_lp += prob * lpmass / n
     return e_alg, e_lp
@@ -272,34 +299,20 @@ def exact_expected_step_cost(
     coins, so keep n tiny there. Matches the pairwise closed form.
     """
     n = inst.n
-    wp, wm = inst.pair_weights()
-    xm = np.clip(x.matrix, 0.0, 1.0)
-    lpcost = wp * xm + wm * (1.0 - xm)
-    if inst.kind == "weighted":
+    model = pair_model(inst, x)  # the enumeration reads no self-loop
+    if inst.kind == WEIGHTED:
         if n > 6:
             raise ValueError("weighted enumeration is capped at n = 6")
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         e_alg = 0.0
         e_lp = 0.0
-        for bits in range(1 << len(pairs)):
-            labels = np.zeros((n, n), dtype=np.int8)
-            prob = 1.0
-            for i, (u, v) in enumerate(pairs):
-                plus = (bits >> i) & 1
-                prob *= inst.lam_plus[u, v] if plus else 1.0 - inst.lam_plus[u, v]
-                labels[u, v] = labels[v, u] = 1 if plus else -1
-            if prob == 0.0:
-                continue
-            sampled = Instance.complete(labels)
-            p = _labeled_probability_matrix(sampled, x, scheme)
-            a, l = _enumerate_step(p, wp, wm, lpcost)
+        for prob, sampled in _label_coin_outcomes(inst):
+            a, l = _enumerate_step(probability_matrix(sampled, x, scheme), *model)
             e_alg += prob * a
             e_lp += prob * l
         return {"e_alg_0": e_alg, "e_lp_0": e_lp}
     if n > 12:
         raise ValueError("enumeration capped at n = 12")
-    p = _labeled_probability_matrix(inst, x, scheme)
-    e_alg, e_lp = _enumerate_step(p, wp, wm, lpcost)
+    e_alg, e_lp = _enumerate_step(probability_matrix(inst, x, scheme), *model)
     return {"e_alg_0": e_alg, "e_lp_0": e_lp}
 
 
@@ -311,21 +324,15 @@ def step_cost_formula(inst: Instance, x: LpSolution, scheme: RoundingScheme) -> 
     per-pair values.
     """
     n = inst.n
-    wp, wm = inst.pair_weights()
-    xm = np.clip(x.matrix, 0.0, 1.0)
-    if inst.kind == "weighted":
-        p = inst.lam_plus * scheme.f_plus(xm) + (1.0 - inst.lam_plus) * scheme.f_minus(xm)
-        np.fill_diagonal(p, 0.0)
-    else:
-        p = _labeled_probability_matrix(inst, x, scheme)
-    lpcost = wp * xm + wm * (1.0 - xm)
+    p = cut_probabilities(inst, x, scheme)
+    wp, wm, L = pair_model(inst, x)
+    np.fill_diagonal(wp, 0.0)  # a real step has no self-loops
     e_alg = 0.0
     e_lp = 0.0
     for w in range(n):
-        pw = p[:, w]
-        q = 1.0 - pw
-        e_alg += (pw @ wp @ q + 0.5 * (q @ wm @ q)) / n
-        e_lp += (0.5 * (lpcost.sum() - pw @ lpcost @ pw)) / n
+        cost, lp = pivot_terms(wp, wm, L, p[:, w])
+        e_alg += 0.5 * cost / n
+        e_lp += 0.5 * lp / n
     return {"e_alg_0": float(e_alg), "e_lp_0": float(e_lp)}
 
 
@@ -339,23 +346,13 @@ def exact_expected_total_cost(
     the label coins are enumerated too).
     """
     n = inst.n
-    if inst.kind == "weighted":
+    if inst.kind == WEIGHTED:
         if n > 4:
             raise ValueError("weighted total-cost enumeration capped at n = 4")
         total = 0.0
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        for bits in range(1 << len(pairs)):
-            labels = np.zeros((n, n), dtype=np.int8)
-            prob = 1.0
-            for i, (u, v) in enumerate(pairs):
-                plus = (bits >> i) & 1
-                prob *= inst.lam_plus[u, v] if plus else 1.0 - inst.lam_plus[u, v]
-                labels[u, v] = labels[v, u] = 1 if plus else -1
-            if prob == 0.0:
-                continue
-            sub = Instance.complete(labels)
+        for prob, sampled in _label_coin_outcomes(inst):
             # violation costs are still charged against the weights
-            total += prob * _expected_total(sub, inst, x, scheme)
+            total += prob * _expected_total(sampled, inst, x, scheme)
         return total
     if n > 6:
         raise ValueError("total-cost enumeration capped at n = 6")
@@ -366,8 +363,8 @@ def _expected_total(
     label_inst: Instance, cost_inst: Instance, x: LpSolution, scheme: RoundingScheme
 ) -> float:
     n = label_inst.n
-    p = _labeled_probability_matrix(label_inst, x, scheme)
-    wp, wm = cost_inst.pair_weights()
+    p = probability_matrix(label_inst, x, scheme)
+    model = pair_model(cost_inst, x)
     memo: dict[int, float] = {0: 0.0}
 
     def solve(mask: int) -> float:
@@ -376,28 +373,9 @@ def _expected_total(
         verts = [u for u in range(n) if (mask >> u) & 1]
         total = 0.0
         for w in verts:
-            others = [u for u in verts if u != w]
             acc = 0.0
-            for bits in range(1 << len(others)):
-                members = {w}
-                prob = 1.0
-                for i, u in enumerate(others):
-                    join = (bits >> i) & 1
-                    qq = 1.0 - p[u, w]
-                    prob *= qq if join else 1.0 - qq
-                    if join:
-                        members.add(u)
-                if prob == 0.0:
-                    continue
-                step_cost = 0.0
-                for ui in range(len(verts)):
-                    for vi in range(ui + 1, len(verts)):
-                        u, v = verts[ui], verts[vi]
-                        u_in, v_in = u in members, v in members
-                        if u_in != v_in:
-                            step_cost += wp[u, v]
-                        elif u_in and v_in:
-                            step_cost += wm[u, v]
+            for members, prob in _join_outcomes(p, verts, w):
+                step_cost, _lp = _step_masses(verts, members, *model)
                 rest = mask
                 for u in members:
                     rest ^= 1 << u

@@ -320,6 +320,20 @@ def probability_matrix(inst: Instance, x: LpSolution, scheme: RoundingScheme) ->
     return p
 
 
+def cut_probabilities(inst: Instance, x: LpSolution, scheme: RoundingScheme) -> np.ndarray:
+    """Expected cut probability of every pair, zero diagonal: the scheme
+    matrix on labeled instances, the coin mixture lam_plus f_plus +
+    (1 - lam_plus) f_minus on weighted ones (exact in the step
+    expectations, which are multilinear in the independent coins).
+    """
+    if inst.kind != WEIGHTED:
+        return probability_matrix(inst, x, scheme)
+    xm = np.clip(x.matrix, 0.0, 1.0)
+    p = inst.lam_plus * scheme.f_plus(xm) + (1.0 - inst.lam_plus) * scheme.f_minus(xm)
+    np.fill_diagonal(p, 0.0)
+    return p
+
+
 def _coin_candidates(inst: Instance, x: LpSolution, scheme: RoundingScheme):
     """(f_plus, f_minus, lam_plus) on the pairs of a weighted instance, in pair_iter order."""
     if inst.kind != WEIGHTED:
@@ -495,16 +509,23 @@ def pair_model(inst: Instance, x: LpSolution):
     return wp, wm, L
 
 
-def _pivot_surplus(wp, wm, L, p, alpha: float, w: int, active: np.ndarray):
-    """alpha * sum e.lp_w - sum e.cost_w over ordered active pairs (diag included)."""
-    pw = p[active, w]
+def pivot_terms(wp, wm, L, pw) -> tuple[float, float]:
+    """Expected violated mass and LP mass removed by one pivot, over ordered pairs.
+
+    wp, wm, L: the pair model on the active vertices; pw: their cut
+    probabilities to the pivot. Each unordered pair counts twice and a
+    diagonal in wp adds self-loop terms; with a zero diagonal the step's
+    own expectations are exactly 0.5 * cost and 0.5 * lp.
+    """
     q = 1.0 - pw
-    WP = wp[np.ix_(active, active)]
-    WM = wm[np.ix_(active, active)]
-    LL = L[np.ix_(active, active)]
-    cost = 2.0 * (pw @ WP @ q) + q @ WM @ q
-    lp = LL.sum() - pw @ LL @ pw
-    return alpha * lp - cost
+    cost = 2.0 * (pw @ wp @ q) + q @ wm @ q
+    lp = L.sum() - pw @ L @ pw
+    return cost, lp
+
+
+def _active_model(wp, wm, L, active: np.ndarray):
+    sub = np.ix_(active, active)
+    return wp[sub], wm[sub], L[sub]
 
 
 def step_surplus_sum(inst: Instance, x: LpSolution, p: np.ndarray, alpha: float,
@@ -515,9 +536,10 @@ def step_surplus_sum(inst: Instance, x: LpSolution, p: np.ndarray, alpha: float,
     nonnegative at the scheme's probabilities whenever the scheme/alpha
     pair is certified for the class.
     """
-    wp, wm, L = pair_model(inst, x)
     act = np.arange(inst.n) if active is None else np.asarray(sorted(active))
-    return float(sum(_pivot_surplus(wp, wm, L, p, alpha, w, act) for w in act))
+    model = _active_model(*pair_model(inst, x), act)
+    terms = (pivot_terms(*model, p[act, w]) for w in act)
+    return float(sum(alpha * lp - cost for cost, lp in terms))
 
 
 def greedy_round_probabilities(wp, wm, L, p: np.ndarray, alpha: float,
@@ -529,16 +551,19 @@ def greedy_round_probabilities(wp, wm, L, p: np.ndarray, alpha: float,
     candidate is scored by those terms alone.
     """
     p = p.copy()
+    model = _active_model(wp, wm, L, active)
+
+    def surplus(w):
+        cost, lp = pivot_terms(*model, p[active, w])
+        return alpha * lp - cost
+
     for ui in range(len(active)):
         for vi in range(ui + 1, len(active)):
             u, v = int(active[ui]), int(active[vi])
             scores = []
             for val in (0.0, 1.0):
                 p[u, v] = p[v, u] = val
-                scores.append(
-                    _pivot_surplus(wp, wm, L, p, alpha, u, active)
-                    + _pivot_surplus(wp, wm, L, p, alpha, v, active)
-                )
+                scores.append(surplus(u) + surplus(v))
             best = 1.0 if scores[1] > scores[0] else 0.0
             p[u, v] = p[v, u] = best
     return p
@@ -555,31 +580,21 @@ def derandomize_round(
     surplus is largest. Membership is then deterministic.
     """
     n = inst.n
-    if inst.kind == WEIGHTED:
-        # mixture probabilities: lam_plus f_plus + lam_minus f_minus
-        xm = np.clip(x.matrix, 0.0, 1.0)
-        base = inst.lam_plus * scheme.f_plus(xm) + (1.0 - inst.lam_plus) * scheme.f_minus(xm)
-        np.fill_diagonal(base, 0.0)
-    else:
-        base = probability_matrix(inst, x, scheme)
+    base = cut_probabilities(inst, x, scheme)
     wp, wm, L = pair_model(inst, x)
+    # the pivot choice scores true conditional expectations: no self-loops
+    wp_pairs = np.where(np.eye(n, dtype=bool), 0.0, wp)
 
     active = np.arange(n)
     assignment = np.full(n, -1, dtype=np.int64)
     cid = 0
     while active.size:
-        p = greedy_round_probabilities(wp, wm, L, base.copy(), alpha, active)
+        p = greedy_round_probabilities(wp, wm, L, base, alpha, active)
+        model = _active_model(wp_pairs, wm, L, active)
         best_w, best_val = -1, -math.inf
         for w in active:
-            pw = p[active, w]
-            q = 1.0 - pw
-            WP = wp[np.ix_(active, active)].copy()
-            np.fill_diagonal(WP, 0.0)  # true conditional expectations: no self-loops
-            WM = wm[np.ix_(active, active)]
-            LL = L[np.ix_(active, active)]
-            cost = pw @ WP @ q + 0.5 * (q @ WM @ q)
-            lp = 0.5 * (LL.sum() - pw @ LL @ pw)
-            val = alpha * lp - cost
+            cost, lp = pivot_terms(*model, p[active, w])
+            val = 0.5 * (alpha * lp - cost)
             if val > best_val + 1e-15:
                 best_w, best_val = int(w), float(val)
         cluster = active[p[active, best_w] == 0.0]

@@ -197,3 +197,55 @@ def test_data_error_exit_code(tmp_path):
 def test_usage_error_exit_code():
     assert run(["frobnicate"]) == 64
     assert run(["certify"]) == 64
+
+
+def test_round_refuses_solution_of_another_size(tmp_path):
+    inst_file, small_inst, sol_file = tmp_path / "i6.cc", tmp_path / "i5.cc", tmp_path / "x5.json"
+    run(["gen", "complete", "--n", "6", "--p", "0.5", "--seed", "5", "-o", str(inst_file)])
+    run(["gen", "complete", "--n", "5", "--p", "0.5", "--seed", "5", "-o", str(small_inst)])
+    assert run(["lp", "--instance", str(small_inst), "-o", str(sol_file)]) == 0
+    base = ["round", "--instance", str(inst_file), "--lp-solution", str(sol_file),
+            "--scheme", "complete206"]
+    assert run(base + ["--mode", "random", "--seed", "1"]) == 65
+    assert run(base + ["--mode", "derand", "--alpha", "2.06"]) == 65
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 4, "x": [[0.0, 0.5], [0.5, 0.0]]},  # n disagrees with the matrix
+        {"n": 4, "x": [0.5, 0.5, 0.5]},  # vector of a 3-vertex solution
+        {"x": [[0.0, 0.5], [0.5, 0.0]]},  # no "n"
+        {"n": 2},  # no "x"
+        {"n": 2, "x": [[0.0, 0.5], [0.25, 0.0]]},  # not symmetric
+    ],
+)
+def test_solution_from_json_format_errors(tmp_path, doc):
+    with pytest.raises(cc.FormatError):
+        cc.lp.solution_from_json(json.dumps(doc))
+    inst_file, sol_file = tmp_path / "i.cc", tmp_path / "x.json"
+    run(["gen", "complete", "--n", "2", "--p", "0.5", "--seed", "1", "-o", str(inst_file)])
+    sol_file.write_text(json.dumps(doc))
+    assert run(["round", "--instance", str(inst_file), "--lp-solution", str(sol_file),
+                "--scheme", "complete206", "--seed", "1"]) == 65
+
+
+def test_scheme_file_missing_key_is_data_error(tmp_path):
+    doc = json.loads(cc.get_scheme("acn_linear").to_json())
+    del doc["f_minus"]
+    scheme_file = tmp_path / "partial.json"
+    scheme_file.write_text(json.dumps(doc))
+    assert run(["certify", str(scheme_file), "--alpha", "3", "--grid", "0.05"]) == 65
+
+
+def test_internal_key_error_is_not_a_data_error(tmp_path, monkeypatch):
+    import ccpivot.cli
+
+    def broken(_inst):
+        raise KeyError("internal")
+
+    inst_file = tmp_path / "i.cc"
+    run(["gen", "complete", "--n", "4", "--p", "0.5", "--seed", "2", "-o", str(inst_file)])
+    monkeypatch.setattr(ccpivot.cli, "brute_force_opt", broken)
+    with pytest.raises(KeyError, match="internal"):
+        run(["opt", "--instance", str(inst_file)])

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ccpivot as cc
 from ccpivot.instance import FormatError
@@ -255,3 +259,71 @@ def test_clustering_canonical_form():
     assert cc.Clustering([5, 5, 2, 7]).assignment.tolist() == [0, 0, 1, 2]
     assert cc.Clustering([1, 0, 1]) == cc.Clustering([0, 1, 0])
     assert cc.Clustering.from_blocks([[2, 0], [1]], 3) == cc.Clustering([0, 1, 0])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"class": "weighted", "n": 2, "edges": [{"u": 0, "v": 1, "lplus": "abc"}]}',
+        '{"class": "weighted", "n": 2, "edges": [{"u": 0, "v": 1, "lplus": 0.5, "lminus": "x"}]}',
+        '{"class": "weighted", "n": 2, "edges": [{"u": 0, "v": 1, "lplus": NaN}]}',
+        '{"class": "complete", "n": 2, "flags": [], "edges": [{"u": 0, "v": 1, "label": "+"}]}',
+        '{"class": "complete", "n": 2, "edges": 5}',
+        '{"class": "complete", "n": 2, "edges": [{"u": 0, "v": 1, "label": ["+"]}]}',
+        '{"class": "complete", "n": 1e999, "edges": []}',
+        '{"class": "kpartite", "n": 2, "parts": 7, "edges": [{"u": 0, "v": 1, "label": "+"}]}',
+        '{"class": "kpartite", "n": 2, "parts": [{}, 1], "edges": [{"u": 0, "v": 1, "label": "+"}]}',
+    ],
+)
+def test_parse_json_wrong_types_are_format_errors(text):
+    with pytest.raises(FormatError):
+        cc.parse_instance(text)
+
+
+@pytest.mark.parametrize("text", ["cc complete 3000\n0 1 +\n", '{"class": "complete", "n": 3000, "edges": []}'])
+def test_parse_checks_pair_count_before_allocating(text):
+    with pytest.raises(FormatError, match="pair entries"):
+        cc.parse_instance(text)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+_edge = st.fixed_dictionaries(
+    {},
+    optional={
+        "u": st.integers(-1, 3) | _json_values,
+        "v": st.integers(-1, 3) | _json_values,
+        "label": st.sampled_from(["+", "-", "0", "?"]) | _json_values,
+        "lplus": st.floats(-0.5, 1.5) | _json_values,
+        "lminus": st.floats(-0.5, 1.5) | _json_values,
+    },
+)
+_doc = st.fixed_dictionaries(
+    {},
+    optional={
+        "class": st.sampled_from(["complete", "kpartite", "weighted"]) | _json_values,
+        "n": st.integers(-1, 4) | _json_values,
+        "edges": st.lists(_edge | _json_values, max_size=7) | _json_values,
+        "flags": st.fixed_dictionaries({}, optional={"ti": _json_values}) | _json_values,
+        "parts": st.lists(st.integers(0, 2) | _json_values, max_size=5) | _json_values,
+    },
+)
+_edgelist = st.lists(
+    st.sampled_from(["cc", "complete", "kpartite", "weighted", "ti", "0", "1", "2", "3",
+                     "+", "-", "?", "0.5", "nan", "inf", "1e9", "-1", "#", "\n", " "])
+    | st.text(max_size=3),
+    max_size=30,
+).map(" ".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(max_size=80), _edgelist, _doc.map(json.dumps)))
+def test_parse_instance_raises_only_format_error(text):
+    try:
+        inst = cc.parse_instance(text)
+    except FormatError:
+        return
+    assert cc.parse_instance(cc.serialize_instance(inst)).n == inst.n

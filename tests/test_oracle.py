@@ -122,11 +122,19 @@ def test_exact_step_cost_n2_closed_form():
     assert cc.edge_lp_given_pivot("+", 0.4, 0.4, 0.4) == pytest.approx(0.336)
 
 
-@pytest.mark.parametrize("seed", [5, 6, 7])
-def test_enumeration_matches_pairwise_formula(seed):
-    inst = cc.gen_complete_random(3, 0.5, seed)
+@pytest.mark.parametrize(
+    "seed,kind",
+    [pytest.param(seed, "complete", id=str(seed)) for seed in (5, 6, 7)]
+    + [pytest.param(3, "kpartite", id="kpartite-3")],
+)
+def test_enumeration_matches_pairwise_formula(seed, kind):
+    if kind == "kpartite":  # neutral pairs: f_neutral cuts, nothing is charged
+        inst = cc.gen_kpartite_random([2, 2, 1], 0.5, seed)
+        s = cc.get_scheme("kpartite3")
+    else:
+        inst = cc.gen_complete_random(3, 0.5, seed)
+        s = cc.get_scheme("complete206")
     x, _ = cc.solve_relaxation(inst)
-    s = cc.get_scheme("complete206")
     enum = cc.exact_expected_step_cost(inst, x, s)
     formula = cc.step_cost_formula(inst, x, s)
     assert enum["e_alg_0"] == pytest.approx(formula["e_alg_0"], abs=1e-12)

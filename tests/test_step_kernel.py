@@ -1,0 +1,98 @@
+"""Pinned outputs of the pivot-step kernel's callers and of the worst-triangle scan.
+
+derandomize_round, step_inequality_check and validate_solution must
+reproduce these values bit for bit. The LP points are fixed
+shortest-path metrics, so the tests do not depend on the LP solver.
+"""
+
+import numpy as np
+import pytest
+
+import ccpivot as cc
+from ccpivot.instance import symmetric_from_upper, worst_triangle
+from ccpivot.rng import SplitMix64, unit_floats
+
+
+def metric_point(n: int, seed: int) -> cc.LpSolution:
+    """Shortest-path closure of lengths drawn uniformly from [0.2, 1]."""
+    d = symmetric_from_upper(n, 0.2 + 0.8 * unit_floats(SplitMix64(seed).block(n * (n - 1) // 2)))
+    for k in range(n):
+        d = np.minimum(d, d[:, k:k + 1] + d[k:k + 1, :])
+    return cc.LpSolution.from_matrix(d)
+
+
+CASES = {
+    "complete": (lambda s: cc.gen_complete_random(8, 0.5, s), "complete206", 2.06),
+    "kpartite": (lambda s: cc.gen_kpartite_random([3, 3, 2], 0.5, s), "kpartite3", 3.0),
+    "weighted": (lambda s: cc.gen_weighted_random(7, s), "weighted_ti_150", 1.5),
+}
+
+PINNED = [
+    ("complete", 1, [0, 0, 1, 0, 0, 0, 0, 0], 12.166979744571892, 21.79529933304233),
+    ("complete", 2, [0, 0, 0, 0, 0, 0, 0, 1], 12.44705682129945, 22.021556400072523),
+    ("complete", 3, [0, 0, 0, 0, 0, 1, 0, 0], 11.700085681703273, 19.68414201878508),
+    ("kpartite", 1, [0, 0, 0, 0, 1, 1, 0, 0], 6.816239162316988, 22.55682651869034),
+    ("kpartite", 2, [0, 0, 0, 1, 1, 1, 1, 1], 7.922413962030879, 19.64113867593632),
+    ("kpartite", 3, [0, 0, 0, 0, 0, 1, 0, 0], 7.401046494072318, 19.426927760554342),
+    ("weighted", 1, [0, 0, 0, 0, 1, 0, 0], 10.04648058107939, 13.162638493946135),
+    ("weighted", 2, [0, 1, 0, 1, 0, 2, 0], 8.585270209361255, 11.551734437730572),
+    ("weighted", 3, [0, 0, 0, 0, 1, 0, 0], 9.760276430192802, 13.611186854345947),
+]
+
+
+@pytest.mark.parametrize("name,seed,assignment,lhs,rhs", PINNED)
+def test_pinned_derandomize_and_step_inequality(name, seed, assignment, lhs, rhs):
+    gen, scheme_name, alpha = CASES[name]
+    inst = gen(seed)
+    x = metric_point(inst.n, 100 + seed)
+    scheme = cc.get_scheme(scheme_name)
+    assert cc.derandomize_round(inst, x, scheme, alpha).assignment.tolist() == assignment
+    si = cc.step_inequality_check(inst, x, scheme, alpha)
+    assert (si.lhs, si.rhs) == (lhs, rhs)
+    assert si.holds
+
+
+def _tied_matrix():
+    d = np.zeros((6, 6))
+    for u, w in ((0, 2), (1, 3), (2, 5), (0, 4)):
+        d[u, w] = d[w, u] = 1.0
+    return d
+
+
+@pytest.mark.parametrize(
+    "change,gap,triple",
+    [
+        (None, 1.0, (0, 1, 2)),  # twelve triples tie at gap 1
+        ((1, 3, 1.25), 1.25, (1, 0, 3)),
+        ((2, 5, 1.25), 1.25, (2, 1, 5)),
+    ],
+)
+def test_pinned_validate_worst_triple(change, gap, triple):
+    d = _tied_matrix()
+    if change:
+        u, w, val = change
+        d[u, w] = d[w, u] = val
+    rep = cc.validate_solution(cc.LpSolution.from_matrix(d))
+    assert (rep.triangle, rep.worst_triple) == (gap, triple)
+
+
+def test_worst_triangle_matches_sorted_separation():
+    # the scan's tie order is the separation scan's worst-first order
+    rng = np.random.default_rng(3)
+    for t in range(200):
+        n = 3 + t % 7
+        m = rng.choice([0.0, 0.5, 1.0], size=(n, n)) if t % 2 else rng.random((n, n))
+        m = np.triu(m, 1) + np.triu(m, 1).T
+        gap, triple = worst_triangle(m)
+        viols = cc.separate_triangle_violations(cc.LpSolution.from_matrix(m), tol=-np.inf)
+        u, v, w, g = viols[0]
+        assert (gap, triple) == (g, (u, v, w))
+
+
+def test_worst_triangle_small_and_nan():
+    assert worst_triangle(np.zeros((2, 2))) == (-np.inf, None)
+    d = _tied_matrix()
+    d[0, 2] = d[2, 0] = np.nan
+    gap, triple = worst_triangle(d)
+    assert gap == 1.0 and triple == (0, 1, 4)
+    assert cc.validate_solution(cc.LpSolution(6, d[np.triu_indices(6, 1)])).worst_triple == triple
