@@ -147,7 +147,10 @@ def validate_solution(x: LpSolution, tol: float = FEAS_TOL) -> ValidationReport:
     """Worst violation per constraint family; never raises."""
     m = x.matrix
     rep = ValidationReport()
-    rep.box = max(0.0, float(max(np.max(-m, initial=0.0), np.max(m - 1.0, initial=0.0))))
+    if not np.isfinite(m).all():  # max() would drop a NaN, calling the point feasible
+        rep.box = math.inf
+    else:
+        rep.box = max(0.0, float(max(np.max(-m, initial=0.0), np.max(m - 1.0, initial=0.0))))
     rep.diagonal = float(np.max(np.abs(np.diag(m)), initial=0.0))
     gap, triple = worst_triangle(m)
     if gap > 0:
@@ -344,7 +347,8 @@ def solution_to_json(x: LpSolution, objective: float | None = None) -> str:
 def solution_from_json(text: str) -> LpSolution:
     """Inverse of solution_to_json ("x" may also be the upper-triangle vector).
 
-    FormatError on bad JSON, a missing key, or an "n" that disagrees with x.
+    FormatError on bad JSON, a missing key, an "n" that disagrees with x,
+    or a non-finite entry.
     """
     try:
         doc = json.loads(text)
@@ -358,4 +362,6 @@ def solution_from_json(text: str) -> LpSolution:
         raise FormatError(f"bad LP solution: {e!r}") from e
     if x.n != n:
         raise FormatError(f"LP solution says n = {n} but carries a {x.n}-vertex matrix")
+    if not np.isfinite(x.vec).all():
+        raise FormatError("LP solution has a non-finite entry")
     return x

@@ -55,6 +55,9 @@ class IneligibleSchemeError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+_PIECE_PARAMS = {"constant": 1, "linear": 2, "power": 3}
+
+
 @dataclass(frozen=True)
 class Piece:
     """One piece of a piecewise function on [lo, hi].
@@ -74,6 +77,13 @@ class Piece:
     params: tuple
     closed_left: bool = True
 
+    def __post_init__(self):
+        want = _PIECE_PARAMS.get(self.kind)
+        if want is None:
+            raise ValueError(f"unknown piece kind {self.kind!r}")
+        if len(self.params) != want:
+            raise ValueError(f"a {self.kind} piece takes {want} params, got {len(self.params)}")
+
     def __call__(self, x):
         x = np.asarray(x, dtype=np.float64)
         if self.kind == "constant":
@@ -81,11 +91,9 @@ class Piece:
         if self.kind == "linear":
             b, a = self.params
             return b + a * x
-        if self.kind == "power":
-            anchor, scale, expo = self.params
-            base = np.clip((x - anchor) / scale, 0.0, None)
-            return base**expo
-        raise ValueError(f"unknown piece kind {self.kind!r}")
+        anchor, scale, expo = self.params  # "power"
+        base = np.clip((x - anchor) / scale, 0.0, None)
+        return base**expo
 
 
 class PiecewiseFn:
@@ -139,9 +147,9 @@ class PiecewiseFn:
         pieces = []
         for e in obj:
             kind = e["kind"]
-            params = tuple(e.get("params", ()))
+            params = tuple(float(v) for v in e.get("params", ()))
             if kind == "quadratic":  # ((x-anchor)/scale)^2 shorthand
-                kind, params = "power", (params[0], params[1], 2.0)
+                kind, params = "power", (*params, 2.0)
             elif kind == "sqrt":
                 kind, params = "power", (0.0, 1.0, 0.5)
             pieces.append(

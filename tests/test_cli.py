@@ -249,3 +249,29 @@ def test_internal_key_error_is_not_a_data_error(tmp_path, monkeypatch):
     monkeypatch.setattr(ccpivot.cli, "brute_force_opt", broken)
     with pytest.raises(KeyError, match="internal"):
         run(["opt", "--instance", str(inst_file)])
+
+
+@pytest.mark.parametrize("x", ["[NaN, 0.5, 0.5]", "[[0, NaN, 0.5], [NaN, 0, 0.5], [0.5, 0.5, 0]]",
+                               "[0.5, -Infinity, 0.5]"])
+def test_round_refuses_non_finite_solution(tmp_path, x):
+    inst_file, sol_file = tmp_path / "i.cc", tmp_path / "x.json"
+    run(["gen", "complete", "--n", "3", "--p", "0.5", "--seed", "1", "-o", str(inst_file)])
+    sol_file.write_text('{"n": 3, "x": %s}' % x)
+    base = ["round", "--instance", str(inst_file), "--lp-solution", str(sol_file),
+            "--scheme", "complete206"]
+    assert run(base + ["--seed", "1"]) == 65
+    assert run(base + ["--mode", "derand", "--alpha", "2.06"]) == 65
+
+
+@pytest.mark.parametrize("piece", [
+    {"from": 0.0, "to": 1.0, "kind": "cubic", "params": [0.0, 1.0]},  # unknown kind
+    {"from": 0.0, "to": 1.0, "kind": "linear", "params": [0.0]},  # too few params
+    {"from": 0.0, "to": 1.0, "kind": "quadratic", "params": [0.0]},  # shorthand too short
+    {"from": 0.0, "to": 1.0, "kind": "linear", "params": ["a", "b"]},  # not numbers
+])
+def test_scheme_file_with_bad_piece_is_data_error(tmp_path, piece):
+    doc = json.loads(cc.get_scheme("acn_linear").to_json())
+    doc["f_minus"] = [piece]
+    scheme_file = tmp_path / "bad_piece.json"
+    scheme_file.write_text(json.dumps(doc))
+    assert run(["certify", str(scheme_file), "--alpha", "3", "--grid", "0.05"]) == 65

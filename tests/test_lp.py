@@ -165,3 +165,18 @@ def test_kpartite_neutral_pairs_carry_variables():
     x, stats = cc.solve_relaxation(inst)
     assert stats.objective == pytest.approx(0.0, abs=1e-9)
     assert cc.validate_solution(x).feasible(1e-6)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validate_flags_non_finite_entries(bad):
+    rep = cc.validate_solution(cc.LpSolution(3, np.array([bad, 0.5, 0.5])))
+    assert rep.box == np.inf
+    assert not rep.feasible()
+
+
+def test_solution_from_json_refuses_non_finite_entries():
+    from ccpivot.lp import solution_from_json
+
+    for text in ('{"n": 3, "x": [NaN, 0.5, 0.5]}', '{"n": 3, "x": [0.5, Infinity, 0.5]}'):
+        with pytest.raises(cc.FormatError, match="non-finite"):
+            solution_from_json(text)

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 import ccpivot as cc
-from ccpivot.oracle import _brute_force_rgs, _brute_force_subset_dp
+from ccpivot.oracle import (
+    DEFAULT_BRUTE_CAP,
+    _brute_force_rgs,
+    _brute_force_subset_dp,
+    brute_force_cap,
+)
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 
@@ -180,3 +185,9 @@ def test_lp_below_opt_small_instances():
         _x, stats = cc.solve_relaxation(inst)
         _c, opt = cc.brute_force_opt(inst)
         assert stats.objective <= opt + 1e-6
+
+
+def test_invalid_cap_warns_and_uses_default(monkeypatch):
+    monkeypatch.setenv("CC_MAX_BRUTE_N", "abc")
+    with pytest.warns(UserWarning, match=r"CC_MAX_BRUTE_N='abc'.*cap 13"):
+        assert brute_force_cap() == DEFAULT_BRUTE_CAP == 13
