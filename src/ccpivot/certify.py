@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -241,6 +240,7 @@ class CertificateReport:
     eligible: bool
     used_full_grid: bool
     results: list = field(default_factory=list)  # TypeResult
+    sweep: dict = field(default_factory=dict)  # extra meta entries of the sweep
 
     @property
     def min_surplus(self) -> float:
@@ -266,6 +266,7 @@ class CertificateReport:
                 "tol": self.tol,
                 "eligible": self.eligible,
                 "full_grid": self.used_full_grid,
+                **self.sweep,
             },
             "verdict": "PASS" if self.passed else "FAIL",
             "min_surplus": self.min_surplus,
@@ -291,6 +292,16 @@ def _grid(step: float) -> np.ndarray:
 
 def _assignments(canonical: tuple[str, str, str]):
     return sorted(set(itertools.permutations(canonical)))
+
+
+def _metric_triples(s0, s1, s2) -> list:
+    """Triples of s0 x s1 x s2, in product order, that satisfy the triangle inequality."""
+    return [
+        t for t in itertools.product(s0, s1, s2)
+        if t[0] <= t[1] + t[2] + 1e-12
+        and t[1] <= t[0] + t[2] + 1e-12
+        and t[2] <= t[0] + t[1] + 1e-12
+    ]
 
 
 def _surplus_on_lengths(types, L0, L1, L2, scheme, alpha):
@@ -322,13 +333,10 @@ def _sweep_tight_families(types, scheme, alpha, step):
 
 
 def _sweep_corners(types, scheme, alpha, corners):
-    sets = [corners[t] for t in types]
     results = []
     best = (math.inf, None)
-    for lengths in itertools.product(*sets):
+    for lengths in _metric_triples(*(corners[t] for t in types)):
         l = list(lengths)
-        if l[0] > l[1] + l[2] + 1e-12 or l[1] > l[0] + l[2] + 1e-12 or l[2] > l[0] + l[1] + 1e-12:
-            continue
         tc = triple_costs(types, l, scheme, alpha)
         results.append({"types": "".join(types), "lengths": l, "surplus": tc.surplus})
         if tc.surplus < best[0]:
@@ -518,6 +526,34 @@ def lower_bound_check(alpha: float, x: float) -> LowerBoundResult:
 _COIN_TYPES = list(itertools.product(("+", "-"), repeat=3))
 
 
+def _coin_surpluses(lengths, scheme: RoundingScheme, alpha: float) -> list:
+    """alpha * LP - ALG per label-coin outcome, in _COIN_TYPES order (free of lam_minus)."""
+    ls = [np.asarray(v, dtype=np.float64) for v in lengths]
+    probs = {
+        ("+", i): scheme.f_plus(ls[i]) for i in range(3)
+    } | {
+        ("-", i): scheme.f_minus(ls[i]) for i in range(3)
+    }
+    out = []
+    for combo in _COIN_TYPES:
+        p = [probs[(combo[i], i)] for i in range(3)]
+        alg, lp = triple_sums(combo, ls, p)
+        out.append(alpha * lp - alg)
+    return out
+
+
+def _coin_mixture(lam_minus, surpluses):
+    """Sum of the per-coin surpluses weighted by their lam_minus probabilities."""
+    lm = [np.asarray(v, dtype=np.float64) for v in lam_minus]
+    total = 0.0
+    for combo, s in zip(_COIN_TYPES, surpluses):
+        weight = 1.0
+        for i, t in enumerate(combo):
+            weight = weight * (lm[i] if t == "-" else (1.0 - lm[i]))
+        total = total + weight * s
+    return total
+
+
 def weighted_surplus(lam_minus, lengths, scheme: RoundingScheme, alpha: float):
     """Expected surplus of a weighted triangle over the three label coins.
 
@@ -525,22 +561,7 @@ def weighted_surplus(lam_minus, lengths, scheme: RoundingScheme, alpha: float):
     coin outcomes contributes its unweighted surplus times its
     probability.
     """
-    lm = [np.asarray(v, dtype=np.float64) for v in lam_minus]
-    ls = [np.asarray(v, dtype=np.float64) for v in lengths]
-    probs = {
-        ("+", i): scheme.f_plus(ls[i]) for i in range(3)
-    } | {
-        ("-", i): scheme.f_minus(ls[i]) for i in range(3)
-    }
-    total = 0.0
-    for combo in _COIN_TYPES:
-        weight = 1.0
-        for i, t in enumerate(combo):
-            weight = weight * (lm[i] if t == "-" else (1.0 - lm[i]))
-        p = [probs[(combo[i], i)] for i in range(3)]
-        alg, lp = triple_sums(combo, ls, p)
-        total = total + weight * (alpha * lp - alg)
-    return total
+    return _coin_mixture(lam_minus, _coin_surpluses(lengths, scheme, alpha))
 
 
 def _weighted_length_batches(scheme: RoundingScheme, grid_step: float):
@@ -555,47 +576,12 @@ def _weighted_length_batches(scheme: RoundingScheme, grid_step: float):
         (a + b, a, b),
     ]
     pts = sorted(set(scheme.f_plus.breakpoints()) | set(scheme.f_minus.breakpoints()))
-    corner = [
-        t for t in itertools.product(pts, repeat=3)
-        if t[0] <= t[1] + t[2] + 1e-12
-        and t[1] <= t[0] + t[2] + 1e-12
-        and t[2] <= t[0] + t[1] + 1e-12
-    ]
+    corner = _metric_triples(pts, pts, pts)
     if corner:
         arr = np.array(corner, dtype=np.float64)
         batches.append((arr[:, 0], arr[:, 1], arr[:, 2]))
     ls = [np.concatenate([b[i] for b in batches]) for i in range(3)]
     return ls
-
-
-def _lambda_triples(lam_step: float) -> np.ndarray:
-    g = _grid(lam_step)
-    out = []
-    for l0 in g:
-        for l1 in g:
-            for l2 in g:
-                if l0 <= l1 + l2 + 1e-12 and l1 <= l0 + l2 + 1e-12 and l2 <= l0 + l1 + 1e-12:
-                    out.append((l0, l1, l2))
-    return np.array(out, dtype=np.float64)
-
-
-def _weighted_chunk_min(args):
-    scheme_json, alpha, grid_step, lam_rows = args
-    scheme = RoundingScheme.from_json(scheme_json)
-    ls = _weighted_length_batches(scheme, grid_step)
-    best = (math.inf, None)
-    for lam in lam_rows:
-        s = weighted_surplus(lam, ls, scheme, alpha)
-        i = int(np.argmin(s))
-        if s[i] < best[0]:
-            best = (
-                float(s[i]),
-                {
-                    "lam_minus": [float(v) for v in lam],
-                    "lengths": [float(ls[0][i]), float(ls[1][i]), float(ls[2][i])],
-                },
-            )
-    return best
 
 
 def certify_weighted_ti(
@@ -610,24 +596,31 @@ def certify_weighted_ti(
 
     The surplus is swept over tight length triples (and length corners)
     crossed with a grid of lam_minus triples restricted to the metric
-    polytope. The lam sweep parallelizes cleanly; results do not depend
-    on the chunking.
+    polytope. The eight per-coin surplus arrays are computed once; each
+    lam row only mixes them. The sweep is serial: ``jobs`` is accepted
+    for compatibility and ignored.
     """
     elig = check_eligibility(scheme)
     if not elig.eligible:
         raise IneligibleSchemeError(
             f"scheme {scheme.name!r} fails the tight-triangle eligibility check"
         )
-    lam_rows = _lambda_triples(lam_grid_step)
-    scheme_json = scheme.to_json()
-    if jobs > 1:
-        chunks = np.array_split(lam_rows, jobs * 4)
-        payload = [(scheme_json, alpha, length_grid_step, c) for c in chunks if len(c)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cands = list(pool.map(_weighted_chunk_min, payload))
-        best = min(cands, key=lambda t: t[0])
-    else:
-        best = _weighted_chunk_min((scheme_json, alpha, length_grid_step, lam_rows))
+    g = _grid(lam_grid_step)
+    lam_rows = np.array(_metric_triples(g, g, g), dtype=np.float64)
+    ls = _weighted_length_batches(scheme, length_grid_step)
+    surpluses = _coin_surpluses(ls, scheme, alpha)
+    best = (math.inf, None)
+    for lam in lam_rows:
+        s = _coin_mixture(lam, surpluses)
+        i = int(np.argmin(s))
+        if s[i] < best[0]:
+            best = (
+                float(s[i]),
+                {
+                    "lam_minus": [float(v) for v in lam],
+                    "lengths": [float(ls[0][i]), float(ls[1][i]), float(ls[2][i])],
+                },
+            )
 
     report = CertificateReport(
         scheme=scheme.name,
@@ -637,6 +630,7 @@ def certify_weighted_ti(
         tol=tol,
         eligible=True,
         used_full_grid=False,
+        sweep={"lam_grid_step": lam_grid_step, "surplus_points": len(ls[0]) * len(lam_rows)},
     )
     report.results.append(
         TypeResult(

@@ -331,7 +331,8 @@ def _build_parser() -> _Parser:
     c.add_argument("--tol", type=float, default=1e-9)
     c.add_argument("--no-full-grid", action="store_true",
                    help="refuse ineligible schemes instead of full-grid fallback")
-    c.add_argument("--jobs", type=int, default=1)
+    c.add_argument("--jobs", type=int, default=1,
+                   help="ignored: the sweep is serial; kept for compatibility")
     c.add_argument("-o", "--output", default=None)
     c.set_defaults(func=_cmd_certify)
 

@@ -172,15 +172,16 @@ def worst_triangle(d: np.ndarray) -> tuple[float, tuple | None]:
     """
     n = d.shape[0]
     best, where = -math.inf, None
-    for u in range(n):
-        # slab[v, w] = d[u, w] - d[u, v] - d[v, w]
-        slab = d[u][None, :] - d[u][:, None] - d
-        slab[:, :u + 1] = -math.inf
-        slab[u, :] = -math.inf
-        np.fill_diagonal(slab, -math.inf)
-        v, w = divmod(int(np.nanargmax(slab)), n)
-        if slab[v, w] > best:
-            best, where = float(slab[v, w]), (u, v, w)
+    with np.errstate(invalid="ignore"):  # inf - inf gives a NaN gap, skipped
+        for u in range(n):
+            # slab[v, w] = d[u, w] - d[u, v] - d[v, w]
+            slab = d[u][None, :] - d[u][:, None] - d
+            slab[:, :u + 1] = -math.inf
+            slab[u, :] = -math.inf
+            np.fill_diagonal(slab, -math.inf)
+            v, w = divmod(int(np.nanargmax(slab)), n)
+            if slab[v, w] > best:
+                best, where = float(slab[v, w]), (u, v, w)
     return best, where
 
 

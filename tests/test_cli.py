@@ -114,6 +114,15 @@ def test_certify_weighted_class(tmp_path):
                 "--grid", "0.05", "--tol", "1e-7", "-o", str(out)]) == 1
 
 
+def test_certify_weighted_jobs_match_serial(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    args = ["certify", "weighted_ti_153", "--alpha", "1.53", "--class", "weighted",
+            "--grid", "0.05", "--tol", "1e-7"]
+    assert run(args + ["--jobs", "1", "-o", str(a)]) == 0
+    assert run(args + ["--jobs", "2", "-o", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_certify_scheme_from_file(tmp_path):
     scheme_file = tmp_path / "acn.json"
     scheme_file.write_text(cc.get_scheme("acn_linear").to_json())

@@ -180,3 +180,13 @@ def test_solution_from_json_refuses_non_finite_entries():
     for text in ('{"n": 3, "x": [NaN, 0.5, 0.5]}', '{"n": 3, "x": [0.5, Infinity, 0.5]}'):
         with pytest.raises(cc.FormatError, match="non-finite"):
             solution_from_json(text)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_validate_infinite_entries_raise_no_warning(bad):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = cc.validate_solution(cc.LpSolution(3, np.array([bad, 0.5, 0.5])))
+    assert not rep.feasible()
