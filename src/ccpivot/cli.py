@@ -36,6 +36,7 @@ from .instance import (
     serialize_instance,
 )
 from .lp import (
+    MAX_LP_N,
     LpNumericalError,
     solution_from_json,
     solution_to_json,
@@ -126,6 +127,10 @@ def _cmd_gen(args) -> int:
 
 def _cmd_lp(args) -> int:
     inst = _load_instance(args.instance)
+    if inst.n > MAX_LP_N:
+        raise _UsageExit(
+            f"lp solves instances up to n = {MAX_LP_N} (MAX_LP_N); this one has n = {inst.n}"
+        )
     x, stats = solve_relaxation(inst, tol=args.tol)
     doc = json.loads(solution_to_json(x, stats.objective))
     doc["meta"] = _meta(
@@ -133,11 +138,14 @@ def _cmd_lp(args) -> int:
         iterations=stats.iterations,
         constraints_generated=stats.constraints_generated,
         separation_rounds=stats.separation_rounds,
+        dual_bound=stats.dual_bound,
+        gap=stats.gap,
+        rounds=stats.rounds,
     )
     _write(args.output, json.dumps(doc, indent=1))
     print(
         f"objective={stats.objective:.9g} rounds={stats.separation_rounds} "
-        f"cuts={stats.constraints_generated} pivots={stats.iterations}",
+        f"cuts={stats.constraints_generated} pivots={stats.iterations} gap={stats.gap:.3g}",
         file=sys.stderr,
     )
     return EXIT_OK

@@ -3,27 +3,41 @@
 One variable x_uv in [0, 1] per unordered pair, objective
 sum over "+" pairs of x plus sum over "-" pairs of (1 - x) (weighted
 classes mix the two with lam), subject to x_uw <= x_uv + x_vw for all
-triples. The O(n^3) triangle family is generated lazily: solve the
-working relaxation with a dense primal simplex, scan for violated
-triangles, add the worst ones, repeat. Termination requires both simplex
-optimality on the working set and an empty separation scan, which
-together certify the objective is the true relaxation optimum.
+triples. The O(n^3) triangle family is generated lazily: one dense
+simplex tableau lives across separation rounds. The first round solves
+the unit rows x <= 1 alone with the primal simplex; each later round
+appends the worst violated triangles as new rows, which keeps the
+tableau dual feasible, and a dual simplex restores primal feasibility.
+The primal prices by Dantzig's rule and the dual by the largest
+infeasibility relative to the row norm; both fall back to Bland's rule
+after DEGENERATE_RUN degenerate pivots in a row, so neither cycles.
+The loop ends when the working set is optimal and the separation scan
+is empty; the result is then checked apart from the tableau, by a dual
+bound built from the final triangle multipliers and by
+validate_solution.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import WEIGHTED, FormatError, Instance, worst_triangle
+from .instance import FormatError, Instance, worst_triangle
 
 FEAS_TOL = 1e-6          # separation / reported-solution feasibility
 SIMPLEX_TOL = 1e-8       # pivot feasibility tolerance inside the simplex
-MAX_PIVOTS = 200_000
+GAP_TOL = 1e-6           # largest primal-dual gap accepted, relative to max(1, |objective|)
+DEGENERATE_RUN = 50      # degenerate pivots in a row before pricing falls back to Bland
+MAX_PIVOTS = 200_000     # primal plus dual pivots over one solve
 MAX_ROUNDS = 500
+MAX_LP_N = 40            # largest n `ccpivot lp` accepts: about 1 min and 250 MB at n = 40
+
+log = logging.getLogger(__name__)
 
 
 class LpNumericalError(RuntimeError):
@@ -82,13 +96,18 @@ class LpSolution:
 @dataclass
 class LpStats:
     objective: float = 0.0
-    iterations: int = 0
+    iterations: int = 0  # primal plus dual simplex pivots
     constraints_generated: int = 0
     separation_rounds: int = 0
     # per-round objective values and the final working triangle set; kept so
     # monotonicity / re-solve determinism can be audited after the fact
     round_objectives: list = field(default_factory=list)
     final_constraints: list = field(default_factory=list)
+    # Lagrangian lower bound on the full relaxation and objective minus it
+    dual_bound: float = 0.0
+    gap: float = 0.0
+    # one dict per round: cuts added, dual and primal pivots, seconds
+    rounds: list = field(default_factory=list)
 
 
 @dataclass
@@ -159,160 +178,256 @@ def validate_solution(x: LpSolution, tol: float = FEAS_TOL) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# dense primal simplex on the working relaxation
+# one dense simplex tableau, kept across separation rounds
 # ---------------------------------------------------------------------------
-#
-# Working problem:  min c.x  s.t.  A x <= b,  x >= 0,
-# where A always contains the unit rows x_i <= 1 and the lazily added
-# triangle rows -x_uv - x_vw + x_uw <= 0. All b >= 0, so the all-slack
-# basis at x = 0 is feasible and no phase-1 is needed. Bland's rule
-# (lowest eligible index) guards against cycling.
 
 
-def _simplex_min(c: np.ndarray, rows: np.ndarray, rhs: np.ndarray):
-    """Return (x, objective, pivot_count) for min c.x, rows.x <= rhs, x >= 0."""
-    m, nvar = rows.shape
-    ncols = nvar + m
-    # tableau: [A | I | b], objective row keeps reduced costs
-    t = np.zeros((m + 1, ncols + 1))
-    t[:m, :nvar] = rows
-    t[:m, nvar : nvar + m] = np.eye(m)
-    t[:m, -1] = rhs
-    t[m, :nvar] = c
-    basis = list(range(nvar, nvar + m))
+class _Tableau:
+    """Dense tableau for min c.x s.t. x <= 1, T x <= 0, x >= 0.
 
-    pivots = 0
-    while True:
-        red = t[m, :ncols]
-        enter = -1
-        for j in range(ncols):
-            if red[j] < -SIMPLEX_TOL:
-                enter = j  # Bland: first (lowest-index) improving column
-                break
-        if enter < 0:
-            break
-        col = t[:m, enter]
-        best = math.inf
-        leave = -1
-        for i in range(m):
-            if col[i] > SIMPLEX_TOL:
-                ratio = t[i, -1] / col[i]
-                if ratio < best - SIMPLEX_TOL or (
-                    abs(ratio - best) <= SIMPLEX_TOL
-                    and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            raise LpNumericalError("unbounded working relaxation (tableau breakdown)")
-        piv = t[leave, enter]
-        t[leave] /= piv
-        col_vals = t[:, enter].copy()
-        col_vals[leave] = 0.0
-        t -= np.outer(col_vals, t[leave])
-        t[:, enter] = 0.0
-        t[leave, enter] = 1.0
-        basis[leave] = enter
-        pivots += 1
-        if pivots > MAX_PIVOTS:
+    Rows 0..m-1 are the constraints: the nvar unit rows x_j <= 1, then
+    the triangle rows x_a - x_b - x_c <= 0 in the order they were added.
+    Row m holds the reduced costs and the last column the right-hand
+    sides (row m: minus the objective). Column j < nvar is x_j and
+    column nvar + i the slack of row i. It starts at the all-slack basis,
+    x = 0, which is primal feasible.
+
+    The primal simplex prices by Dantzig's rule (most negative reduced
+    cost) and the dual simplex picks the row with the most negative
+    value relative to its norm. After DEGENERATE_RUN degenerate pivots
+    in a row either one uses Bland's rule (lowest index), which cannot
+    cycle, until a pivot makes progress again. Ratio-test ties go to the
+    largest pivot element, or under Bland's rule to the lowest index.
+    """
+
+    def __init__(self, c: np.ndarray):
+        nvar = len(c)
+        self.nvar = nvar
+        j = np.arange(nvar)
+        self.t = np.zeros((nvar + 1, 2 * nvar + 1), order="F")
+        self.t[j, j] = self.t[j, nvar + j] = self.t[j, -1] = 1.0
+        self.t[nvar, :nvar] = c
+        self.basis = nvar + j
+        self.pivots = 0
+
+    def add_rows(self, cuts: np.ndarray) -> None:
+        """Append x_a - x_b - x_c <= 0 for each (a, b, c) row of cuts.
+
+        Each new row gets its own slack column and is reduced against the
+        current basis, so the reduced costs do not change (the tableau
+        stays dual feasible) and a violated row gets a negative value.
+        """
+        old, basis = self.t, self.basis
+        m, k = len(basis), len(cuts)
+        ncols = old.shape[1] - 1
+        t = np.zeros((m + k + 1, ncols + k + 1), order="F")
+        t[:m, :ncols] = old[:m, :-1]
+        t[:m, -1] = old[:m, -1]
+        t[-1, :ncols] = old[m, :-1]
+        t[-1, -1] = old[m, -1]
+        r = np.arange(k)
+        rows = t[m : m + k]
+        rows[r, ncols + r] = 1.0
+        signs = (1.0, -1.0, -1.0)
+        for col, s in zip(cuts.T, signs):
+            rows[r, col] = s
+        pos = np.full(ncols, -1)
+        pos[basis] = np.arange(m)
+        # subtract s times the row of each basic variable the cut touches;
+        # that row is zero on every other basic column, so the order is free
+        for col, s in zip(cuts.T, signs):
+            p = pos[col]
+            hit = p >= 0
+            rows[hit] -= s * t[p[hit]]
+        self.t = t
+        self.basis = np.concatenate([basis, ncols + r])
+
+    def _pivot(self, row: int, col: int, norms: np.ndarray | None = None) -> None:
+        """Pivot on t[row, col]; keep norms, the squared row norms, up to date."""
+        # column-major storage: the update touches only the columns where
+        # the pivot row is nonzero, and each of them is contiguous
+        t = self.t
+        t[row] /= t[row, col]
+        f = t[:, col].copy()
+        f[row] = 0.0
+        cols = t[row].nonzero()[0]
+        prow = t[row, cols]
+        block = t[:, cols]
+        if norms is not None:
+            # |r - f p|^2 = |r|^2 - 2 f (r.p) + f^2 |p|^2, from r before the update;
+            # each constraint row holds its basic variable's 1, so stays >= 1
+            pp = prow @ prow
+            norms += f * (f * pp - 2.0 * (block @ prow))
+            norms[row] = pp
+            np.maximum(norms, 1.0, out=norms)
+        block -= f[:, None] * prow
+        t[:, cols] = block
+        self.basis[row] = col
+        self.pivots += 1
+        if self.pivots > MAX_PIVOTS:
             raise LpNumericalError(f"simplex exceeded {MAX_PIVOTS} pivots")
 
-    x = np.zeros(nvar)
-    for i, b in enumerate(basis):
-        if b < nvar:
-            x[b] = t[i, -1]
-    return x, float(c @ x), pivots
+    def primal(self) -> int:
+        """Primal simplex from a primal feasible basis; returns its pivot count."""
+        t, m = self.t, len(self.basis)
+        start, run = self.pivots, 0
+        while True:
+            bland = run >= DEGENERATE_RUN
+            red = t[m, :-1]
+            cand = (red < -SIMPLEX_TOL).nonzero()[0]
+            if len(cand) == 0:
+                break
+            enter = cand[0] if bland else cand[red[cand].argmin()]
+            rows = (t[:m, enter] > SIMPLEX_TOL).nonzero()[0]
+            if len(rows) == 0:
+                raise LpNumericalError("unbounded working relaxation (tableau breakdown)")
+            ratio = np.maximum(t[rows, -1], 0.0) / t[rows, enter]
+            best = ratio.min()
+            ties = rows[ratio <= best + SIMPLEX_TOL]
+            leave = ties[self.basis[ties].argmin()] if bland else ties[t[ties, enter].argmax()]
+            run = run + 1 if best <= SIMPLEX_TOL else 0
+            self._pivot(int(leave), int(enter))
+        return self.pivots - start
+
+    def dual(self) -> int:
+        """Dual simplex from a dual feasible basis; returns its pivot count.
+
+        Outside Bland's rule the leaving row is the one whose negative
+        value is largest relative to its norm, not the most negative one:
+        at n = 24 that took a third of the pivots. The norms span whole
+        rows, right-hand side included, which ranks the rows as norms
+        over the coefficients alone would (b^2/(a^2 + b^2) grows with
+        b^2/a^2).
+        """
+        t, m = self.t, len(self.basis)
+        start, run = self.pivots, 0
+        norms = np.einsum("ij,ij->i", t, t)
+        while True:
+            bland = run >= DEGENERATE_RUN
+            rhs = t[:m, -1]
+            cand = (rhs < -SIMPLEX_TOL).nonzero()[0]
+            if len(cand) == 0:
+                break
+            if bland:
+                leave = cand[self.basis[cand].argmin()]
+            else:
+                leave = cand[(rhs[cand] ** 2 / norms[cand]).argmax()]
+            cols = (t[leave, :-1] < -SIMPLEX_TOL).nonzero()[0]
+            if len(cols) == 0:
+                raise LpNumericalError("infeasible working relaxation (tableau breakdown)")
+            ratio = np.maximum(t[m, cols], 0.0) / -t[leave, cols]
+            best = ratio.min()
+            ties = cols[ratio <= best + SIMPLEX_TOL]
+            enter = ties[0] if bland else ties[t[leave, ties].argmin()]
+            run = run + 1 if best <= SIMPLEX_TOL else 0
+            self._pivot(int(leave), int(enter), norms)
+        return self.pivots - start
+
+    def point(self) -> np.ndarray:
+        x = np.zeros(self.nvar)
+        on = self.basis < self.nvar
+        x[self.basis[on]] = self.t[:-1, -1][on]
+        return x
+
+    def multipliers(self) -> np.ndarray:
+        """Triangle-row multipliers: reduced costs on their slacks, clipped at 0."""
+        return np.maximum(self.t[-1, 2 * self.nvar : -1], 0.0)
 
 
 def _pair_index_map(n: int) -> np.ndarray:
     idx = np.zeros((n, n), dtype=np.int64)
-    k = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            idx[u, v] = idx[v, u] = k
-            k += 1
-    return idx
+    iu = np.triu_indices(n, 1)
+    idx[iu] = np.arange(len(iu[0]))
+    return idx + idx.T
 
 
-def _triangle_row(nvar: int, idx: np.ndarray, u: int, v: int, w: int) -> np.ndarray:
-    # x_uw - x_uv - x_vw <= 0
-    row = np.zeros(nvar)
-    row[idx[u, w]] = 1.0
-    row[idx[u, v]] -= 1.0
-    row[idx[v, w]] -= 1.0
-    return row
+def _cut_columns(idx: np.ndarray, triangles) -> np.ndarray:
+    """(a, b, c) variable columns of x_uw - x_uv - x_vw <= 0 per (u, v, w)."""
+    u, v, w = np.asarray(triangles, dtype=np.int64).reshape(-1, 3).T
+    return np.stack([idx[u, w], idx[u, v], idx[v, w]], axis=1)
 
 
-def _warm_start_point(inst: Instance) -> LpSolution:
-    """Label-consistent integral point: 0 on '+', 1 on '-', 1/2 on neutral.
+def _dual_bound(coeff: np.ndarray, const: float, cuts: np.ndarray, lam: np.ndarray) -> float:
+    """const + sum_j min(0, c_j + (T^T lam)_j) over the box 0 <= x <= 1.
 
-    Weighted pairs take whichever of 0/1 their own objective prefers.
-    Usually infeasible; it only seeds the first separation round.
+    A lower bound on the full relaxation for any lam >= 0 on any subset
+    of its triangle rows: c.x >= c.x + lam.(T x) for every metric x.
     """
-    n = inst.n
-    if inst.kind == WEIGHTED:
-        m = np.where(inst.lam_plus >= 0.5, 0.0, 1.0)
-    else:
-        m = np.full((n, n), 0.5)
-        m[inst.labels == 1] = 0.0
-        m[inst.labels == -1] = 1.0
-    np.fill_diagonal(m, 0.0)
-    m = np.triu(m, 1)
-    return LpSolution(n, m[np.triu_indices(n, 1)])
+    red = coeff.copy()
+    for col, s in zip(cuts.T, (1.0, -1.0, -1.0)):
+        red += s * np.bincount(col, weights=lam, minlength=len(coeff))
+    return const + float(np.minimum(red, 0.0).sum())
 
 
 def solve_relaxation(inst: Instance, tol: float = FEAS_TOL) -> tuple[LpSolution, LpStats]:
     """Solve the relaxation to (certified) optimality.
 
-    The returned point is feasible within tol; the objective equals the
-    relaxation optimum because the simplex is optimal on the working
-    constraint set and the final separation scan is empty.
+    Round 1 solves the unit rows alone; each later round appends the
+    worst violated triangles (at most 5n) and re-optimizes by dual, then
+    primal simplex. The loop ends when the separation scan is empty.
+    The result is then checked without trusting the tableau: the point
+    must validate within tol, and the dual bound from the final triangle
+    multipliers must be within GAP_TOL * max(1, |objective|) of the
+    objective; either failure raises LpNumericalError.
     """
     n = inst.n
     coeff, const = _objective_terms(inst)
     stats = LpStats()
+    no_cuts = np.zeros((0, 3), dtype=np.int64)
 
     if n <= 2:
         # no triangle constraints: each variable minimizes independently
         vec = np.where(coeff > 0, 0.0, 1.0) if n == 2 else np.zeros(0)
         sol = LpSolution(n, vec)
         stats.objective = lp_objective(inst, sol)
+        stats.dual_bound = _dual_bound(coeff, const, no_cuts, np.zeros(0))
+        stats.gap = stats.objective - stats.dual_bound
         stats.round_objectives = [stats.objective]
         return sol, stats
 
     idx = _pair_index_map(n)
-    nvar = n * (n - 1) // 2
-    unit_rows = np.eye(nvar)
-    unit_rhs = np.ones(nvar)
-    tri_rows: list[np.ndarray] = []
-    tri_set: set[tuple[int, int, int]] = set()
-    per_round = 5 * n
-
-    x = _warm_start_point(inst)
-    solved_once = False
+    tab = _Tableau(coeff)
+    blocks, seen = [no_cuts], set()
+    new: list[tuple[int, int, int]] = []
     while True:
+        start = time.perf_counter()
+        if new:
+            seen.update(new)
+            blocks.append(_cut_columns(idx, new))
+            tab.add_rows(blocks[-1])
+        dual = tab.dual()
+        primal = tab.primal()
+        x = LpSolution(n, tab.point())
+        obj = float(coeff @ x.vec) + const
         viols = separate_triangle_violations(x, tol)
-        if not viols and solved_once:
-            break
-        for u, v, w, _g in viols[:per_round]:
-            key = (u, v, w)
-            if key not in tri_set:
-                tri_set.add(key)
-                tri_rows.append(_triangle_row(nvar, idx, u, v, w))
-        rows = np.vstack([unit_rows] + tri_rows) if tri_rows else unit_rows
-        rhs = np.concatenate([unit_rhs, np.zeros(len(tri_rows))])
-        vec, obj, pivots = _simplex_min(coeff, rows, rhs)
-        x = LpSolution(n, vec)
-        solved_once = True
-        stats.iterations += pivots
+        seconds = time.perf_counter() - start
         stats.separation_rounds += 1
-        stats.round_objectives.append(obj + const)
-        if stats.separation_rounds > MAX_ROUNDS:
+        stats.round_objectives.append(obj)
+        stats.rounds.append({"cuts": len(new), "dual_pivots": dual,
+                             "primal_pivots": primal, "seconds": seconds})
+        log.debug("round %d: objective %.9g, %d cuts, %d dual + %d primal pivots, %.3f s",
+                  stats.separation_rounds, obj, len(new), dual, primal, seconds)
+        if not viols:
+            break
+        if stats.separation_rounds >= MAX_ROUNDS:
             raise LpNumericalError(f"separation exceeded {MAX_ROUNDS} rounds")
+        new = [(u, v, w) for u, v, w, _g in viols if (u, v, w) not in seen][: 5 * n]
+        if not new:
+            raise LpNumericalError("separation found only working-set triangles violated")
 
-    stats.constraints_generated = len(tri_rows)
-    stats.final_constraints = sorted(tri_set)
+    cuts = np.concatenate(blocks)
+    stats.iterations = tab.pivots
+    stats.constraints_generated = len(cuts)
+    stats.final_constraints = sorted(seen)
     stats.objective = lp_objective(inst, x)
+    stats.dual_bound = _dual_bound(coeff, const, cuts, tab.multipliers())
+    stats.gap = stats.objective - stats.dual_bound
+    if stats.gap > GAP_TOL * max(1.0, abs(stats.objective)):
+        raise LpNumericalError(
+            f"primal-dual gap {stats.gap:.3g} at objective {stats.objective:.9g}")
+    report = validate_solution(x, tol)
+    if not report.feasible(tol):
+        raise LpNumericalError(f"solution fails validation: {report}")
     return x, stats
 
 
@@ -323,13 +438,11 @@ def resolve_with_constraints(inst: Instance, triangles) -> float:
     if n <= 2:
         sol, stats = solve_relaxation(inst)
         return stats.objective
-    idx = _pair_index_map(n)
-    nvar = n * (n - 1) // 2
-    rows = [np.eye(nvar)]
-    rows += [_triangle_row(nvar, idx, u, v, w) for (u, v, w) in triangles]
-    rhs = np.concatenate([np.ones(nvar), np.zeros(len(triangles))])
-    _vec, obj, _p = _simplex_min(coeff, np.vstack(rows), rhs)
-    return obj + const
+    tab = _Tableau(coeff)
+    tab.add_rows(_cut_columns(_pair_index_map(n), triangles))
+    tab.dual()
+    tab.primal()
+    return float(coeff @ tab.point()) + const
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,39 @@ def test_bench_jobs_match_serial(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_lp_meta_carries_certificate_and_rounds(tmp_path):
+    inst_file, sol_file = tmp_path / "c.cc", tmp_path / "c.json"
+    run(["gen", "complete", "--n", "8", "--p", "0.5", "--seed", "4", "-o", str(inst_file)])
+    assert run(["lp", "--instance", str(inst_file), "-o", str(sol_file)]) == 0
+    doc = json.loads(sol_file.read_text())
+    meta = doc["meta"]
+    assert meta["dual_bound"] == pytest.approx(doc["objective"], abs=1e-9)
+    assert abs(meta["gap"]) <= 1e-9
+    assert len(meta["rounds"]) == meta["separation_rounds"]
+    assert sum(r["cuts"] for r in meta["rounds"]) == meta["constraints_generated"]
+    assert set(meta["rounds"][0]) == {"cuts", "dual_pivots", "primal_pivots", "seconds"}
+
+
+def test_lp_refuses_instances_past_the_size_limit(tmp_path, capsys):
+    inst_file = tmp_path / "big.cc"
+    n = cc.lp.MAX_LP_N + 1
+    run(["gen", "complete", "--n", str(n), "--p", "0.5", "--seed", "1", "-o", str(inst_file)])
+    assert run(["lp", "--instance", str(inst_file)]) == 64
+    assert f"n = {cc.lp.MAX_LP_N}" in capsys.readouterr().err
+
+
+def test_lp_uncertified_optimum_exits_70(tmp_path, monkeypatch, capsys):
+    # zero multipliers prove only the box bound, far below this optimum
+    import numpy as np
+
+    monkeypatch.setattr(cc.lp._Tableau, "multipliers",
+                        lambda self: np.zeros(len(self.basis) - self.nvar))
+    inst_file = tmp_path / "c.cc"
+    run(["gen", "complete", "--n", "8", "--p", "0.5", "--seed", "3", "-o", str(inst_file)])
+    assert run(["lp", "--instance", str(inst_file)]) == 70
+    assert "primal-dual gap" in capsys.readouterr().err
+
+
 def test_data_error_exit_code(tmp_path):
     missing = tmp_path / "nope.cc"
     assert run(["lp", "--instance", str(missing)]) == 65

@@ -190,3 +190,83 @@ def test_validate_infinite_entries_raise_no_warning(bad):
         warnings.simplefilter("error")
         rep = cc.validate_solution(cc.LpSolution(3, np.array([bad, 0.5, 0.5])))
     assert not rep.feasible()
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_gap_family_lp_closed_form(k):
+    # by symmetry some optimum has one value within a side and one across:
+    # LP = k(k - 1)/3 + k^2/2 = (5k^2 - 2k)/6 on the 2k vertices
+    from fractions import Fraction
+
+    exact = Fraction(5 * k * k - 2 * k, 6)
+    _x, stats = cc.solve_relaxation(cc.gen_gap_triangle_ineq(k))
+    assert stats.objective == pytest.approx(float(exact), abs=1e-9)
+    assert abs(stats.gap) <= 1e-9
+    assert stats.dual_bound == pytest.approx(float(exact), abs=1e-9)
+
+
+def _pricing_instances():
+    return [
+        cc.gen_complete_random(8, 0.5, seed=3),
+        cc.gen_kpartite_random([3, 3, 2], 0.5, seed=4),
+        cc.gen_weighted_random(7, seed=5),
+    ]
+
+
+def test_bland_from_the_first_pivot_reaches_the_same_optimum(monkeypatch):
+    dantzig = [cc.solve_relaxation(inst)[1].objective for inst in _pricing_instances()]
+    monkeypatch.setattr(cc.lp, "DEGENERATE_RUN", 0)
+    for inst, obj in zip(_pricing_instances(), dantzig):
+        x, stats = cc.solve_relaxation(inst)
+        assert stats.objective == pytest.approx(obj, abs=1e-9)
+        assert cc.validate_solution(x).feasible()
+        assert stats.gap <= 1e-9
+
+
+def test_stats_record_each_round():
+    inst = cc.gen_complete_random(9, 0.5, seed=9)
+    _x, stats = cc.solve_relaxation(inst)
+    assert len(stats.rounds) == stats.separation_rounds == len(stats.round_objectives)
+    assert sum(r["cuts"] for r in stats.rounds) == stats.constraints_generated
+    assert sum(r["dual_pivots"] + r["primal_pivots"] for r in stats.rounds) == stats.iterations
+    assert stats.rounds[0]["cuts"] == 0 and stats.rounds[0]["dual_pivots"] == 0
+    assert all(r["seconds"] >= 0.0 for r in stats.rounds)
+    assert stats.dual_bound <= stats.objective + 1e-9 and stats.gap <= 1e-9
+
+
+def test_one_debug_line_per_round(caplog):
+    inst = cc.gen_complete_random(8, 0.5, seed=2)
+    with caplog.at_level("DEBUG", logger="ccpivot.lp"):
+        _x, stats = cc.solve_relaxation(inst)
+    lines = [r for r in caplog.records if r.name == "ccpivot.lp"]
+    assert len(lines) == stats.separation_rounds
+
+
+def test_dual_bound_is_independent_of_the_tableau():
+    # lam = 0 gives the box bound; any lam >= 0 stays below the optimum
+    from ccpivot.lp import _cut_columns, _dual_bound, _objective_terms, _pair_index_map
+
+    inst = cc.gen_complete_random(7, 0.5, seed=11)
+    _x, stats = cc.solve_relaxation(inst)
+    coeff, const = _objective_terms(inst)
+    cuts = _cut_columns(_pair_index_map(7), stats.final_constraints)
+    assert _dual_bound(coeff, const, cuts, np.zeros(len(cuts))) == const + np.minimum(coeff, 0).sum()
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        lam = rng.exponential(size=len(cuts))
+        assert _dual_bound(coeff, const, cuts, lam) <= stats.objective + 1e-9
+
+
+def test_bad_certificate_raises(monkeypatch):
+    # a tableau whose multipliers prove nothing must not pass as optimal
+    monkeypatch.setattr(cc.lp._Tableau, "multipliers", lambda self: np.zeros(len(self.basis) - self.nvar))
+    with pytest.raises(cc.LpNumericalError, match="gap"):
+        cc.solve_relaxation(cc.gen_complete_random(8, 0.5, seed=3))
+
+
+def test_infeasible_result_raises(monkeypatch):
+    # a scan that finds nothing ends the loop at the box optimum, whose
+    # dual bound is exact; only the closing validation can refuse it
+    monkeypatch.setattr(cc.lp, "separate_triangle_violations", lambda x, tol: [])
+    with pytest.raises(cc.LpNumericalError, match="validation"):
+        cc.solve_relaxation(cc.gen_complete_random(8, 0.5, seed=3))
