@@ -230,16 +230,15 @@ def _cmd_opt(args) -> int:
     return EXIT_OK
 
 
-def _bench_one(payload) -> dict:
-    i, family, n, parts, p, inst_seed, mc_seed, scheme_json, trials, alpha, opt_cap = payload
-    scheme = RoundingScheme.from_json(scheme_json)
-    if family == "complete":
-        inst = gen_complete_random(n, p, inst_seed)
+def _bench_one(args, scheme: RoundingScheme, parts, i: int, inst_seed: int,
+               mc_seed: int) -> dict:
+    if args.family == "complete":
+        inst = gen_complete_random(args.n, args.p, inst_seed)
     else:
-        inst = gen_kpartite_random(parts, p, inst_seed)
+        inst = gen_kpartite_random(parts, args.p, inst_seed)
     x, stats = solve_relaxation(inst)
-    mc = monte_carlo_ratio(inst, x, scheme, trials, mc_seed)
-    derand = derandomize_round(inst, x, scheme, alpha)
+    mc = monte_carlo_ratio(inst, x, scheme, args.trials, mc_seed)
+    derand = derandomize_round(inst, x, scheme, args.alpha)
     row = {
         "instance": i,
         "lp": stats.objective,
@@ -248,7 +247,7 @@ def _bench_one(payload) -> dict:
         "derand_alg": clustering_cost(inst, derand),
         "ratio_mean": mc.ratio,
     }
-    if inst.n <= opt_cap:
+    if inst.n <= args.opt_cap:
         _c, opt = brute_force_opt(inst)
         row["opt"] = opt
     return row
@@ -262,21 +261,11 @@ def _cmd_bench(args) -> int:
         raise _UsageExit(f"bench does not support family {args.family!r}")
     parts = [int(t) for t in args.parts.split(",")]
     master = SplitMix64(args.seed)
-    payloads = []
+    rows = []
     for i in range(args.instances):
         inst_seed = master.next_u64()
         mc_seed = master.next_u64()
-        payloads.append(
-            (i, args.family, args.n, parts, args.p, inst_seed, mc_seed,
-             scheme.to_json(), args.trials, args.alpha, args.opt_cap)
-        )
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_bench_one, payloads))
-    else:
-        rows = [_bench_one(p) for p in payloads]
+        rows.append(_bench_one(args, scheme, parts, i, inst_seed, mc_seed))
 
     buf = io.StringIO()
     fields = ["instance", "lp", "opt", "mean_alg", "std_alg", "derand_alg", "ratio_mean"]
@@ -360,7 +349,8 @@ def _build_parser() -> _Parser:
     b.add_argument("--alpha", type=float, default=2.06)
     b.add_argument("--seed", type=int, required=True)
     b.add_argument("--opt-cap", type=int, default=10)
-    b.add_argument("--jobs", type=int, default=1)
+    b.add_argument("--jobs", type=int, default=1,
+                   help="ignored: the sweep is serial; kept for compatibility")
     b.add_argument("-o", "--output", default=None)
     b.set_defaults(func=_cmd_bench)
 

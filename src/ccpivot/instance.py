@@ -269,12 +269,20 @@ def clustering_cost(inst: Instance, c: Clustering) -> float:
     return assignment_cost(c.assignment, *inst.pair_weights())
 
 
-def assignment_cost(a: np.ndarray, wp: np.ndarray, wm: np.ndarray) -> float:
-    """clustering_cost from a cluster-id vector and the instance's pair weights."""
-    same = a[:, None] == a[None, :]
-    cut_cost = wp[~same].sum() / 2.0
-    keep_cost = wm[same].sum() / 2.0  # diagonal of wm is zero
-    return float(cut_cost + keep_cost)
+def assignment_cost(a, wp: np.ndarray, wm: np.ndarray):
+    """clustering_cost from cluster ids and the instance's pair weights.
+
+    a has shape (..., n); leading axes are separate clusterings, and the
+    result has their shape (a float for a single vector). Each unordered
+    pair is counted once, in pair_iter order, by a sequential cumsum, so
+    a clustering's cost has the same bits in any batch (np.sum picks its
+    summation order from the shape).
+    """
+    a = np.asarray(a)
+    iu, ju = np.triu_indices(a.shape[-1], 1)
+    terms = np.where(a[..., iu] == a[..., ju], wm[iu, ju], wp[iu, ju])
+    total = np.cumsum(terms, axis=-1)[..., -1] if iu.size else np.zeros(a.shape[:-1])
+    return float(total) if a.ndim == 1 else total
 
 
 # ---------------------------------------------------------------------------

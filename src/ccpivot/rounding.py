@@ -17,14 +17,19 @@ Trial t of ``monte_carlo_ratio`` runs on the stream seeded by word t of
 the master stream. The words are computed in blocks (``rng.block_rows``)
 and every decision is the one the scalar draws would make, so outputs
 at a given seed do not depend on how the stream is computed.
+
+Single runs (``pivot_round``, ``pivot_round_weighted``) use the scalar
+kernel. Monte-Carlo trials run in lockstep chunks: each numpy pass of
+``_pivot_batch`` makes one pivot step in every run of the chunk, and a
+run whose randint would reject a word is redone alone by the scalar
+kernel. Any trial can still be replayed alone from seed word t, and its
+cost has the same bits alone or in a batch (``assignment_cost``).
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +49,8 @@ from .rng import CHUNK_WORDS, SplitMix64, block_rows, rejection_bound, unit_floa
 EDGE_PLUS = "+"
 EDGE_MINUS = "-"
 EDGE_NEUTRAL = "0"
+
+_U64_0 = np.uint64(0)
 
 
 class IneligibleSchemeError(ValueError):
@@ -429,33 +436,88 @@ def _pivot_kernel(keep: list, raw: list, unif: list, rng: SplitMix64) -> list:
     return steps
 
 
-def _pivot_runs(streams: Iterable[SplitMix64], n: int, keep=None, candidates=None):
-    """Yield the pivot steps of one run per stream.
+def _pivot_batch(keep: np.ndarray, words: np.ndarray, unif: np.ndarray):
+    """Runs of _pivot_kernel in lockstep, one pivot step of every run per pass.
 
-    Labeled runs share one keep matrix (nested lists, as _pivot_kernel
-    reads it). Weighted runs pass the coin candidates instead: each run
-    first flips its pair coins on its own stream, then pivots. The words
-    of a chunk of runs are computed in one block_rows call; streams are
-    taken from the iterable one chunk at a time.
+    keep is (n, n), shared by all runs, or (T, n, n), one per run, with
+    keep[..., w, u] = 1 - p[u, w]; words and unif are the (T, width) rows
+    the runs read, width >= n + n(n+1)/2. Returns the (T, n) cluster ids,
+    numbered in pivot order, and a (T,) mask of the runs whose randint
+    would reject a word: those stop at once, and their rows are left for
+    the caller to redo with _pivot_kernel, which reads past the block.
     """
-    coins = 0 if candidates is None else n * (n - 1) // 2
-    width = coins + n + n * (n + 1) // 2
-    per_chunk = max(1, CHUNK_WORDS // width)
-    streams = iter(streams)
-    while chunk := list(itertools.islice(streams, per_chunk)):
-        words = block_rows(chunk, width)
-        unif = unit_floats(words)
-        if candidates is not None:
-            p = _flip_coins(n, candidates, unif[:, :coins])
-            keeps = (1.0 - p).transpose(0, 2, 1).tolist()
-        raws, unifs = words[:, coins:].tolist(), unif[:, coins:].tolist()
-        for t, rng in enumerate(chunk):
-            run_keep = keep if candidates is None else keeps[t]
-            yield _pivot_kernel(run_keep, raws[t], unifs[t], rng)
+    T, n = words.shape[0], keep.shape[-1]
+    rows = np.arange(T)
+    last = words.shape[1] - 1
+    active = np.ones((T, n), dtype=bool)
+    k = np.full(T, n)
+    ptr = np.zeros(T, dtype=np.int64)  # next word of each run
+    ids = np.zeros((T, n), dtype=np.int64)
+    rejected = np.zeros(T, dtype=bool)
+    for step in range(n):
+        if not k.any():
+            break
+        ku = np.maximum(k, 1).astype(np.uint64)  # finished runs draw a dummy
+        raw = words[rows, np.minimum(ptr, last)]
+        # rejection_bound(k) = 2**64 - rem with rem = 2**64 mod k
+        rem = (_U64_0 - ku) % ku
+        reject = (k > 0) & (rem != 0) & (raw >= _U64_0 - rem)
+        rank = np.cumsum(active, axis=1) - 1
+        pick = (raw % ku).astype(np.int64)
+        pivot = np.argmax(active & (rank == pick[:, None]), axis=1)
+        r = np.take_along_axis(unif, np.minimum(ptr[:, None] + 1 + rank, last), axis=1)
+        col = keep[pivot] if keep.ndim == 2 else keep[rows, pivot]
+        join = active & (r < col) & ~reject[:, None]
+        ids[join] = step
+        active &= ~(join | reject[:, None])
+        rejected |= reject
+        ptr += 1 + k
+        k = active.sum(axis=1)
+    return ids, rejected
 
 
-def _labeled_keep(inst: Instance, x: LpSolution, scheme: RoundingScheme) -> list:
-    return (1.0 - probability_matrix(inst, x, scheme)).T.tolist()
+def _stream_layout(n: int, weighted: bool) -> tuple[int, int]:
+    """(coins, width): a run reads `coins` coin words, then pivots on the
+    rest of its first `width` words unless a randint rejects."""
+    coins = n * (n - 1) // 2 if weighted else 0
+    return coins, coins + n + n * (n + 1) // 2
+
+
+def _pivot_run(seed: int, n: int, keep=None, candidates=None) -> list:
+    """The pivot steps of one run on the stream of seed.
+
+    A labeled run reads keep (n, n); a weighted run passes its coin
+    candidates instead and first flips its pair coins on its own stream.
+    """
+    coins, width = _stream_layout(n, candidates is not None)
+    rng = SplitMix64(seed)
+    words = rng.block(width)
+    unif = unit_floats(words)
+    if candidates is not None:
+        keep = 1.0 - _flip_coins(n, candidates, unif[:coins]).T
+    return _pivot_kernel(keep.tolist(), words[coins:].tolist(), unif[coins:].tolist(), rng)
+
+
+def _pivot_chunk(seeds: np.ndarray, n: int, keep=None, candidates=None) -> np.ndarray:
+    """Cluster ids (len(seeds), n) of one run per seed, run in lockstep.
+
+    keep and candidates are as in _pivot_run. A run whose randint rejects
+    a word is redone alone by _pivot_run, which reads past the block.
+    """
+    coins, width = _stream_layout(n, candidates is not None)
+    words = block_rows([SplitMix64(int(s)) for s in seeds], width)
+    unif = unit_floats(words)
+    batch_keep = keep
+    if candidates is not None:
+        batch_keep = 1.0 - _flip_coins(n, candidates, unif[:, :coins]).transpose(0, 2, 1)
+    ids, rejected = _pivot_batch(batch_keep, words[:, coins:], unif[:, coins:])
+    for t in np.flatnonzero(rejected):
+        ids[t] = _assignment(n, _pivot_run(int(seeds[t]), n, keep, candidates))
+    return ids
+
+
+def _labeled_keep(inst: Instance, x: LpSolution, scheme: RoundingScheme) -> np.ndarray:
+    return (1.0 - probability_matrix(inst, x, scheme)).T
 
 
 def _assignment(n: int, steps: list) -> list:
@@ -471,8 +533,7 @@ def pivot_round(
     inst: Instance, x: LpSolution, scheme: RoundingScheme, seed: int
 ) -> tuple[Clustering, PivotTrace]:
     """One run of the randomized pivot algorithm on a labeled instance."""
-    keep = _labeled_keep(inst, x, scheme)
-    steps = next(_pivot_runs([SplitMix64(seed)], inst.n, keep=keep))
+    steps = _pivot_run(seed, inst.n, keep=_labeled_keep(inst, x, scheme))
     return Clustering(_assignment(inst.n, steps)), PivotTrace(steps)
 
 
@@ -480,8 +541,7 @@ def pivot_round_weighted(
     inst: Instance, x: LpSolution, scheme: RoundingScheme, seed: int
 ) -> Clustering:
     """Coin-flip variant for weighted instances (one label coin per pair)."""
-    candidates = _coin_candidates(inst, x, scheme)
-    steps = next(_pivot_runs([SplitMix64(seed)], inst.n, candidates=candidates))
+    steps = _pivot_run(seed, inst.n, candidates=_coin_candidates(inst, x, scheme))
     return Clustering(_assignment(inst.n, steps))
 
 
@@ -640,20 +700,23 @@ def monte_carlo_ratio(
     Per-trial seeds come from the master stream, so any single trial can
     be replayed in isolation: trial t equals round_instance with seed
     word t. The probability matrix (or the weighted coin candidates) and
-    the pair weights are computed once per run.
+    the pair weights are computed once per run; the trials run in
+    lockstep chunks of about CHUNK_WORDS stream words.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = inst.n
-    streams = (SplitMix64(int(s)) for s in SplitMix64(seed).block(trials))
     if inst.kind == WEIGHTED:
-        runs = _pivot_runs(streams, n, candidates=_coin_candidates(inst, x, scheme))
+        keep, candidates = None, _coin_candidates(inst, x, scheme)
     else:
-        runs = _pivot_runs(streams, n, keep=_labeled_keep(inst, x, scheme))
+        keep, candidates = _labeled_keep(inst, x, scheme), None
+    per_chunk = max(1, CHUNK_WORDS // _stream_layout(n, candidates is not None)[1])
+    seeds = SplitMix64(seed).block(trials)
     wp, wm = inst.pair_weights()
     costs = np.empty(trials)
-    for t, steps in enumerate(runs):
-        costs[t] = assignment_cost(np.array(_assignment(n, steps)), wp, wm)
+    for lo in range(0, trials, per_chunk):
+        ids = _pivot_chunk(seeds[lo:lo + per_chunk], n, keep, candidates)
+        costs[lo:lo + len(ids)] = assignment_cost(ids, wp, wm)
     lp = lp_objective(inst, x)
     mean = float(costs.mean())
     if lp > 0:

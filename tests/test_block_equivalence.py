@@ -16,6 +16,9 @@ import ccpivot as cc
 from ccpivot import rounding
 from ccpivot.instance import COMPLETE, KPARTITE, WEIGHTED, clustering_cost, pair_iter
 from ccpivot.rng import SplitMix64
+from test_rng import _MASK, _seed_with_first_word
+
+_GAMMA = 0x9E3779B97F4A7C15
 
 SEEDS = range(24)
 
@@ -221,6 +224,45 @@ def test_monte_carlo_chunks_match_reference(monkeypatch):
         x = lengths(inst.n, 9)
         got = cc.monte_carlo_ratio(inst, x, scheme, 77, 2024)
         assert got == ref_monte_carlo_ratio(inst, x, scheme, 77, 2024)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_pivot_chunk_partitions_match_reference(seed):
+    # every lockstep run, not only the statistics, is the scalar run of its seed
+    seeds = SplitMix64(seed).block(30)
+    for inst, scheme in instances(seed):
+        x = lengths(inst.n, seed)
+        if inst.kind == WEIGHTED:
+            keep, cands = None, rounding._coin_candidates(inst, x, scheme)
+        else:
+            keep, cands = rounding._labeled_keep(inst, x, scheme), None
+        ids = rounding._pivot_chunk(seeds, inst.n, keep, cands)
+        for row, s in zip(ids, seeds.tolist()):
+            assert cc.Clustering(row) == ref_round(inst, x, scheme, s)[0]
+
+
+def _seed_with_word(word, t):
+    """A seed whose stream has the given word at position t (0 = first word)."""
+    return (_seed_with_first_word(word) - t * _GAMMA) & _MASK
+
+
+@pytest.mark.parametrize("trial", [0, 4, 5])
+def test_monte_carlo_rejecting_trial_matches_reference(monkeypatch, trial):
+    # n = 3: randint(3) rejects only the word 2**64 - 1. A master seed whose
+    # word `trial` seeds a run starting with that word; chunks of 4 labeled
+    # runs put trial 0 and 4 first in a chunk, trial 5 in the middle of one
+    monkeypatch.setattr("ccpivot.rounding.CHUNK_WORDS", 36)
+    run_seed = _seed_with_first_word(_MASK)
+    master = _seed_with_word(run_seed, trial)
+    assert SplitMix64(master).block(trial + 1)[trial] == run_seed
+    words = SplitMix64(run_seed).block(9)
+    _ids, rejected = rounding._pivot_batch(np.ones((3, 3)), words[None], np.zeros((1, 9)))
+    assert rejected.tolist() == [True]
+    for inst, scheme in instances(2)[:2]:  # complete and planted, n = 3
+        assert inst.n == 3
+        for x in (lengths(3, trial), cc.LpSolution.constant(3, 1.0)):
+            got = cc.monte_carlo_ratio(inst, x, scheme, 10, master)
+            assert got == ref_monte_carlo_ratio(inst, x, scheme, 10, master)
 
 
 def test_monte_carlo_on_lp_points_matches_reference():

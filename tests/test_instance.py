@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ccpivot as cc
-from ccpivot.instance import FormatError
+from ccpivot.instance import FormatError, assignment_cost
 from ccpivot.rng import SplitMix64
 
 
@@ -57,6 +57,22 @@ def test_cost_bounds():
             a = np.array([rng.randint(3) for _ in range(6)])
             cost = cc.clustering_cost(inst, cc.Clustering(a))
             assert 0.0 <= cost <= total + 1e-12
+
+
+def test_batched_cost_matches_single_rows_bit_for_bit():
+    # pairs are summed in one fixed order, so a row's cost has the same bits
+    # alone, in any batch, and through clustering_cost
+    for n in (1, 2, 7, 9):
+        inst = cc.gen_weighted_random(n, 40 + n)
+        wp, wm = inst.pair_weights()
+        for T in (1, 2, 257):
+            words = SplitMix64(T * 100 + n).block(T * n).reshape(T, n)
+            batch = (words % np.uint64(1 + n // 2)).astype(np.int64)
+            got = assignment_cost(batch, wp, wm)
+            assert got.shape == (T,)
+            for row, cost in zip(batch, got.tolist()):
+                assert cost == assignment_cost(row, wp, wm)
+                assert cost == cc.clustering_cost(inst, cc.Clustering(row))
 
 
 def test_cost_requires_full_coverage():
