@@ -6,11 +6,7 @@ positive rule certifies ratio 1.5; the blowup reduction maps weighted
 instances to labeled ones.
 """
 
-import os
-
 import ccpivot as cc
-
-os.environ.setdefault("CC_MAX_BRUTE_N", "18")
 
 print("certifying the weighted schemes (length grid 0.02 for speed):")
 for name, alpha in (("weighted_ti_150", 1.5), ("weighted_ti_153", 1.53),

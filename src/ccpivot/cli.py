@@ -42,7 +42,7 @@ from .lp import (
     solution_to_json,
     solve_relaxation,
 )
-from .oracle import brute_force_opt
+from .oracle import MAX_EXACT_N, brute_force_opt
 from .rounding import (
     IneligibleSchemeError,
     RoundingScheme,
@@ -68,6 +68,32 @@ class _UsageExit(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageExit(message)
+
+
+def _checked(convert, ok, wants):
+    """An argparse type: convert, then refuse values failing ok (exit 64)."""
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {wants}")
+    return parse
+
+
+def _int_list(text):
+    return [int(t) for t in text.split(",")]
+
+
+_count = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_probability = _checked(float, lambda v: 0.0 <= v <= 1.0, "a probability in [0, 1]")
+_grid_step = _checked(float, lambda v: 0.0 < v <= 1.0, "a grid step in (0, 1]")
+_part_sizes = _checked(_int_list, lambda v: min(v) >= 1,
+                       "a comma-separated list of integers >= 1")
+_opt_cap = _checked(int, lambda v: v <= MAX_EXACT_N,
+                    f"an integer <= {MAX_EXACT_N} (MAX_EXACT_N)")
 
 
 def _write(path: str | None, text: str) -> None:
@@ -111,9 +137,10 @@ def _cmd_gen(args) -> int:
     if args.family == "complete":
         inst = gen_complete_random(args.n, args.p, args.seed)
     elif args.family == "kpartite":
-        sizes = [int(t) for t in args.parts.split(",")]
-        inst = gen_kpartite_random(sizes, args.p, args.seed)
+        inst = gen_kpartite_random(args.parts, args.p, args.seed)
     elif args.family == "planted":
+        if args.k > args.n:
+            raise _UsageExit(f"planted needs --k <= --n (got k = {args.k}, n = {args.n})")
         inst, _truth = gen_planted(args.n, args.k, args.corruption, args.seed)
     elif args.family == "gap-ti":
         inst = gen_gap_triangle_ineq(args.n)
@@ -219,6 +246,11 @@ def _cmd_certify(args) -> int:
 
 def _cmd_opt(args) -> int:
     inst = _load_instance(args.instance)
+    if inst.n > MAX_EXACT_N:
+        raise _UsageExit(
+            f"opt solves instances up to n = {MAX_EXACT_N} (MAX_EXACT_N); "
+            f"this one has n = {inst.n}"
+        )
     clustering, cost = brute_force_opt(inst)
     doc = {
         "meta": _meta(args),
@@ -230,12 +262,11 @@ def _cmd_opt(args) -> int:
     return EXIT_OK
 
 
-def _bench_one(args, scheme: RoundingScheme, parts, i: int, inst_seed: int,
-               mc_seed: int) -> dict:
+def _bench_one(args, scheme: RoundingScheme, i: int, inst_seed: int, mc_seed: int) -> dict:
     if args.family == "complete":
         inst = gen_complete_random(args.n, args.p, inst_seed)
     else:
-        inst = gen_kpartite_random(parts, args.p, inst_seed)
+        inst = gen_kpartite_random(args.parts, args.p, inst_seed)
     x, stats = solve_relaxation(inst)
     mc = monte_carlo_ratio(inst, x, scheme, args.trials, mc_seed)
     derand = derandomize_round(inst, x, scheme, args.alpha)
@@ -259,13 +290,12 @@ def _cmd_bench(args) -> int:
     scheme = _resolve_scheme(args.scheme)
     if args.family not in ("complete", "kpartite"):
         raise _UsageExit(f"bench does not support family {args.family!r}")
-    parts = [int(t) for t in args.parts.split(",")]
     master = SplitMix64(args.seed)
     rows = []
     for i in range(args.instances):
         inst_seed = master.next_u64()
         mc_seed = master.next_u64()
-        rows.append(_bench_one(args, scheme, parts, i, inst_seed, mc_seed))
+        rows.append(_bench_one(args, scheme, i, inst_seed, mc_seed))
 
     buf = io.StringIO()
     fields = ["instance", "lp", "opt", "mean_alg", "std_alg", "derand_alg", "ratio_mean"]
@@ -293,11 +323,11 @@ def _build_parser() -> _Parser:
 
     g = sub.add_parser("gen", help="generate an instance file")
     g.add_argument("family", choices=["complete", "kpartite", "planted", "gap-ti", "weighted"])
-    g.add_argument("--n", type=int, default=8)
-    g.add_argument("--parts", type=str, default="3,3,3")
-    g.add_argument("--p", type=float, default=0.5)
-    g.add_argument("--k", type=int, default=2)
-    g.add_argument("--corruption", type=float, default=0.1)
+    g.add_argument("--n", type=_count, default=8)
+    g.add_argument("--parts", type=_part_sizes, default="3,3,3")
+    g.add_argument("--p", type=_probability, default=0.5)
+    g.add_argument("--k", type=_count, default=2)
+    g.add_argument("--corruption", type=_probability, default=0.1)
     g.add_argument("--seed", type=int, default=None)
     g.add_argument("--format", choices=["edgelist", "json"], default="edgelist")
     g.add_argument("-o", "--output", default=None)
@@ -324,7 +354,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--alpha", type=float, required=True)
     c.add_argument("--class", dest="graph_class",
                    choices=[COMPLETE, KPARTITE, WEIGHTED], default=COMPLETE)
-    c.add_argument("--grid", type=float, default=0.005)
+    c.add_argument("--grid", type=_grid_step, default=0.005)
     c.add_argument("--tol", type=float, default=1e-9)
     c.add_argument("--no-full-grid", action="store_true",
                    help="refuse ineligible schemes instead of full-grid fallback")
@@ -340,15 +370,15 @@ def _build_parser() -> _Parser:
 
     b = sub.add_parser("bench", help="per-instance LP/OPT/rounding table")
     b.add_argument("--family", choices=["complete", "kpartite"], default="complete")
-    b.add_argument("--n", type=int, default=9)
-    b.add_argument("--parts", type=str, default="3,3,3")
-    b.add_argument("--p", type=float, default=0.5)
-    b.add_argument("--instances", type=int, default=10)
-    b.add_argument("--trials", type=int, default=200)
+    b.add_argument("--n", type=_count, default=9)
+    b.add_argument("--parts", type=_part_sizes, default="3,3,3")
+    b.add_argument("--p", type=_probability, default=0.5)
+    b.add_argument("--instances", type=_count, default=10)
+    b.add_argument("--trials", type=_count, default=200)
     b.add_argument("--scheme", default="complete206")
     b.add_argument("--alpha", type=float, default=2.06)
     b.add_argument("--seed", type=int, required=True)
-    b.add_argument("--opt-cap", type=int, default=10)
+    b.add_argument("--opt-cap", type=_opt_cap, default=10)
     b.add_argument("--jobs", type=int, default=1,
                    help="ignored: the sweep is serial; kept for compatibility")
     b.add_argument("-o", "--output", default=None)

@@ -313,6 +313,8 @@ def gen_kpartite_random(part_sizes, plus_prob: float, seed: int) -> Instance:
     sizes = list(part_sizes)
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("part sizes must all be >= 1")
+    if not 0.0 <= plus_prob <= 1.0:
+        raise ValueError("plus_prob must be in [0, 1]")
     parts = np.repeat(np.arange(len(sizes)), sizes)
     n = int(parts.shape[0])
     iu, ju = np.triu_indices(n, 1)

@@ -1,28 +1,26 @@
 """Exact ground truth for small instances.
 
-``brute_force_opt`` minimizes over every partition of the vertex set.
-Up to 10 vertices it walks restricted-growth strings with incremental
-prefix costs (so the reported argmin is the first optimum in enumeration
-order); from 11 vertices it switches to an exact subset DP over bit
-masks, which evaluates the same minimum over (3^n - 1) / 2 candidate
-blocks instead of Bell(n) leaves. Both paths are exhaustive; they
-cross-check each other in the tests.
+``brute_force_opt`` minimizes over every partition of the vertex set by
+an exact DP over bit masks: opt[mask] is the cheapest partition of
+mask, taken over the (3^n - 1) / 2 candidate blocks that hold each
+mask's lowest vertex, instead of over the Bell(n) partitions that
+``partitions`` enumerates (the tests price those as the reference).
+It serves every n up to ``MAX_EXACT_N``; tied optima resolve to the
+DP's first minimum, so the argmin is some optimum, not a canonical one.
 
-The subset DP keeps values only. It fills opt[mask] layer by layer in
+The DP keeps values only. It fills opt[mask] layer by layer in
 popcount order, in chunks of at most ``_DP_CHUNK`` candidates per numpy
 call, and then rebuilds the argmin on the optimal path alone (at most n
 masks), scanning each mask's candidates in the same order as the
 values. Memory is two 2^n float tables (block costs g and opt), a 2^n
 byte table of popcounts and three chunk buffers of max(_DP_CHUNK,
-2^(n-1)) 8-byte entries: about 3 MB at n = 16 and 30 MB at the n = 20
-wall.
+2^(n-1)) 8-byte entries (fewer when all (3^n - 1) / 2 candidates fit):
+about 3 MB at n = 16 and 30 MB at the n = 20 wall.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import warnings
 
 import numpy as np
 
@@ -36,24 +34,8 @@ from .rounding import (
     probability_matrix,
 )
 
-DEFAULT_BRUTE_CAP = 13
-_RGS_MAX = 10
-_ABS_MAX = 20  # subset DP wall: (3^n - 1) / 2 candidate blocks
+MAX_EXACT_N = 20  # the DP's wall: (3^n - 1) / 2 candidate blocks
 _DP_CHUNK = 1 << 16  # DP candidates evaluated per numpy call (masks x blocks)
-
-
-def brute_force_cap() -> int:
-    """Hard size cap; CC_MAX_BRUTE_N raises it (clamped to the DP limit)."""
-    raw = os.environ.get("CC_MAX_BRUTE_N")
-    if raw is None:
-        return DEFAULT_BRUTE_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        warnings.warn(f"ignoring CC_MAX_BRUTE_N={raw!r}: not an integer; "
-                      f"using the default cap {DEFAULT_BRUTE_CAP}", stacklevel=2)
-        return DEFAULT_BRUTE_CAP
-    return max(1, min(cap, _ABS_MAX))
 
 
 def partitions(n: int):
@@ -83,56 +65,6 @@ def partitions(n: int):
             m[j] = m[i]
 
 
-def _pair_delta(inst: Instance) -> np.ndarray:
-    """delta[u, v] = cost of putting u, v together minus cost of splitting."""
-    wp, wm = inst.pair_weights()
-    return wm - wp
-
-
-def _brute_force_rgs(inst: Instance) -> tuple[Clustering, float]:
-    n = inst.n
-    wp, wm = inst.pair_weights()
-    delta = wm - wp
-    # split_cost[i] = what vertex i's pairs to 0..i-1 pay if i opens a new block
-    split_cost = [float(wp[:i, i].sum()) for i in range(n)]
-
-    best_cost = math.inf
-    best: np.ndarray | None = None
-    a = np.zeros(n, dtype=np.int64)
-    blocks: list[list[int]] = [[0]]
-
-    def rec(i: int, cur: float):
-        nonlocal best_cost, best
-        if i == n:
-            if cur < best_cost - 1e-12:  # strict: keep the first argmin
-                best_cost = cur
-                best = a.copy()
-            return
-        for b in range(len(blocks) + 1):
-            add = split_cost[i]
-            if b < len(blocks):
-                for j in blocks[b]:
-                    add += delta[j, i]
-            new = cur + add
-            # remaining pairs cost >= 0, so a beaten prefix cannot recover
-            if new >= best_cost - 1e-12:
-                continue
-            a[i] = b
-            if b == len(blocks):
-                blocks.append([i])
-                rec(i + 1, new)
-                blocks.pop()
-            else:
-                blocks[b].append(i)
-                rec(i + 1, new)
-                blocks[b].pop()
-
-    if n == 1:
-        return Clustering([0]), 0.0
-    rec(1, 0.0)
-    return Clustering(best), float(best_cost)
-
-
 def _block_costs(inst: Instance) -> tuple[np.ndarray, float]:
     """g[mask] = sum over pairs inside mask of (keep cost - cut cost).
 
@@ -140,8 +72,8 @@ def _block_costs(inst: Instance) -> tuple[np.ndarray, float]:
     with base the all-singletons cost.
     """
     n = inst.n
-    delta = _pair_delta(inst)
-    wp, _wm = inst.pair_weights()
+    wp, wm = inst.pair_weights()
+    delta = wm - wp  # joining u, v costs delta[u, v] more than splitting them
     base = float(np.triu(wp, 1).sum())
     size = 1 << n
 
@@ -162,7 +94,7 @@ def _block_costs(inst: Instance) -> tuple[np.ndarray, float]:
 
 
 def _brute_force_subset_dp(inst: Instance) -> tuple[Clustering, float]:
-    """Exact optimum via DP over subsets, for sizes past the RGS range."""
+    """Exact optimum via DP over subsets (no size check; see brute_force_opt)."""
     n = inst.n
     size = 1 << n
     g, base = _block_costs(inst)
@@ -171,7 +103,8 @@ def _brute_force_subset_dp(inst: Instance) -> tuple[Clustering, float]:
     popcount = np.zeros(size, dtype=np.int8)
     for j in range(n):
         np.add(popcount[: 1 << j], 1, out=popcount[1 << j : 2 << j])
-    cap = max(_DP_CHUNK, size >> 1)
+    # a chunk holds at most max(_DP_CHUNK, size / 2) of all (3^n - 1) / 2 candidates
+    cap = min(max(_DP_CHUNK, size >> 1), 3**n // 2)
     bufs = (np.empty(cap, dtype=np.int64), np.empty(cap), np.empty(cap))
 
     def candidates(masks: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -225,15 +158,12 @@ def _brute_force_subset_dp(inst: Instance) -> tuple[Clustering, float]:
 
 
 def brute_force_opt(inst: Instance) -> tuple[Clustering, float]:
-    """Global minimum clustering cost and one argmin."""
-    cap = brute_force_cap()
-    if inst.n > cap:
+    """Global minimum clustering cost and one argmin, for n <= MAX_EXACT_N."""
+    if inst.n > MAX_EXACT_N:
         raise ValueError(
-            f"brute force capped at {cap} vertices (got {inst.n}); "
-            "set CC_MAX_BRUTE_N to override"
+            f"the exact oracle solves instances up to n = {MAX_EXACT_N} "
+            f"(MAX_EXACT_N); this one has n = {inst.n}"
         )
-    if inst.n <= _RGS_MAX:
-        return _brute_force_rgs(inst)
     return _brute_force_subset_dp(inst)
 
 

@@ -308,8 +308,7 @@ def test_criterion_11_bound_curve_consistency():
     report(11, "complete206 sits inside all three envelopes at alpha=2.06 on the 1e-3 grid")
 
 
-def test_criterion_12_weighted_reduction(monkeypatch):
-    monkeypatch.setenv("CC_MAX_BRUTE_N", "18")
+def test_criterion_12_weighted_reduction():
     master = SplitMix64(BLOWUP_MASTER_SEED)
     diffs = []
     for _ in range(10):

@@ -160,6 +160,48 @@ def test_opt_command(tmp_path):
     assert cc.clustering_cost(inst, cc.Clustering(doc["assignment"])) == pytest.approx(opt)
 
 
+def test_opt_runs_past_the_old_default_cap(tmp_path):
+    inst_file, out = tmp_path / "i14.cc", tmp_path / "opt.json"
+    run(["gen", "complete", "--n", "14", "--p", "0.5", "--seed", "5", "-o", str(inst_file)])
+    assert run(["opt", "--instance", str(inst_file), "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    inst = cc.parse_instance(inst_file.read_text())
+    assert cc.clustering_cost(inst, cc.Clustering(doc["assignment"])) == doc["cost"]
+
+
+def test_opt_refuses_instances_past_the_size_limit(tmp_path, capsys):
+    inst_file = tmp_path / "big.cc"
+    n = cc.oracle.MAX_EXACT_N + 1
+    run(["gen", "complete", "--n", str(n), "--p", "0.5", "--seed", "1", "-o", str(inst_file)])
+    assert run(["opt", "--instance", str(inst_file)]) == 64
+    assert "MAX_EXACT_N" in capsys.readouterr().err
+
+
+BENCH = ["bench", "--n", "5", "--instances", "1", "--trials", "5", "--seed", "1"]
+BAD_ARGV = {
+    "certify --grid 0": ["certify", "complete206", "--alpha", "2.06", "--grid", "0"],
+    "certify --grid -0.01": ["certify", "complete206", "--alpha", "2.06", "--grid", "-0.01"],
+    "certify weighted --grid 0": ["certify", "weighted_ti_150", "--alpha", "1.5",
+                                  "--class", "weighted", "--grid", "0"],
+    "certify weighted --grid -0.01": ["certify", "weighted_ti_150", "--alpha", "1.5",
+                                      "--class", "weighted", "--grid", "-0.01"],
+    "bench --instances 0": BENCH + ["--instances", "0"],
+    "bench --trials 0": BENCH + ["--trials", "0"],
+    "bench --parts 2,a": BENCH + ["--parts", "2,a"],
+    "bench --opt-cap 21": BENCH + ["--opt-cap", str(cc.oracle.MAX_EXACT_N + 1)],
+    "gen --n 0": ["gen", "complete", "--n", "0", "--seed", "1"],
+    "gen --p 1.5": ["gen", "complete", "--p", "1.5", "--seed", "1"],
+    "gen --parts 3,x": ["gen", "kpartite", "--parts", "3,x", "--seed", "1"],
+    "gen --parts 3,0": ["gen", "kpartite", "--parts", "3,0", "--seed", "1"],
+    "gen planted --k 9 --n 5": ["gen", "planted", "--k", "9", "--n", "5", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_ARGV.values(), ids=BAD_ARGV.keys())
+def test_bad_arguments_are_usage_errors(argv, tmp_path):
+    assert run(argv + ["-o", str(tmp_path / "out")]) == 64
+
+
 def test_bench_csv(tmp_path):
     out = tmp_path / "bench.csv"
     assert run(["bench", "--family", "complete", "--n", "7", "--instances", "4",

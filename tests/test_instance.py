@@ -81,6 +81,14 @@ def test_cost_requires_full_coverage():
         cc.clustering_cost(inst, cc.Clustering([0, 0]))
 
 
+@pytest.mark.parametrize("p", [-0.5, 1.5, float("nan")])
+def test_generators_refuse_probabilities_outside_unit_interval(p):
+    with pytest.raises(ValueError):
+        cc.gen_complete_random(4, p, seed=1)
+    with pytest.raises(ValueError):
+        cc.gen_kpartite_random([2, 2], p, seed=1)
+
+
 def test_gen_complete_trivials():
     single = cc.gen_complete_random(1, 0.3, seed=1)
     assert single.n == 1 and single.total_pair_mass() == 0.0

@@ -1,15 +1,23 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 
 import ccpivot as cc
-from ccpivot.oracle import (
-    DEFAULT_BRUTE_CAP,
-    _brute_force_rgs,
-    _brute_force_subset_dp,
-    brute_force_cap,
-)
+from ccpivot.instance import assignment_cost
+from ccpivot.oracle import MAX_EXACT_N, _brute_force_subset_dp
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
+
+
+def exhaustive_opt(inst, batch=4096):
+    """Minimum cost over every partition of inst, priced in batches."""
+    wp, wm = inst.pair_weights()
+    parts = cc.partitions(inst.n)
+    best = np.inf
+    while chunk := list(islice(parts, batch)):
+        best = min(best, assignment_cost(np.array(chunk), wp, wm).min())
+    return float(best)
 
 
 def k3(labels_ut):
@@ -59,28 +67,47 @@ def test_brute_force_matches_exhaustive_scan():
     assert cost == pytest.approx(best)
 
 
+def small_instance(kind, n, seed):
+    if kind == "complete":
+        return cc.gen_complete_random(n, 0.5, seed)
+    if kind == "kpartite":  # up to three parts, none empty
+        sizes = [(n + i) // 3 for i in range(3)]
+        return cc.gen_kpartite_random([s for s in sizes if s], 0.5, seed)
+    return cc.gen_weighted_random(n, seed)
+
+
+@pytest.mark.parametrize("kind", ["complete", "kpartite", "weighted"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_brute_force_matches_partition_minimum(kind, n):
+    inst = small_instance(kind, n, seed=20 + n)
+    c, cost = cc.brute_force_opt(inst)
+    best = exhaustive_opt(inst)
+    if kind == "weighted":  # the two sum the same weights in different orders
+        assert cost == pytest.approx(best, rel=1e-12, abs=1e-12)
+        assert cc.clustering_cost(inst, c) == pytest.approx(cost, rel=1e-12, abs=1e-12)
+    else:
+        assert cost == best
+        assert cc.clustering_cost(inst, c) == cost
+
+
+# the reference enumerates partitions() as restricted-growth strings (RGS)
 @pytest.mark.parametrize("n,seed", [(8, 1), (9, 2), (10, 3), (11, 4)])
-def test_rgs_and_subset_dp_agree(n, seed, monkeypatch):
-    monkeypatch.setenv("CC_MAX_BRUTE_N", "14")
+def test_rgs_and_subset_dp_agree(n, seed):
     inst = cc.gen_complete_random(n, 0.5, seed)
-    c1, v1 = _brute_force_rgs(inst)
-    c2, v2 = _brute_force_subset_dp(inst)
-    assert v1 == pytest.approx(v2, abs=1e-9)
-    assert cc.clustering_cost(inst, c1) == pytest.approx(v1)
-    assert cc.clustering_cost(inst, c2) == pytest.approx(v2)
+    c, v = _brute_force_subset_dp(inst)
+    assert v == exhaustive_opt(inst)
+    assert cc.clustering_cost(inst, c) == v
 
 
 def test_subset_dp_weighted_agrees():
     inst = cc.gen_weighted_random(8, seed=6)
-    _c1, v1 = _brute_force_rgs(inst)
-    _c2, v2 = _brute_force_subset_dp(inst)
-    assert v1 == pytest.approx(v2, abs=1e-9)
+    _c, v = _brute_force_subset_dp(inst)
+    assert v == pytest.approx(exhaustive_opt(inst), abs=1e-9)
 
 
-def test_cap_enforced(monkeypatch):
-    monkeypatch.delenv("CC_MAX_BRUTE_N", raising=False)
-    inst = cc.gen_complete_random(14, 0.5, seed=1)
-    with pytest.raises(ValueError):
+def test_cap_enforced():
+    inst = cc.gen_complete_random(MAX_EXACT_N + 1, 0.5, seed=1)
+    with pytest.raises(ValueError, match="MAX_EXACT_N"):
         cc.brute_force_opt(inst)
 
 
@@ -185,9 +212,3 @@ def test_lp_below_opt_small_instances():
         _x, stats = cc.solve_relaxation(inst)
         _c, opt = cc.brute_force_opt(inst)
         assert stats.objective <= opt + 1e-6
-
-
-def test_invalid_cap_warns_and_uses_default(monkeypatch):
-    monkeypatch.setenv("CC_MAX_BRUTE_N", "abc")
-    with pytest.warns(UserWarning, match=r"CC_MAX_BRUTE_N='abc'.*cap 13"):
-        assert brute_force_cap() == DEFAULT_BRUTE_CAP == 13
