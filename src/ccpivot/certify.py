@@ -8,8 +8,17 @@ surplus alpha * LP - ALG is nonnegative on every admissible triangle.
 For monotone schemes with piecewise-convex f_plus and piecewise-concave
 f_minus, it is enough to check triangles whose lengths make the triangle
 inequality tight, plus a finite corner set built from the pieces'
-endpoints; ``certify`` sweeps exactly those on a grid. Ineligible
-schemes fall back to a full 3-D grid over the metric polytope.
+endpoints; ``certify`` sweeps exactly those on a grid. Eligibility is
+read off each piece's kind and parameters (sufficient conditions, no
+sampling); ineligible schemes fall back to a full 3-D grid over the
+metric polytope, and schemes whose values leave [0, 1] are refused,
+because the surplus formulas assume probabilities.
+
+Every sweep prices its length batches with one kernel,
+``_type_surpluses``, which computes each (edge type, position)
+probability array once per batch, and keeps its minimum with
+``_lowest``: the first strictly lower value wins, so ties resolve in
+sweep order.
 """
 
 from __future__ import annotations
@@ -156,46 +165,43 @@ class EligibilityReport:
         )
 
 
-def _monotone_in_range(fn, step=1e-3) -> tuple[bool, bool]:
-    xs = np.arange(0.0, 1.0 + step / 2, step)
-    ys = fn(xs)
-    mono = bool(np.all(np.diff(ys) >= -1e-12))
-    inr = bool(np.all(ys >= -1e-12) and np.all(ys <= 1 + 1e-12))
-    return mono, inr
+def _piece_shape(p) -> tuple[bool, bool, bool]:
+    """(nondecreasing, convex, concave) for one piece, from its kind and params.
+
+    These are sufficient conditions; a shape they do not cover reads False.
+    """
+    if p.kind == "constant":
+        return True, True, True
+    if p.kind == "linear":
+        return p.params[1] >= 0, True, True
+    anchor, scale, expo = p.params  # power: ((x - anchor)/scale)**expo, base clipped at 0
+    up = scale > 0
+    return up, up and expo >= 1, up and expo <= 1 and anchor <= p.lo
 
 
-def _piecewise_shape(fn, convex: bool, step=1e-3) -> bool:
-    """Midpoint test on every piece: chord above (convex) or below (concave)."""
-    for p in fn.pieces:
-        if p.hi - p.lo < 2 * step:
-            continue
-        xs = np.arange(p.lo, p.hi + step / 2, step)
-        xs = xs[(xs >= p.lo) & (xs <= p.hi)]
-        lo, hi = xs[:-2], xs[2:]
-        mid = xs[1:-1]
-        chord = (p(lo) + p(hi)) / 2.0
-        val = p(mid)
-        if convex:
-            if np.any(val > chord + 1e-9):
-                return False
-        else:
-            if np.any(val < chord - 1e-9):
-                return False
-    return True
+def _ends(p) -> tuple[float, float]:
+    """The piece's values at lo and hi; every valid piece is monotone between them."""
+    return float(p(p.lo)), float(p(p.hi))
+
+
+def _monotone(fn) -> bool:
+    """Every piece nondecreasing and no downward jump at a breakpoint."""
+    ends = [_ends(p) for p in fn.pieces]
+    return all(_piece_shape(p)[0] for p in fn.pieces) and all(
+        left[1] <= right[0] + 1e-12 for left, right in zip(ends, ends[1:])
+    )
 
 
 def check_eligibility(scheme: RoundingScheme) -> EligibilityReport:
-    fns = [scheme.f_plus, scheme.f_minus]
-    if scheme.f_neutral is not None:
-        fns.append(scheme.f_neutral)
-    zero_ok = all(abs(float(f(0.0))) <= 1e-12 for f in fns)
-    monos, ranges = zip(*(_monotone_in_range(f) for f in fns))
+    fns = [f for f in (scheme.f_plus, scheme.f_minus, scheme.f_neutral) if f is not None]
     return EligibilityReport(
-        starts_at_zero=zero_ok,
-        in_range=all(ranges),
-        monotone=all(monos),
-        plus_piecewise_convex=_piecewise_shape(scheme.f_plus, convex=True),
-        minus_piecewise_concave=_piecewise_shape(scheme.f_minus, convex=False),
+        starts_at_zero=all(abs(float(f(0.0))) <= 1e-12 for f in fns),
+        in_range=all(
+            -1e-12 <= v <= 1 + 1e-12 for f in fns for p in f.pieces for v in _ends(p)
+        ),
+        monotone=all(_monotone(f) for f in fns),
+        plus_piecewise_convex=all(_piece_shape(p)[1] for p in scheme.f_plus.pieces),
+        minus_piecewise_concave=all(_piece_shape(p)[2] for p in scheme.f_minus.pieces),
     )
 
 
@@ -304,66 +310,56 @@ def _metric_triples(s0, s1, s2) -> list:
     ]
 
 
-def _surplus_on_lengths(types, L0, L1, L2, scheme, alpha):
-    probs = [scheme.fn(t)(L) for t, L in zip(types, (L0, L1, L2))]
-    alg, lp = triple_sums(types, (L0, L1, L2), probs)
-    return alpha * lp - alg
-
-
-def _sweep_tight_families(types, scheme, alpha, step):
-    """Min surplus over both tight-length families for one type assignment."""
-    g = _grid(step)
+def _tight_pairs(g: np.ndarray):
+    """Grid pairs (a, b) with a + b <= 1, the free lengths of a tight triangle."""
     A, B = np.meshgrid(g, g, indexing="ij")
     mask = A + B <= 1.0 + 1e-12
-    a, b = A[mask], B[mask]
-    best = (math.inf, None)
-    for fam, lengths in (("(x,y,x+y)", (a, b, a + b)), ("(x,x+z,z)", (a, a + b, b))):
-        s = _surplus_on_lengths(types, *lengths, scheme, alpha)
-        i = int(np.argmin(s))
-        if s[i] < best[0]:
-            best = (
-                float(s[i]),
-                {
-                    "types": "".join(types),
-                    "family": fam,
-                    "lengths": [float(lengths[0][i]), float(lengths[1][i]), float(lengths[2][i])],
-                },
-            )
-    return best
+    return A[mask], B[mask]
 
 
-def _sweep_corners(types, scheme, alpha, corners):
-    results = []
-    best = (math.inf, None)
-    for lengths in _metric_triples(*(corners[t] for t in types)):
-        l = list(lengths)
-        tc = triple_costs(types, l, scheme, alpha)
-        results.append({"types": "".join(types), "lengths": l, "surplus": tc.surplus})
-        if tc.surplus < best[0]:
-            best = (tc.surplus, {"types": "".join(types), "family": "corner", "lengths": l})
-    return best, results
+def _type_surpluses(type_rows, lengths, scheme: RoundingScheme, alpha: float):
+    """Yield alpha * LP - ALG on the length batch for each type triple of type_rows.
+
+    Each (edge type, position) probability array is computed once and
+    shared by every row that uses it.
+    """
+    lengths = [np.asarray(v, dtype=np.float64) for v in lengths]
+    probs = {}
+
+    def prob(t, i):
+        if (t, i) not in probs:
+            probs[t, i] = scheme.fn(t)(lengths[i])
+        return probs[t, i]
+
+    for types in type_rows:
+        alg, lp = triple_sums(types, lengths, [prob(t, i) for i, t in enumerate(types)])
+        yield alpha * lp - alg
 
 
-def _sweep_full_grid(types, scheme, alpha, step):
-    """Fallback for ineligible schemes: full 3-D metric-polytope grid."""
+def _lowest(best, s, witness):
+    """(s[i], witness(i)) at the first argmin i of s if strictly below best[0], else best."""
+    i = int(np.argmin(s))
+    return (float(s[i]), witness(i)) if s[i] < best[0] else best
+
+
+def _labeled_batches(full_grid: bool, step: float):
+    """(family, lengths) of each length batch of the labeled sweep, in sweep order.
+
+    Eligible schemes: the tight family (x,y,x+y), then (x,x+z,z), built
+    once. The full-grid fallback streams the metric polytope one l0 slab
+    at a time.
+    """
     g = _grid(step)
-    best = (math.inf, None)
+    if not full_grid:
+        a, b = _tight_pairs(g)
+        yield "(x,y,x+y)", (a, b, a + b)
+        yield "(x,x+z,z)", (a, a + b, b)
+        return
+    B, C = np.meshgrid(g, g, indexing="ij")
     for l0 in g:
-        B, C = np.meshgrid(g, g, indexing="ij")
         ok = (l0 <= B + C + 1e-12) & (B <= l0 + C + 1e-12) & (C <= l0 + B + 1e-12)
-        if not ok.any():
-            continue
         b, c = B[ok], C[ok]
-        a = np.full_like(b, l0)
-        s = _surplus_on_lengths(types, a, b, c, scheme, alpha)
-        i = int(np.argmin(s))
-        if s[i] < best[0]:
-            best = (
-                float(s[i]),
-                {"types": "".join(types), "family": "full-grid",
-                 "lengths": [float(l0), float(b[i]), float(c[i])]},
-            )
-    return best
+        yield "full-grid", (np.full_like(b, l0), b, c)
 
 
 def certify(
@@ -378,50 +374,51 @@ def certify(
 
     Eligible schemes are checked on the two tight-length families (over
     every assignment of the type triple to edge positions) plus the
-    corner set; PASS means the minimum surplus stays above -tol.
+    corner set; PASS means the minimum surplus stays above -tol. A
+    scheme whose values leave [0, 1] is refused, fallback or not.
     """
     elig = check_eligibility(scheme)
+    if not elig.in_range:
+        raise IneligibleSchemeError(
+            f"scheme {scheme.name!r} takes values outside [0, 1]; "
+            "the surplus formulas need probabilities"
+        )
     use_full = not elig.eligible
     if use_full and not allow_full_grid:
         raise IneligibleSchemeError(
             f"scheme {scheme.name!r} fails the tight-triangle eligibility check"
         )
+    canonicals = admissible_types(graph_class)
+    # each assignment's lowest grid surplus, the first in sweep order
+    found = {types: (math.inf, None) for c in canonicals for types in _assignments(c)}
+    rows = list(found)
+    for family, lengths in _labeled_batches(use_full, grid_step):
+        for types, s in zip(rows, _type_surpluses(rows, lengths, scheme, alpha)):
+            found[types] = _lowest(found[types], s, lambda i: {
+                "types": "".join(types), "family": family,
+                "lengths": [float(l[i]) for l in lengths],
+            })
     corners = corner_sets(scheme)
-    report = CertificateReport(
-        scheme=scheme.name,
-        alpha=alpha,
-        graph_class=graph_class,
-        grid_step=grid_step,
-        tol=tol,
-        eligible=elig.eligible,
-        used_full_grid=use_full,
-    )
-    for canonical in admissible_types(graph_class):
-        best = (math.inf, None)
-        corner_best = (math.inf, None)
-        corner_rows: list = []
+    results = []
+    for canonical in canonicals:
+        best = min((found[t] for t in _assignments(canonical)), key=lambda b: b[0])
+        corner_best, corner_rows = (math.inf, None), []
         for types in _assignments(canonical):
-            if use_full:
-                cand = _sweep_full_grid(types, scheme, alpha, grid_step)
-            else:
-                cand = _sweep_tight_families(types, scheme, alpha, grid_step)
-            if cand[0] < best[0]:
-                best = cand
-            cb, rows = _sweep_corners(types, scheme, alpha, corners)
-            corner_rows.extend(rows)
-            if cb[0] < corner_best[0]:
-                corner_best = cb
+            label = "".join(types)
+            triples = _metric_triples(*(corners[t] for t in types))
+            s = next(_type_surpluses([types], list(zip(*triples)), scheme, alpha))
+            corner_rows += [{"types": label, "lengths": list(t), "surplus": float(v)}
+                            for t, v in zip(triples, s)]
+            corner_best = _lowest(corner_best, s, lambda i: {
+                "types": label, "family": "corner", "lengths": list(triples[i]),
+            })
         witness = best[1] if best[0] <= corner_best[0] else corner_best[1]
-        report.results.append(
-            TypeResult(
-                label="".join(canonical),
-                min_surplus=best[0],
-                witness=witness,
-                corner_min=corner_best[0],
-                corner_results=corner_rows,
-            )
+        results.append(
+            TypeResult("".join(canonical), best[0], witness, corner_best[0], corner_rows)
         )
-    return report
+    return CertificateReport(scheme=scheme.name, alpha=alpha, graph_class=graph_class,
+                             grid_step=grid_step, tol=tol, eligible=elig.eligible,
+                             used_full_grid=use_full, results=results)
 
 
 # ---------------------------------------------------------------------------
@@ -526,22 +523,6 @@ def lower_bound_check(alpha: float, x: float) -> LowerBoundResult:
 _COIN_TYPES = list(itertools.product(("+", "-"), repeat=3))
 
 
-def _coin_surpluses(lengths, scheme: RoundingScheme, alpha: float) -> list:
-    """alpha * LP - ALG per label-coin outcome, in _COIN_TYPES order (free of lam_minus)."""
-    ls = [np.asarray(v, dtype=np.float64) for v in lengths]
-    probs = {
-        ("+", i): scheme.f_plus(ls[i]) for i in range(3)
-    } | {
-        ("-", i): scheme.f_minus(ls[i]) for i in range(3)
-    }
-    out = []
-    for combo in _COIN_TYPES:
-        p = [probs[(combo[i], i)] for i in range(3)]
-        alg, lp = triple_sums(combo, ls, p)
-        out.append(alpha * lp - alg)
-    return out
-
-
 def _coin_mixture(lam_minus, surpluses):
     """Sum of the per-coin surpluses weighted by their lam_minus probabilities."""
     lm = [np.asarray(v, dtype=np.float64) for v in lam_minus]
@@ -561,27 +542,15 @@ def weighted_surplus(lam_minus, lengths, scheme: RoundingScheme, alpha: float):
     coin outcomes contributes its unweighted surplus times its
     probability.
     """
-    return _coin_mixture(lam_minus, _coin_surpluses(lengths, scheme, alpha))
+    return _coin_mixture(lam_minus, list(_type_surpluses(_COIN_TYPES, lengths, scheme, alpha)))
 
 
 def _weighted_length_batches(scheme: RoundingScheme, grid_step: float):
     """Tight-family length triples plus corner triples, as one batch."""
-    g = _grid(grid_step)
-    A, B = np.meshgrid(g, g, indexing="ij")
-    mask = A + B <= 1.0 + 1e-12
-    a, b = A[mask], B[mask]
-    batches = [
-        (a, b, a + b),
-        (a, a + b, b),
-        (a + b, a, b),
-    ]
+    a, b = _tight_pairs(_grid(grid_step))
     pts = sorted(set(scheme.f_plus.breakpoints()) | set(scheme.f_minus.breakpoints()))
-    corner = _metric_triples(pts, pts, pts)
-    if corner:
-        arr = np.array(corner, dtype=np.float64)
-        batches.append((arr[:, 0], arr[:, 1], arr[:, 2]))
-    ls = [np.concatenate([b[i] for b in batches]) for i in range(3)]
-    return ls
+    corner = np.array(_metric_triples(pts, pts, pts), dtype=np.float64).reshape(-1, 3)
+    return [np.concatenate(p) for p in zip((a, b, a + b), (a, a + b, b), (a + b, a, b), corner.T)]
 
 
 def certify_weighted_ti(
@@ -608,40 +577,20 @@ def certify_weighted_ti(
     g = _grid(lam_grid_step)
     lam_rows = np.array(_metric_triples(g, g, g), dtype=np.float64)
     ls = _weighted_length_batches(scheme, length_grid_step)
-    surpluses = _coin_surpluses(ls, scheme, alpha)
+    surpluses = list(_type_surpluses(_COIN_TYPES, ls, scheme, alpha))
     best = (math.inf, None)
     for lam in lam_rows:
-        s = _coin_mixture(lam, surpluses)
-        i = int(np.argmin(s))
-        if s[i] < best[0]:
-            best = (
-                float(s[i]),
-                {
-                    "lam_minus": [float(v) for v in lam],
-                    "lengths": [float(ls[0][i]), float(ls[1][i]), float(ls[2][i])],
-                },
-            )
+        best = _lowest(best, _coin_mixture(lam, surpluses), lambda i: {
+            "lam_minus": [float(v) for v in lam],
+            "lengths": [float(l[i]) for l in ls],
+        })
 
-    report = CertificateReport(
-        scheme=scheme.name,
-        alpha=alpha,
-        graph_class=WEIGHTED,
-        grid_step=length_grid_step,
-        tol=tol,
-        eligible=True,
-        used_full_grid=False,
+    return CertificateReport(
+        scheme=scheme.name, alpha=alpha, graph_class=WEIGHTED, grid_step=length_grid_step,
+        tol=tol, eligible=True, used_full_grid=False,
+        results=[TypeResult("weighted-mixture", best[0], best[1], math.inf, [])],
         sweep={"lam_grid_step": lam_grid_step, "surplus_points": len(ls[0]) * len(lam_rows)},
     )
-    report.results.append(
-        TypeResult(
-            label="weighted-mixture",
-            min_surplus=best[0],
-            witness=best[1],
-            corner_min=math.inf,
-            corner_results=[],
-        )
-    )
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -53,16 +53,16 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def block_rows(streams: list["SplitMix64"], k: int) -> np.ndarray:
-    """Row i holds the next k words of streams[i]; each stream advances by k."""
+def block_rows(states: np.ndarray, k: int) -> np.ndarray:
+    """Row i holds the next k words of the stream whose state is states[i].
+
+    states is a uint64 array (a seed is the state of a fresh stream); it
+    is not advanced.
+    """
     if k < 0:
         raise ValueError("block needs k >= 0")
-    states = np.array([s._state for s in streams], dtype=_U64)
     steps = np.arange(1, k + 1, dtype=_U64) * _G
-    words = _mix64_array(states[:, None] + steps)
-    for s in streams:
-        s._state = (s._state + k * _GAMMA) & _MASK
-    return words
+    return _mix64_array(np.asarray(states, dtype=_U64)[:, None] + steps)
 
 
 def unit_floats(words: np.ndarray) -> np.ndarray:
@@ -96,7 +96,9 @@ class SplitMix64:
 
     def block(self, k: int) -> np.ndarray:
         """The next k words as a uint64 array; advances the stream by k."""
-        return block_rows([self], k)[0]
+        words = block_rows(np.array([self._state], dtype=_U64), k)[0]
+        self._state = (self._state + k * _GAMMA) & _MASK
+        return words
 
     def uniform(self) -> float:
         """Uniform float in [0, 1) with 53 random bits."""

@@ -72,7 +72,10 @@ class Piece:
     kind:
       * "constant": params = (value,)
       * "linear":   params = (intercept, slope)
-      * "power":    params = (anchor, scale, exponent) -> ((x-anchor)/scale)**e
+      * "power":    params = (anchor, scale, exponent) -> ((x-anchor)/scale)**e,
+                    base clipped at 0; scale != 0 and exponent > 0
+
+    Bounds and params must be finite, with lo < hi.
 
     closed_left says whether the piece owns its left endpoint; interior
     breakpoints belong to exactly one side, which matters at jumps.
@@ -90,6 +93,12 @@ class Piece:
             raise ValueError(f"unknown piece kind {self.kind!r}")
         if len(self.params) != want:
             raise ValueError(f"a {self.kind} piece takes {want} params, got {len(self.params)}")
+        if not all(math.isfinite(v) for v in (self.lo, self.hi, *self.params)):
+            raise ValueError(f"a piece needs finite bounds and params, got {self}")
+        if not self.lo < self.hi:
+            raise ValueError(f"a piece needs from < to, got [{self.lo}, {self.hi}]")
+        if self.kind == "power" and (self.params[1] == 0 or self.params[2] <= 0):
+            raise ValueError(f"a power piece needs scale != 0 and exponent > 0, got {self.params}")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -505,7 +514,7 @@ def _pivot_chunk(seeds: np.ndarray, n: int, keep=None, candidates=None) -> np.nd
     a word is redone alone by _pivot_run, which reads past the block.
     """
     coins, width = _stream_layout(n, candidates is not None)
-    words = block_rows([SplitMix64(int(s)) for s in seeds], width)
+    words = block_rows(seeds, width)
     unif = unit_floats(words)
     batch_keep = keep
     if candidates is not None:

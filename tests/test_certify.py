@@ -181,6 +181,81 @@ def test_ineligible_scheme_full_grid_fallback():
     assert rep.used_full_grid
 
 
+def _scheme(f_plus, f_minus=None, f_neutral=None, name="probe"):
+    return RoundingScheme(name, PiecewiseFn(f_plus),
+                          PiecewiseFn(f_minus or [Piece(0.0, 1.0, "linear", (0.0, 1.0))]),
+                          PiecewiseFn(f_neutral) if f_neutral else None)
+
+
+def test_narrow_concave_piece_is_not_convex():
+    # a 0.0015-wide square-root step inside f_plus: concave, however narrow
+    s = _scheme([
+        Piece(0.0, 0.5, "constant", (0.0,)),
+        Piece(0.5, 0.5015, "power", (0.5, 0.0015, 0.5)),
+        Piece(0.5015, 1.0, "constant", (1.0,), closed_left=False),
+    ])
+    rep = check_eligibility(s)
+    assert rep.monotone and rep.in_range and rep.starts_at_zero
+    assert not rep.plus_piecewise_convex
+    assert cc.certify(s, 3.0, "complete", grid_step=0.1).used_full_grid
+
+
+def test_clipped_power_piece_is_not_concave():
+    # sqrt((x - 0.5)/0.5) clipped at 0: flat, then rising with a kink at 0.5
+    s = _scheme(S206.f_plus.pieces, [Piece(0.0, 1.0, "power", (0.5, 0.5, 0.5))])
+    rep = check_eligibility(s)
+    assert rep.monotone and rep.in_range
+    assert not rep.minus_piecewise_concave
+    # the same exponent anchored at the piece's start is concave
+    ok = _scheme(S206.f_plus.pieces, [Piece(0.0, 1.0, "power", (0.0, 1.0, 0.5))])
+    assert check_eligibility(ok).minus_piecewise_concave
+
+
+def test_downward_jump_is_not_monotone():
+    s = _scheme([
+        Piece(0.0, 0.3, "constant", (0.0,)),
+        Piece(0.3, 0.6, "linear", (0.0, 1.0)),
+        Piece(0.6, 1.0, "constant", (0.5,), closed_left=False),
+    ])
+    rep = check_eligibility(s)
+    assert rep.in_range and rep.plus_piecewise_convex
+    assert not rep.monotone
+
+
+@pytest.mark.parametrize("piece", [
+    Piece(0.0, 1.0, "linear", (1.0, -1.0)),
+    Piece(0.0, 1.0, "power", (1.0, -1.0, 2.0)),
+])
+def test_decreasing_pieces_are_not_monotone(piece):
+    assert not check_eligibility(_scheme([piece])).monotone
+
+
+def test_out_of_range_scheme_is_refused_even_with_fallback():
+    s = _scheme([Piece(0.0, 1.0, "linear", (0.0, 2.0))])
+    assert not check_eligibility(s).in_range
+    with pytest.raises(cc.IneligibleSchemeError):
+        cc.certify(s, 3.0, "complete", grid_step=0.1, allow_full_grid=True)
+
+
+ALL_TRUE = (True, True, True, True, True)
+
+
+@pytest.mark.parametrize("scheme, fields", [
+    *((s, ALL_TRUE) for s in cc.SCHEMES.values()),
+    # perfbench's complete206 with a decreasing neutral function
+    (RoundingScheme("decreasing_neutral", S206.f_plus, S206.f_minus,
+                    PiecewiseFn([Piece(0.0, 1.0, "linear", (1.0, -1.0))])),
+     (False, True, False, True, True)),
+    (RoundingScheme("sqrtplus", PiecewiseFn([Piece(0.0, 1.0, "power", (0.0, 1.0, 0.5))]),
+                    PiecewiseFn([Piece(0.0, 1.0, "linear", (0.0, 1.0))])),
+     (True, True, True, False, True)),
+], ids=lambda v: getattr(v, "name", ""))
+def test_known_schemes_eligibility_fields(scheme, fields):
+    rep = check_eligibility(scheme)
+    assert (rep.starts_at_zero, rep.in_range, rep.monotone,
+            rep.plus_piecewise_convex, rep.minus_piecewise_concave) == fields
+
+
 def test_certificate_report_json():
     import json
 

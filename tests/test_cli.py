@@ -145,6 +145,43 @@ def test_certify_ineligible_exit_code(tmp_path):
     assert run(["certify", str(scheme_file), "--alpha", "8", "--grid", "0.1"]) in (0, 1)
 
 
+def _acn_with_f_plus(tmp_path, *pieces):
+    doc = json.loads(cc.get_scheme("acn_linear").to_json())
+    doc["f_plus"] = list(pieces)
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_certify_rejects_nan_slope(tmp_path):
+    path = _acn_with_f_plus(tmp_path, {"from": 0.0, "to": 1.0, "kind": "linear",
+                                       "params": [0.0, float("nan")]})
+    assert run(["certify", path, "--alpha", "2.06", "--grid", "0.1"]) == 65
+
+
+def test_certify_rejects_zero_scale_power(tmp_path):
+    path = _acn_with_f_plus(tmp_path, {"from": 0.0, "to": 1.0, "kind": "power",
+                                       "params": [0.0, 0.0, 2.0]})
+    assert run(["certify", path, "--alpha", "2.06", "--grid", "0.1"]) == 65
+
+
+def test_certify_rejects_reversed_piece(tmp_path):
+    # the pieces still tile [0, 1] end to start; the middle one runs backwards
+    path = _acn_with_f_plus(
+        tmp_path,
+        {"from": 0.0, "to": 0.6, "kind": "linear", "params": [0.0, 1.0]},
+        {"from": 0.6, "to": 0.4, "kind": "linear", "params": [0.0, 1.0]},
+        {"from": 0.4, "to": 1.0, "kind": "linear", "params": [0.0, 1.0]},
+    )
+    assert run(["certify", path, "--alpha", "2.06", "--grid", "0.1"]) == 65
+
+
+def test_certify_refuses_out_of_range_scheme(tmp_path):
+    path = _acn_with_f_plus(tmp_path, {"from": 0.0, "to": 1.0, "kind": "linear",
+                                       "params": [0.0, 2.0]})
+    assert run(["certify", path, "--alpha", "2.06", "--grid", "0.1"]) == 2
+
+
 def test_unknown_scheme_is_usage_error():
     assert run(["certify", "no_such_scheme", "--alpha", "2"]) == 64
 

@@ -1,0 +1,137 @@
+"""The labeled certification sweep against a per-assignment reference.
+
+`certify` prices every assignment of the class on one length batch (the
+two tight families together, or one full-grid slab at a time) and each
+assignment's corners as one array. The reference below sweeps one
+assignment and one tight family at a time and prices the corners one
+scalar `triple_costs` call at a time, as the sweep first did; both must
+give the same minima to the last bit, the same witnesses and the same
+corner rows.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+import ccpivot as cc
+from ccpivot.certify import admissible_types, corner_sets, triple_costs, triple_sums
+from ccpivot.rounding import Piece, PiecewiseFn, RoundingScheme
+
+S206 = cc.get_scheme("complete206")
+DECREASING_NEUTRAL = RoundingScheme(
+    "complete206_decreasing_neutral",
+    S206.f_plus,
+    S206.f_minus,
+    PiecewiseFn([Piece(0.0, 1.0, "linear", (1.0, -1.0))]),
+)
+
+
+def grid(step):
+    return np.linspace(0.0, 1.0, int(round(1.0 / step)) + 1)
+
+
+def surplus_on_lengths(types, L0, L1, L2, scheme, alpha):
+    probs = [scheme.fn(t)(L) for t, L in zip(types, (L0, L1, L2))]
+    alg, lp = triple_sums(types, (L0, L1, L2), probs)
+    return alpha * lp - alg
+
+
+def reference_tight_families(types, scheme, alpha, step):
+    g = grid(step)
+    A, B = np.meshgrid(g, g, indexing="ij")
+    mask = A + B <= 1.0 + 1e-12
+    a, b = A[mask], B[mask]
+    best = (math.inf, None)
+    for fam, lengths in (("(x,y,x+y)", (a, b, a + b)), ("(x,x+z,z)", (a, a + b, b))):
+        s = surplus_on_lengths(types, *lengths, scheme, alpha)
+        i = int(np.argmin(s))
+        if s[i] < best[0]:
+            best = (float(s[i]), {"types": "".join(types), "family": fam,
+                                  "lengths": [float(v[i]) for v in lengths]})
+    return best
+
+
+def reference_full_grid(types, scheme, alpha, step):
+    g = grid(step)
+    best = (math.inf, None)
+    for l0 in g:
+        B, C = np.meshgrid(g, g, indexing="ij")
+        ok = (l0 <= B + C + 1e-12) & (B <= l0 + C + 1e-12) & (C <= l0 + B + 1e-12)
+        b, c = B[ok], C[ok]
+        s = surplus_on_lengths(types, np.full_like(b, l0), b, c, scheme, alpha)
+        i = int(np.argmin(s))
+        if s[i] < best[0]:
+            best = (float(s[i]), {"types": "".join(types), "family": "full-grid",
+                                  "lengths": [float(l0), float(b[i]), float(c[i])]})
+    return best
+
+
+def reference_corners(types, scheme, alpha, corners):
+    results = []
+    best = (math.inf, None)
+    for lengths in itertools.product(*(corners[t] for t in types)):
+        if any(lengths[i] > lengths[(i + 1) % 3] + lengths[(i + 2) % 3] + 1e-12
+               for i in range(3)):
+            continue
+        l = list(lengths)
+        tc = triple_costs(types, l, scheme, alpha)
+        results.append({"types": "".join(types), "lengths": l, "surplus": tc.surplus})
+        if tc.surplus < best[0]:
+            best = (tc.surplus, {"types": "".join(types), "family": "corner", "lengths": l})
+    return best, results
+
+
+def reference_certify(scheme, alpha, graph_class, step, full_grid):
+    """(label, min_surplus, witness, corner_min, corner_results) per canonical type."""
+    corners = corner_sets(scheme)
+    out = []
+    for canonical in admissible_types(graph_class):
+        best = corner_best = (math.inf, None)
+        rows = []
+        for types in sorted(set(itertools.permutations(canonical))):
+            sweep = reference_full_grid if full_grid else reference_tight_families
+            cand = sweep(types, scheme, alpha, step)
+            if cand[0] < best[0]:
+                best = cand
+            cb, r = reference_corners(types, scheme, alpha, corners)
+            rows.extend(r)
+            if cb[0] < corner_best[0]:
+                corner_best = cb
+        witness = best[1] if best[0] <= corner_best[0] else corner_best[1]
+        out.append(("".join(canonical), best[0], witness, corner_best[0], rows))
+    return out
+
+
+def assert_matches_reference(scheme, alpha, graph_class, step, full_grid):
+    rep = cc.certify(scheme, alpha, graph_class, grid_step=step)
+    assert rep.used_full_grid == full_grid
+    ref = reference_certify(scheme, alpha, graph_class, step, full_grid)
+    assert len(rep.results) == len(ref)
+    for got, (label, min_surplus, witness, corner_min, rows) in zip(rep.results, ref):
+        assert got.label == label
+        assert got.min_surplus.hex() == min_surplus.hex()
+        assert got.witness == witness
+        assert got.corner_min.hex() == corner_min.hex()
+        assert got.corner_results == rows
+
+
+@pytest.mark.parametrize("name, graph_class, alpha", [
+    ("complete206", "complete", 2.06),
+    ("complete206", "complete", 2.0),
+    ("kpartite3", "kpartite", 3.0),
+    ("kpartite3", "kpartite", 2.5),
+    ("acn_linear", "complete", 3.0),
+    ("acn_linear", "complete", 2.5),
+])
+@pytest.mark.parametrize("step", [0.05, 0.1])
+def test_tight_sweep_matches_reference(name, graph_class, alpha, step):
+    assert_matches_reference(cc.get_scheme(name), alpha, graph_class, step, full_grid=False)
+
+
+@pytest.mark.parametrize("graph_class, alpha", [
+    ("complete", 2.06), ("complete", 2.0), ("kpartite", 3.0),
+])
+def test_full_grid_matches_reference(graph_class, alpha):
+    assert_matches_reference(DECREASING_NEUTRAL, alpha, graph_class, 0.1, full_grid=True)

@@ -285,6 +285,22 @@ def test_piecewise_rejects_gaps():
         )
 
 
+@pytest.mark.parametrize("lo, hi, kind, params", [
+    (0.0, 1.0, "linear", (0.0, math.nan)),
+    (0.0, math.inf, "constant", (0.0,)),
+    (0.0, 1.0, "power", (0.0, 0.0, 2.0)),
+    (0.0, 1.0, "power", (0.0, 1.0, 0.0)),
+    (0.0, 1.0, "power", (0.0, 1.0, -1.0)),
+    (0.5, 0.5, "constant", (0.0,)),
+    (0.6, 0.4, "constant", (0.0,)),
+])
+def test_piece_rejects_malformed(lo, hi, kind, params):
+    from ccpivot.rounding import Piece
+
+    with pytest.raises(ValueError):
+        Piece(lo, hi, kind, params)
+
+
 # -- derandomization on weighted-metric instances ---------------------------------
 
 
