@@ -18,7 +18,7 @@ Every sweep prices its length batches with one kernel,
 ``_type_surpluses``, which computes each (edge type, position)
 probability array once per batch, and keeps its minimum with
 ``_lowest``: the first strictly lower value wins, so ties resolve in
-sweep order.
+sweep order, and a NaN counts as -inf, so it can only fail a sweep.
 """
 
 from __future__ import annotations
@@ -337,9 +337,14 @@ def _type_surpluses(type_rows, lengths, scheme: RoundingScheme, alpha: float):
 
 
 def _lowest(best, s, witness):
-    """(s[i], witness(i)) at the first argmin i of s if strictly below best[0], else best."""
+    """(s[i], witness(i)) at the first argmin i of s if strictly below best[0], else best.
+
+    A NaN surplus counts as -inf at the first NaN point (np.argmin
+    returns it), so no minimum behind a PASS rests on a NaN.
+    """
     i = int(np.argmin(s))
-    return (float(s[i]), witness(i)) if s[i] < best[0] else best
+    low = -math.inf if math.isnan(s[i]) else float(s[i])
+    return (low, witness(i)) if low < best[0] else best
 
 
 def _labeled_batches(full_grid: bool, step: float):
@@ -377,6 +382,8 @@ def certify(
     corner set; PASS means the minimum surplus stays above -tol. A
     scheme whose values leave [0, 1] is refused, fallback or not.
     """
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     elig = check_eligibility(scheme)
     if not elig.in_range:
         raise IneligibleSchemeError(
@@ -455,15 +462,6 @@ class BoundCurves:
         rad = b**2 - 4.0 * (1.0 - a + 4.0 * x) * lead
         rad = np.where(rad >= 0, rad, np.nan)
         return (-b - np.sqrt(rad)) / (2.0 * lead)
-
-    def tabulate(self, step: float = 1e-3):
-        xs = _grid(step)
-        return {
-            "x": xs,
-            "f_minus_lower": self.f_minus_lower(xs),
-            "f_plus_upper": self.f_plus_upper(xs),
-            "f_plus_lower": self.f_plus_lower(xs),
-        }
 
 
 def bound_curves(alpha: float) -> BoundCurves:
@@ -569,6 +567,8 @@ def certify_weighted_ti(
     lam row only mixes them. The sweep is serial: ``jobs`` is accepted
     for compatibility and ignored.
     """
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     elig = check_eligibility(scheme)
     if not elig.eligible:
         raise IneligibleSchemeError(

@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -92,6 +93,8 @@ _probability = _checked(float, lambda v: 0.0 <= v <= 1.0, "a probability in [0, 
 _grid_step = _checked(float, lambda v: 0.0 < v <= 1.0, "a grid step in (0, 1]")
 _part_sizes = _checked(_int_list, lambda v: min(v) >= 1,
                        "a comma-separated list of integers >= 1")
+_alpha = _checked(float, lambda v: 1.0 < v < math.inf, "a finite ratio > 1")
+_certify_tol = _checked(float, lambda v: 0.0 <= v <= 1e-6, "a tolerance in [0, 1e-6]")
 _opt_cap = _checked(int, lambda v: v <= MAX_EXACT_N,
                     f"an integer <= {MAX_EXACT_N} (MAX_EXACT_N)")
 
@@ -345,17 +348,17 @@ def _build_parser() -> _Parser:
     r.add_argument("--scheme", required=True)
     r.add_argument("--mode", choices=["random", "derand"], default="random")
     r.add_argument("--seed", type=int, default=None)
-    r.add_argument("--alpha", type=float, default=None)
+    r.add_argument("--alpha", type=_alpha, default=None)
     r.add_argument("-o", "--output", default=None)
     r.set_defaults(func=_cmd_round)
 
     c = sub.add_parser("certify", help="grid-certify a scheme at a ratio")
     c.add_argument("scheme")
-    c.add_argument("--alpha", type=float, required=True)
+    c.add_argument("--alpha", type=_alpha, required=True)
     c.add_argument("--class", dest="graph_class",
                    choices=[COMPLETE, KPARTITE, WEIGHTED], default=COMPLETE)
     c.add_argument("--grid", type=_grid_step, default=0.005)
-    c.add_argument("--tol", type=float, default=1e-9)
+    c.add_argument("--tol", type=_certify_tol, default=1e-9)
     c.add_argument("--no-full-grid", action="store_true",
                    help="refuse ineligible schemes instead of full-grid fallback")
     c.add_argument("--jobs", type=int, default=1,
@@ -376,7 +379,7 @@ def _build_parser() -> _Parser:
     b.add_argument("--instances", type=_count, default=10)
     b.add_argument("--trials", type=_count, default=200)
     b.add_argument("--scheme", default="complete206")
-    b.add_argument("--alpha", type=float, default=2.06)
+    b.add_argument("--alpha", type=_alpha, default=2.06)
     b.add_argument("--seed", type=int, required=True)
     b.add_argument("--opt-cap", type=_opt_cap, default=10)
     b.add_argument("--jobs", type=int, default=1,

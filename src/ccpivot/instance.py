@@ -122,6 +122,8 @@ class Instance:
             w = self.lam_plus
             if w is None or w.shape != (n, n):
                 raise ValueError("weighted instance needs an (n, n) weight matrix")
+            if not np.all(np.isfinite(w)):
+                raise ValueError("lam_plus must be finite")
             if not np.array_equal(w, w.T):
                 raise ValueError("weight matrix must be symmetric")
             if np.any(w < -WEIGHT_SUM_TOL) or np.any(w > 1 + WEIGHT_SUM_TOL):
@@ -154,13 +156,6 @@ class Instance:
     def total_pair_mass(self) -> float:
         wp, wm = self.pair_weights()
         return float(np.triu(wp + wm, 1).sum())
-
-    def edge_kind(self, u: int, v: int) -> str:
-        """'+', '-' or '0' for labeled classes."""
-        if self.kind == WEIGHTED:
-            raise ValueError("weighted pairs carry weights, not labels")
-        s = int(self.labels[u, v])
-        return {1: "+", -1: "-", 0: "0"}[s]
 
 
 def worst_triangle(d: np.ndarray) -> tuple[float, tuple | None]:
@@ -227,12 +222,6 @@ class Clustering:
     @staticmethod
     def singletons(n: int) -> "Clustering":
         return Clustering(np.arange(n, dtype=np.int64))
-
-    def blocks(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.num_clusters)]
-        for v, c in enumerate(self.assignment):
-            out[c].append(v)
-        return out
 
     def __eq__(self, other):
         return isinstance(other, Clustering) and np.array_equal(
@@ -491,19 +480,89 @@ def parse_instance(text: str) -> Instance:
     return _from_edgelist(text)
 
 
+def _pair_values(inst: Instance):
+    """(u, v, value) per pair in pair_iter order: lam_plus as a float, else the label char."""
+    iu, ju = np.triu_indices(inst.n, 1)
+    if inst.kind == WEIGHTED:
+        vals = inst.lam_plus[iu, ju].tolist()
+    else:
+        vals = [_LABEL_TO_CHAR[s] for s in inst.labels[iu, ju].tolist()]
+    return zip(iu.tolist(), ju.tolist(), vals)
+
+
 def _to_edgelist(inst: Instance) -> str:
     head = ["cc", inst.kind, str(inst.n)]
     if inst.kind == KPARTITE:
         head += [str(int(p)) for p in inst.parts]
     if inst.kind == WEIGHTED and inst.ti:
         head.append("ti")
-    lines = [" ".join(head)]
-    for u, v in pair_iter(inst.n):
-        if inst.kind == WEIGHTED:
-            lines.append(f"{u} {v} {float(inst.lam_plus[u, v])!r}")
-        else:
-            lines.append(f"{u} {v} {_LABEL_TO_CHAR[int(inst.labels[u, v])]}")
+    # str of a float is its repr, so weights round-trip exactly
+    lines = [" ".join(head)] + [f"{u} {v} {val}" for u, v, val in _pair_values(inst)]
     return "\n".join(lines) + "\n"
+
+
+def _to_json(inst: Instance) -> str:
+    key = "lplus" if inst.kind == WEIGHTED else "label"
+    edges = [{"u": u, "v": v, key: val} for u, v, val in _pair_values(inst)]
+    doc = {"class": inst.kind, "n": inst.n, "edges": edges, "flags": {"ti": inst.ti}}
+    if inst.kind == KPARTITE:
+        doc["parts"] = [int(p) for p in inst.parts]
+    return json.dumps(doc, indent=1)
+
+
+def _from_pairs(kind, n: int, entries, value, parts, ti: bool) -> Instance:
+    """The instance from one (u, v, item) row per pair; value(item) is its label or lam_plus.
+
+    Both readers end here. After the pair count check, n(n-1)/2 distinct
+    in-range pairs cover every pair, so none can be missing.
+    """
+    if kind not in _CLASSES:
+        raise FormatError(f"unknown class {kind!r}")
+    if n < 1:
+        raise FormatError("vertex count must be >= 1")
+    if kind == KPARTITE and len(parts) != n:
+        raise FormatError(f"k-partite instance needs {n} part ids, got {len(parts)}")
+    if len(entries) != n * (n - 1) // 2:  # before any n x n allocation
+        raise FormatError(f"{len(entries)} pair entries for {n} vertices; need {n * (n - 1) // 2}")
+    us, vs, items = zip(*entries) if entries else ((), (), ())
+    dtype = np.float64 if kind == WEIGHTED else np.int8
+    try:
+        u, v = np.array((us, vs), dtype=np.int64)
+        vals = np.array([value(item) for item in items], dtype=dtype)
+    except OverflowError as e:
+        raise FormatError(f"number out of range: {e}") from e
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    bad = (lo < 0) | (hi >= n) | (lo == hi)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise FormatError(f"pair ({u[i]}, {v[i]}) out of range")
+    keys = np.sort(lo * n + hi)
+    dup = np.flatnonzero(keys[1:] == keys[:-1])
+    if dup.size:
+        raise FormatError("duplicate pair ({}, {})".format(*divmod(int(keys[dup[0]]), n)))
+    m = np.zeros((n, n), dtype=dtype)
+    m[lo, hi] = m[hi, lo] = vals
+    try:
+        if kind == COMPLETE:
+            return Instance.complete(m)
+        if kind == KPARTITE:
+            return Instance.kpartite(m, parts)
+        return Instance.weighted(m, ti=ti)
+    except (ValueError, OverflowError) as e:
+        raise FormatError(str(e)) from e
+
+
+def _label(item) -> int:
+    if isinstance(item, str) and item in _CHAR_TO_LABEL:
+        return _CHAR_TO_LABEL[item]
+    raise FormatError(f"bad label {item!r}")
+
+
+def _edgelist_weight(token: str) -> float:
+    try:
+        return float(token)
+    except ValueError as e:
+        raise FormatError(f"bad weight {token!r}") from e
 
 
 def _from_edgelist(text: str) -> Instance:
@@ -517,104 +576,49 @@ def _from_edgelist(text: str) -> Instance:
     head = rows[0].split()
     if len(head) < 3 or head[0] != "cc":
         raise FormatError(f"bad header {rows[0]!r}")
-    kind = head[1]
-    if kind not in _CLASSES:
-        raise FormatError(f"unknown class {kind!r}")
+    kind, extra = head[1], head[3:]
     try:
         n = int(head[2])
     except ValueError as e:
         raise FormatError(f"bad vertex count {head[2]!r}") from e
-    if n < 1:
-        raise FormatError("vertex count must be >= 1")
-
     parts = None
-    ti = False
-    extra = head[3:]
+    ti = kind == WEIGHTED and extra == ["ti"]
     if kind == KPARTITE:
-        if len(extra) != n:
-            raise FormatError(f"k-partite header needs {n} part ids, got {len(extra)}")
         try:
-            parts = np.array([int(t) for t in extra], dtype=np.int64)
+            parts = [int(t) for t in extra]
         except ValueError as e:
             raise FormatError("bad part id in header") from e
-    elif kind == WEIGHTED:
-        if extra == ["ti"]:
-            ti = True
-        elif extra:
-            raise FormatError(f"unexpected header tokens {extra}")
-    elif extra:
+    elif extra and not ti:
         raise FormatError(f"unexpected header tokens {extra}")
-    _check_pair_count(n, len(rows) - 1)
 
-    labels = np.zeros((n, n), dtype=np.int8)
-    lam = np.zeros((n, n), dtype=np.float64)
-    seen = np.zeros((n, n), dtype=bool)
+    entries = []
     for line in rows[1:]:
         toks = line.split()
         if len(toks) != 3:
             raise FormatError(f"bad pair line {line!r}")
         try:
-            u, v = int(toks[0]), int(toks[1])
+            entries.append((int(toks[0]), int(toks[1]), toks[2]))
         except ValueError as e:
             raise FormatError(f"bad vertex id in {line!r}") from e
-        if not (0 <= u < n and 0 <= v < n) or u == v:
-            raise FormatError(f"pair ({u}, {v}) out of range")
-        if u > v:
-            u, v = v, u
-        if seen[u, v]:
-            raise FormatError(f"duplicate pair ({u}, {v})")
-        seen[u, v] = True
-        if kind == WEIGHTED:
-            try:
-                w = float(toks[2])
-            except ValueError as e:
-                raise FormatError(f"bad weight in {line!r}") from e
-            lam[u, v] = lam[v, u] = w
-        else:
-            if toks[2] not in _CHAR_TO_LABEL:
-                raise FormatError(f"bad label {toks[2]!r}")
-            s = _CHAR_TO_LABEL[toks[2]]
-            labels[u, v] = labels[v, u] = s
-
-    missing = ~seen & (np.triu(np.ones((n, n), dtype=bool), 1))
-    if np.any(missing):
-        u, v = np.argwhere(missing)[0]
-        raise FormatError(f"pair ({u}, {v}) missing: all pairs must be explicit")
-
-    try:
-        if kind == COMPLETE:
-            return Instance.complete(labels)
-        if kind == KPARTITE:
-            return Instance.kpartite(labels, parts)
-        return Instance.weighted(lam, ti=ti)
-    except ValueError as e:
-        raise FormatError(str(e)) from e
+    return _from_pairs(kind, n, entries, _edgelist_weight if kind == WEIGHTED else _label,
+                       parts, ti)
 
 
-def _check_pair_count(n: int, count: int) -> None:
-    """Refuse a pair count other than n(n-1)/2 before any n x n allocation."""
-    if count != n * (n - 1) // 2:
-        raise FormatError(f"{count} pair entries for {n} vertices; need {n * (n - 1) // 2}")
+def _json_typed(value, types, what: str):
+    """value if it has one of the given types, else FormatError; a bool is not a number."""
+    if isinstance(value, types) and not isinstance(value, bool):
+        return value
+    raise FormatError(f"bad {what} {value!r}")
 
 
-def _json_float(value, what: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as e:
-        raise FormatError(f"bad {what} {value!r}") from e
-
-
-def _to_json(inst: Instance) -> str:
-    edges = []
-    for u, v in pair_iter(inst.n):
-        if inst.kind == WEIGHTED:
-            edges.append({"u": u, "v": v, "lplus": float(inst.lam_plus[u, v])})
-        else:
-            edges.append({"u": u, "v": v, "label": _LABEL_TO_CHAR[int(inst.labels[u, v])]})
-    doc = {"class": inst.kind, "n": inst.n, "edges": edges, "flags": {"ti": inst.ti}}
-    if inst.kind == KPARTITE:
-        doc["parts"] = [int(p) for p in inst.parts]
-    return json.dumps(doc, indent=1)
+def _json_weight(edge: dict) -> float:
+    """lplus, checked against lminus when the edge carries one."""
+    lp = _json_typed(edge.get("lplus", edge.get("lp")), (int, float), "lplus")
+    if "lminus" in edge:
+        total = lp + _json_typed(edge["lminus"], (int, float), "lminus")
+        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
+            raise FormatError(f"edge {edge!r}: lplus + lminus = {total!r} != 1")
+    return lp
 
 
 def _from_json(text: str) -> Instance:
@@ -623,69 +627,23 @@ def _from_json(text: str) -> Instance:
     except (ValueError, RecursionError) as e:
         raise FormatError(f"bad JSON: {e}") from e
     try:
-        kind = doc["class"]
-        n = int(doc["n"])
-        raw_edges = doc["edges"]
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        kind, n, raw_edges = doc["class"], _json_typed(doc["n"], int, "n"), doc["edges"]
+    except (KeyError, TypeError) as e:
         raise FormatError(f"missing or bad field: {e}") from e
-    if kind not in _CLASSES:
-        raise FormatError(f"unknown class {kind!r}")
-    if n < 1:
-        raise FormatError("vertex count must be >= 1")
     flags = doc.get("flags", {})
-    if not isinstance(flags, dict):
-        raise FormatError("flags must be an object")
-    ti = bool(flags.get("ti", False))
+    if not isinstance(flags, dict) or not isinstance(flags.get("ti", False), bool):
+        raise FormatError("flags must be an object whose ti is a boolean")
+    parts = None
+    if kind == KPARTITE:
+        if not isinstance(doc.get("parts"), list):
+            raise FormatError("k-partite JSON needs a parts array")
+        parts = [_json_typed(p, int, "part id") for p in doc["parts"]]
     if not isinstance(raw_edges, list):
         raise FormatError("edges must be an array")
-    _check_pair_count(n, len(raw_edges))
-
-    labels = np.zeros((n, n), dtype=np.int8)
-    lam = np.zeros((n, n), dtype=np.float64)
-    seen = np.zeros((n, n), dtype=bool)
-    for e in raw_edges:
-        try:
-            u, v = int(e["u"]), int(e["v"])
-        except (KeyError, TypeError, ValueError, OverflowError) as err:
-            raise FormatError(f"bad edge entry {e!r}") from err
-        if not (0 <= u < n and 0 <= v < n) or u == v:
-            raise FormatError(f"pair ({u}, {v}) out of range")
-        if u > v:
-            u, v = v, u
-        if seen[u, v]:
-            raise FormatError(f"duplicate pair ({u}, {v})")
-        seen[u, v] = True
-        if kind == WEIGHTED:
-            lp = e.get("lplus", e.get("lp"))
-            if lp is None:
-                raise FormatError(f"weighted edge {e!r} lacks lplus")
-            lp = _json_float(lp, "lplus")
-            if "lminus" in e:
-                total = lp + _json_float(e["lminus"], "lminus")
-                if abs(total - 1.0) > WEIGHT_SUM_TOL:
-                    raise FormatError(f"pair ({u}, {v}): lplus + lminus = {total!r} != 1")
-            lam[u, v] = lam[v, u] = lp
-        else:
-            if not isinstance(e.get("label"), str) or e["label"] not in _CHAR_TO_LABEL:
-                raise FormatError(f"bad label in {e!r}")
-            s = _CHAR_TO_LABEL[e["label"]]
-            labels[u, v] = labels[v, u] = s
-
-    missing = ~seen & np.triu(np.ones((n, n), dtype=bool), 1)
-    if np.any(missing):
-        u, v = np.argwhere(missing)[0]
-        raise FormatError(f"pair ({u}, {v}) missing: all pairs must be explicit")
-
     try:
-        if kind == COMPLETE:
-            return Instance.complete(labels)
-        if kind == KPARTITE:
-            parts = doc.get("parts")
-            if not isinstance(parts, list) or len(parts) != n:
-                raise FormatError("k-partite JSON needs a parts array of length n")
-            return Instance.kpartite(labels, np.asarray(parts, dtype=np.int64))
-        return Instance.weighted(lam, ti=ti)
-    except FormatError:
-        raise
-    except (TypeError, ValueError, OverflowError) as e:
-        raise FormatError(str(e)) from e
+        entries = [(_json_typed(e["u"], int, "u"), _json_typed(e["v"], int, "v"), e)
+                   for e in raw_edges]
+    except (KeyError, TypeError) as err:
+        raise FormatError(f"bad edge entry: {err!r}") from err
+    value = _json_weight if kind == WEIGHTED else lambda edge: _label(edge.get("label"))
+    return _from_pairs(kind, n, entries, value, parts, flags.get("ti", False))

@@ -656,6 +656,8 @@ def derandomize_round(
     choices never decrease it), then take the pivot whose conditional
     surplus is largest. Membership is then deterministic.
     """
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     n = inst.n
     base = cut_probabilities(inst, x, scheme)
     wp, wm, L = pair_model(inst, x)

@@ -6,6 +6,7 @@ import pytest
 
 import ccpivot as cc
 from ccpivot.certify import (
+    _lowest,
     admissible_types,
     check_eligibility,
     corner_sets,
@@ -137,6 +138,27 @@ def test_certify_complete206_fails_at_200_with_witness():
     # the plus-heavy types carry the failure, as the 2.025 impossibility predicts
     failing = {r.label for r in rep.results if r.passed_at < -1e-9}
     assert "++-" in failing
+
+
+def test_nan_surplus_counts_as_minus_inf_at_first_nan():
+    s = np.array([1.0, math.nan, -2.0, math.nan])
+    assert _lowest((math.inf, None), s, lambda i: i) == (-math.inf, 1)
+    assert _lowest((-math.inf, 0), s, lambda i: i) == (-math.inf, 0)
+    assert _lowest((math.inf, None), np.full(3, math.nan), lambda i: i) == (-math.inf, 0)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_certifiers_refuse_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="finite"):
+        cc.certify(S206, alpha, "complete", grid_step=0.1)
+    with pytest.raises(ValueError, match="finite"):
+        cc.certify(KP3, alpha, "kpartite", grid_step=0.1)
+    with pytest.raises(ValueError, match="finite"):
+        cc.certify_weighted_ti(cc.get_scheme("weighted_ti_150"), alpha, length_grid_step=0.1)
+    inst = cc.gen_complete_random(6, 0.5, seed=2)
+    x, _stats = cc.solve_relaxation(inst)
+    with pytest.raises(ValueError, match="finite"):
+        cc.derandomize_round(inst, x, S206, alpha)
 
 
 def test_certify_kpartite3_passes_all_seven_types():

@@ -80,6 +80,16 @@ def test_round_modes(tmp_path):
     assert run(base + ["--mode", "derand"]) == 64  # missing alpha
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "1", "0.5"])
+def test_round_derand_refuses_alpha_outside_finite_ratios(alpha, tmp_path):
+    inst_file, sol_file = tmp_path / "i.cc", tmp_path / "i.json"
+    run(["gen", "complete", "--n", "9", "--p", "0.5", "--seed", "5", "-o", str(inst_file)])
+    run(["lp", "--instance", str(inst_file), "-o", str(sol_file)])
+    assert run(["round", "--instance", str(inst_file), "--lp-solution", str(sol_file),
+                "--scheme", "complete206", "--mode", "derand", f"--alpha={alpha}",
+                "-o", str(tmp_path / "r.json")]) == 64
+
+
 def test_round_weighted_dispatch(tmp_path):
     inst_file, sol_file, out = tmp_path / "w.cc", tmp_path / "w.json", tmp_path / "o.json"
     run(["gen", "weighted", "--n", "4", "--seed", "2", "-o", str(inst_file)])
@@ -231,6 +241,22 @@ BAD_ARGV = {
     "gen --parts 3,x": ["gen", "kpartite", "--parts", "3,x", "--seed", "1"],
     "gen --parts 3,0": ["gen", "kpartite", "--parts", "3,0", "--seed", "1"],
     "gen planted --k 9 --n 5": ["gen", "planted", "--k", "9", "--n", "5", "--seed", "1"],
+    "certify --alpha nan": ["certify", "complete206", "--alpha", "nan"],
+    "certify --alpha inf": ["certify", "complete206", "--alpha", "inf"],
+    "certify --alpha 1": ["certify", "complete206", "--alpha", "1"],
+    "certify kpartite --alpha nan": ["certify", "kpartite3", "--alpha", "nan",
+                                     "--class", "kpartite"],
+    "certify weighted --alpha nan": ["certify", "weighted_ti_150", "--alpha", "nan",
+                                     "--class", "weighted"],
+    "certify weighted --alpha inf": ["certify", "weighted_ti_150", "--alpha", "inf",
+                                     "--class", "weighted"],
+    "certify --tol 1": ["certify", "complete206", "--alpha", "2.0", "--tol", "1"],
+    "certify --tol nan": ["certify", "complete206", "--alpha", "2.06", "--tol", "nan"],
+    "certify --tol inf": ["certify", "complete206", "--alpha", "2.0", "--tol", "inf"],
+    "certify --tol -1e-9": ["certify", "complete206", "--alpha", "2.06", "--tol=-1e-9"],
+    "bench --alpha nan": BENCH + ["--alpha", "nan"],
+    "bench --alpha inf": BENCH + ["--alpha", "inf"],
+    "bench --alpha 0.5": BENCH + ["--alpha", "0.5"],
 }
 
 

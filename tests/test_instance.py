@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ccpivot as cc
-from ccpivot.instance import FormatError, assignment_cost
+from ccpivot.instance import FormatError, assignment_cost, pair_iter
 from ccpivot.rng import SplitMix64
 
 
@@ -351,3 +353,147 @@ def test_parse_instance_raises_only_format_error(text):
     except FormatError:
         return
     assert cc.parse_instance(cc.serialize_instance(inst)).n == inst.n
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "cc weighted 2\n0 1 nan\n",
+        '{"class": "weighted", "n": 2, "edges": [{"u": 0, "v": 1, "lplus": NaN}]}',
+    ],
+)
+def test_parse_refuses_non_finite_weights_by_name(text):
+    with pytest.raises(FormatError, match="finite"):
+        cc.parse_instance(text)
+
+
+_W2 = '{{"class": "weighted", "n": 2, "edges": [{{"u": 0, "v": 1, {}}}]{}}}'
+_C2 = '{{"class": "complete", "n": {}, "edges": [{{"u": {}, "v": {}, "label": "+"}}]}}'
+_K2 = '{{"class": "kpartite", "n": 2, "parts": {}, "edges": [{{"u": 0, "v": 1, "label": "+"}}]}}'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _W2.format('"lplus": 0.5', ', "flags": {"ti": "no"}'),
+        _W2.format('"lplus": 0.5', ', "flags": {"ti": 1}'),
+        _W2.format('"lplus": true', ""),
+        _W2.format('"lplus": "0.5"', ""),
+        _W2.format('"lplus": 0.5, "lminus": "0.5"', ""),
+        _W2.format('"lplus": 0.5, "lminus": NaN', ""),
+        _C2.format("2.7", "0", "1"),
+        _C2.format("2", "0", "1.9"),
+        _C2.format("2", "false", "1"),
+        '{"class": "complete", "n": true, "edges": []}',
+        _K2.format("[0, 1.0]"),
+        _K2.format("[false, true]"),
+    ],
+)
+def test_parse_json_takes_only_documented_types(text):
+    with pytest.raises(FormatError):
+        cc.parse_instance(text)
+
+
+# SHA-256 of serialize_instance output, computed before the readers and
+# writers shared one pair-table path; the text must not change.
+_SERIALIZED_SHA256 = {
+    ("edgelist", "complete"): "19e01aefe05766aa9c273e6994a025c0be3daf9cd677388c7badf11c1a3687e8",
+    ("edgelist", "kpartite"): "7b8b5246e735dd99a777d78e007bb039aaecd965546f90b0b3e1e1e3366d9a7c",
+    ("edgelist", "planted"): "c0f38960bd64114f173baced7169a64b3c546b3fb090a78485b6f22c29d158e5",
+    ("edgelist", "weighted"): "48dd1e83049bae3a95689a6e381137e4484037aa6553dba2607c2c658f77d147",
+    ("edgelist", "gap-ti"): "9ad3909371f50ecc7b70f66b38f3973b6b724feff277d22cfbd02c4f3c4c0feb",
+    ("json", "complete"): "cfdfc8ab265283786e7ba348282aeb4212e0e8d19921997edef90799a65207d7",
+    ("json", "kpartite"): "f68e7502bda7a6eec5439f47b867800e3b3c6e7a985c67bf50a6c12427cc9b92",
+    ("json", "planted"): "706581eb477ffa1f5fb79dff7b4cdb1b27a7cce561bc39c80e17fb0eaec53dbe",
+    ("json", "weighted"): "567862f9c93dc8efddf704d879035d588aeaa55ace4b55f7fff3a35d9c37ce3d",
+    ("json", "gap-ti"): "a648238090f4be80a37b12f5f111036dff399537534521d0ecc0eec0a192ea07",
+}
+_FAMILIES = {
+    "complete": lambda: cc.gen_complete_random(9, 0.4, 11),
+    "kpartite": lambda: cc.gen_kpartite_random([3, 1, 4], 0.6, 12),
+    "planted": lambda: cc.gen_planted(8, 3, 0.2, 13)[0],
+    "weighted": lambda: cc.gen_weighted_random(7, 14),
+    "gap-ti": lambda: cc.gen_gap_triangle_ineq(3),
+}
+
+
+@pytest.mark.parametrize("fmt, family", _SERIALIZED_SHA256)
+def test_serialized_text_is_pinned(fmt, family):
+    text = cc.serialize_instance(_FAMILIES[family](), fmt=fmt)
+    assert hashlib.sha256(text.encode()).hexdigest() == _SERIALIZED_SHA256[fmt, family]
+
+
+@st.composite
+def _pair_tables(draw):
+    """(kind, n, rows, parts, ti): one row per pair, some ids bad or repeated."""
+    kind = draw(st.sampled_from(["complete", "kpartite", "weighted"]))
+    n = draw(st.integers(1, 4))
+    parts = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n)) if kind == "kpartite" else None
+    rows = []
+    for u, v in pair_iter(n):
+        if kind == "weighted":
+            value = draw(st.floats(-0.25, 1.25) | st.sampled_from([0.0, 1.0, math.nan, math.inf]))
+        elif parts is not None and parts[u] == parts[v]:
+            value = draw(st.sampled_from(["0", "0", "+"]))
+        else:
+            value = draw(st.sampled_from(["+", "-", "0"] if parts is not None else ["+", "-"]))
+        if draw(st.booleans()):
+            u, v = v, u
+        rows.append([u, v, value])
+    for row in draw(st.lists(st.sampled_from(rows), max_size=2)) if rows else []:
+        row[draw(st.integers(0, 1))] = draw(st.integers(-1, n))
+    ti = kind == "weighted" and draw(st.booleans())
+    return kind, n, rows, parts, ti
+
+
+def _as_edgelist(kind, n, rows, parts, ti):
+    head = ["cc", kind, str(n)] + [str(p) for p in parts or []] + (["ti"] if ti else [])
+    return "\n".join([" ".join(head)] + [f"{u} {v} {x}" for u, v, x in rows]) + "\n"
+
+
+def _as_json(kind, n, rows, parts, ti):
+    key = "lplus" if kind == "weighted" else "label"
+    doc = {"class": kind, "n": n, "edges": [{"u": u, "v": v, key: x} for u, v, x in rows],
+           "flags": {"ti": ti}}
+    if parts is not None:
+        doc["parts"] = parts
+    return json.dumps(doc)
+
+
+def _parsed(text):
+    try:
+        return cc.parse_instance(text)
+    except FormatError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair_tables())
+def test_edgelist_and_json_read_one_pair_table_alike(table):
+    a, b = _parsed(_as_edgelist(*table)), _parsed(_as_json(*table))
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert (a.kind, a.n, a.ti) == (b.kind, b.n, b.ti)
+        for name in ("labels", "lam_plus", "parts"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x is None and y is None) or np.array_equal(x, y)
+
+
+_BIG = "9" * 30
+_HUGE = "9" * 400  # a JSON integer past the float range
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"cc complete 2\n0 {_BIG} +\n",
+        f"cc kpartite 2 {_BIG} 0\n0 1 +\n",
+        _C2.format("2", _BIG, "1"),
+        _W2.format(f'"lplus": {_HUGE}', ""),
+        _W2.format(f'"lplus": {_HUGE}, "lminus": 1', ""),
+        _K2.format(f"[{_BIG}, 0]"),
+    ],
+)
+def test_parse_refuses_numbers_past_machine_range(text):
+    with pytest.raises(FormatError):
+        cc.parse_instance(text)
