@@ -293,6 +293,9 @@ def _cmd_bench(args) -> int:
     scheme = _resolve_scheme(args.scheme)
     if args.family not in ("complete", "kpartite"):
         raise _UsageExit(f"bench does not support family {args.family!r}")
+    n = args.n if args.family == "complete" else sum(args.parts)
+    if n > MAX_LP_N:
+        raise _UsageExit(f"bench solves instances up to n = {MAX_LP_N} (MAX_LP_N); got n = {n}")
     master = SplitMix64(args.seed)
     rows = []
     for i in range(args.instances):

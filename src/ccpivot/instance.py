@@ -158,6 +158,19 @@ class Instance:
         return float(np.triu(wp + wm, 1).sum())
 
 
+def triangle_slabs(d: np.ndarray):
+    """(u, slab) per vertex u of a symmetric d: one n x n slab at a time.
+
+    slab[v, w] = d[u,w] - d[u,v] - d[v,w] on distinct u < w, v, else -inf.
+    """
+    for u in range(d.shape[0]):
+        with np.errstate(invalid="ignore"):  # inf - inf gives a NaN gap
+            slab = d[u][None, :] - d[u][:, None] - d
+        slab[:, :u + 1] = slab[u, :] = -math.inf
+        np.fill_diagonal(slab, -math.inf)
+        yield u, slab
+
+
 def worst_triangle(d: np.ndarray) -> tuple[float, tuple | None]:
     """(gap, (u, v, w)) maximizing d[u,w] - d[u,v] - d[v,w] over distinct u < w, v.
 
@@ -165,18 +178,11 @@ def worst_triangle(d: np.ndarray) -> tuple[float, tuple | None]:
     gaps are skipped, and memory stays O(n^2): one n x n slab per u.
     With fewer than three vertices the result is (-inf, None).
     """
-    n = d.shape[0]
     best, where = -math.inf, None
-    with np.errstate(invalid="ignore"):  # inf - inf gives a NaN gap, skipped
-        for u in range(n):
-            # slab[v, w] = d[u, w] - d[u, v] - d[v, w]
-            slab = d[u][None, :] - d[u][:, None] - d
-            slab[:, :u + 1] = -math.inf
-            slab[u, :] = -math.inf
-            np.fill_diagonal(slab, -math.inf)
-            v, w = divmod(int(np.nanargmax(slab)), n)
-            if slab[v, w] > best:
-                best, where = float(slab[v, w]), (u, v, w)
+    for u, slab in triangle_slabs(d):
+        v, w = divmod(int(np.nanargmax(slab)), d.shape[0])
+        if slab[v, w] > best:
+            best, where = float(slab[v, w]), (u, v, w)
     return best, where
 
 
@@ -520,6 +526,8 @@ def _from_pairs(kind, n: int, entries, value, parts, ti: bool) -> Instance:
         raise FormatError(f"unknown class {kind!r}")
     if n < 1:
         raise FormatError("vertex count must be >= 1")
+    if (parts is not None) != (kind == KPARTITE) or (ti and kind != WEIGHTED):
+        raise FormatError("part ids fit only k-partite instances, the ti flag only weighted ones")
     if kind == KPARTITE and len(parts) != n:
         raise FormatError(f"k-partite instance needs {n} part ids, got {len(parts)}")
     if len(entries) != n * (n - 1) // 2:  # before any n x n allocation
@@ -581,8 +589,7 @@ def _from_edgelist(text: str) -> Instance:
         n = int(head[2])
     except ValueError as e:
         raise FormatError(f"bad vertex count {head[2]!r}") from e
-    parts = None
-    ti = kind == WEIGHTED and extra == ["ti"]
+    parts, ti = None, extra == ["ti"]
     if kind == KPARTITE:
         try:
             parts = [int(t) for t in extra]
@@ -613,7 +620,7 @@ def _json_typed(value, types, what: str):
 
 def _json_weight(edge: dict) -> float:
     """lplus, checked against lminus when the edge carries one."""
-    lp = _json_typed(edge.get("lplus", edge.get("lp")), (int, float), "lplus")
+    lp = _json_typed(edge.get("lplus"), (int, float), "lplus")
     if "lminus" in edge:
         total = lp + _json_typed(edge["lminus"], (int, float), "lminus")
         if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
@@ -634,9 +641,9 @@ def _from_json(text: str) -> Instance:
     if not isinstance(flags, dict) or not isinstance(flags.get("ti", False), bool):
         raise FormatError("flags must be an object whose ti is a boolean")
     parts = None
-    if kind == KPARTITE:
-        if not isinstance(doc.get("parts"), list):
-            raise FormatError("k-partite JSON needs a parts array")
+    if "parts" in doc:
+        if not isinstance(doc["parts"], list):
+            raise FormatError("parts must be an array")
         parts = [_json_typed(p, int, "part id") for p in doc["parts"]]
     if not isinstance(raw_edges, list):
         raise FormatError("edges must be an array")

@@ -4,13 +4,13 @@ One variable x_uv in [0, 1] per unordered pair, objective
 sum over "+" pairs of x plus sum over "-" pairs of (1 - x) (weighted
 classes mix the two with lam), subject to x_uw <= x_uv + x_vw for all
 triples. The O(n^3) triangle family is generated lazily: one dense
-simplex tableau lives across separation rounds. The first round solves
-the unit rows x <= 1 alone with the primal simplex; each later round
-appends the worst violated triangles as new rows, which keeps the
-tableau dual feasible, and a dual simplex restores primal feasibility.
-The primal prices by Dantzig's rule and the dual by the largest
-infeasibility relative to the row norm; both fall back to Bland's rule
-after DEGENERATE_RUN degenerate pivots in a row, so neither cycles.
+simplex tableau lives across separation rounds. It starts at the
+optimum of the box 0 <= x <= 1 alone, x_j = 1 where c_j < -SIMPLEX_TOL,
+which is dual feasible; each round appends the worst violated triangles
+as new rows, which keeps it dual feasible, and the dual simplex restores
+primal feasibility. No primal simplex is needed. The dual prices by the
+largest infeasibility relative to the row norm and falls back to Bland's
+rule after DEGENERATE_RUN degenerate pivots in a row, so it cannot cycle.
 The loop ends when the working set is optimal and the separation scan
 is empty; the result is then checked apart from the tableau, by a dual
 bound built from the final triangle multipliers and by
@@ -27,13 +27,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import FormatError, Instance, worst_triangle
+from .instance import FormatError, Instance, triangle_slabs, worst_triangle
 
 FEAS_TOL = 1e-6          # separation / reported-solution feasibility
 SIMPLEX_TOL = 1e-8       # pivot feasibility tolerance inside the simplex
 GAP_TOL = 1e-6           # largest primal-dual gap accepted, relative to max(1, |objective|)
 DEGENERATE_RUN = 50      # degenerate pivots in a row before pricing falls back to Bland
-MAX_PIVOTS = 200_000     # primal plus dual pivots over one solve
+MAX_PIVOTS = 200_000     # dual simplex pivots over one solve
 MAX_ROUNDS = 500
 MAX_LP_N = 40            # largest n `ccpivot lp` accepts: about 1 min and 250 MB at n = 40
 
@@ -96,7 +96,7 @@ class LpSolution:
 @dataclass
 class LpStats:
     objective: float = 0.0
-    iterations: int = 0  # primal plus dual simplex pivots
+    iterations: int = 0  # dual simplex pivots
     constraints_generated: int = 0
     separation_rounds: int = 0
     # per-round objective values and the final working triangle set; kept so
@@ -106,7 +106,7 @@ class LpStats:
     # Lagrangian lower bound on the full relaxation and objective minus it
     dual_bound: float = 0.0
     gap: float = 0.0
-    # one dict per round: cuts added, dual and primal pivots, seconds
+    # one dict per round: cuts added, dual pivots, seconds
     rounds: list = field(default_factory=list)
 
 
@@ -149,15 +149,10 @@ def separate_triangle_violations(x: LpSolution, tol: float = FEAS_TOL):
     Returned as (u, v, w, violation) with v the middle vertex of the
     violated constraint x_uv + x_vw >= x_uw. Full cubic scan.
     """
-    m = x.matrix
-    n = x.n
     found = []
-    for v in range(n):
-        slack = m - m[:, v][:, None] - m[v, :][None, :]
-        uu, ww = np.nonzero(slack > tol)
-        for u, w in zip(uu, ww):
-            if u < w and u != v and w != v:
-                found.append((int(u), int(v), int(w), float(slack[u, w])))
+    for u, slab in triangle_slabs(x.matrix):
+        vs, ws = np.nonzero(slab > tol)
+        found += [(u, v, w, g) for v, w, g in zip(vs.tolist(), ws.tolist(), slab[vs, ws].tolist())]
     found.sort(key=lambda t: (-t[3], t[0], t[1], t[2]))
     return found
 
@@ -189,15 +184,16 @@ class _Tableau:
     the triangle rows x_a - x_b - x_c <= 0 in the order they were added.
     Row m holds the reduced costs and the last column the right-hand
     sides (row m: minus the objective). Column j < nvar is x_j and
-    column nvar + i the slack of row i. It starts at the all-slack basis,
-    x = 0, which is primal feasible.
+    column nvar + i the slack of row i. It starts at the box optimum,
+    which is dual feasible: where c_j < -SIMPLEX_TOL, x_j = 1 is basic in
+    its unit row (reduced cost 0, and -c_j on that row's slack); every
+    other x_j is nonbasic at 0 with reduced cost c_j.
 
-    The primal simplex prices by Dantzig's rule (most negative reduced
-    cost) and the dual simplex picks the row with the most negative
-    value relative to its norm. After DEGENERATE_RUN degenerate pivots
-    in a row either one uses Bland's rule (lowest index), which cannot
+    The dual simplex, the only pivoting loop, picks the row with the most
+    negative value relative to its norm. After DEGENERATE_RUN degenerate
+    pivots in a row it uses Bland's rule (lowest index), which cannot
     cycle, until a pivot makes progress again. Ratio-test ties go to the
-    largest pivot element, or under Bland's rule to the lowest index.
+    most negative pivot element, or under Bland's rule to the lowest index.
     """
 
     def __init__(self, c: np.ndarray):
@@ -206,8 +202,13 @@ class _Tableau:
         j = np.arange(nvar)
         self.t = np.zeros((nvar + 1, 2 * nvar + 1), order="F")
         self.t[j, j] = self.t[j, nvar + j] = self.t[j, -1] = 1.0
+        one = j[c < -SIMPLEX_TOL]
         self.t[nvar, :nvar] = c
+        self.t[nvar, one] = 0.0
+        self.t[nvar, nvar + one] = -c[one]
+        self.t[nvar, -1] = -c[one].sum()
         self.basis = nvar + j
+        self.basis[one] = one
         self.pivots = 0
 
     def add_rows(self, cuts: np.ndarray) -> None:
@@ -242,7 +243,7 @@ class _Tableau:
         self.t = t
         self.basis = np.concatenate([basis, ncols + r])
 
-    def _pivot(self, row: int, col: int, norms: np.ndarray | None = None) -> None:
+    def _pivot(self, row: int, col: int, norms: np.ndarray) -> None:
         """Pivot on t[row, col]; keep norms, the squared row norms, up to date."""
         # column-major storage: the update touches only the columns where
         # the pivot row is nonzero, and each of them is contiguous
@@ -253,41 +254,18 @@ class _Tableau:
         cols = t[row].nonzero()[0]
         prow = t[row, cols]
         block = t[:, cols]
-        if norms is not None:
-            # |r - f p|^2 = |r|^2 - 2 f (r.p) + f^2 |p|^2, from r before the update;
-            # each constraint row holds its basic variable's 1, so stays >= 1
-            pp = prow @ prow
-            norms += f * (f * pp - 2.0 * (block @ prow))
-            norms[row] = pp
-            np.maximum(norms, 1.0, out=norms)
+        # |r - f p|^2 = |r|^2 - 2 f (r.p) + f^2 |p|^2, from r before the update;
+        # each constraint row holds its basic variable's 1, so stays >= 1
+        pp = prow @ prow
+        norms += f * (f * pp - 2.0 * (block @ prow))
+        norms[row] = pp
+        np.maximum(norms, 1.0, out=norms)
         block -= f[:, None] * prow
         t[:, cols] = block
         self.basis[row] = col
         self.pivots += 1
         if self.pivots > MAX_PIVOTS:
             raise LpNumericalError(f"simplex exceeded {MAX_PIVOTS} pivots")
-
-    def primal(self) -> int:
-        """Primal simplex from a primal feasible basis; returns its pivot count."""
-        t, m = self.t, len(self.basis)
-        start, run = self.pivots, 0
-        while True:
-            bland = run >= DEGENERATE_RUN
-            red = t[m, :-1]
-            cand = (red < -SIMPLEX_TOL).nonzero()[0]
-            if len(cand) == 0:
-                break
-            enter = cand[0] if bland else cand[red[cand].argmin()]
-            rows = (t[:m, enter] > SIMPLEX_TOL).nonzero()[0]
-            if len(rows) == 0:
-                raise LpNumericalError("unbounded working relaxation (tableau breakdown)")
-            ratio = np.maximum(t[rows, -1], 0.0) / t[rows, enter]
-            best = ratio.min()
-            ties = rows[ratio <= best + SIMPLEX_TOL]
-            leave = ties[self.basis[ties].argmin()] if bland else ties[t[ties, enter].argmax()]
-            run = run + 1 if best <= SIMPLEX_TOL else 0
-            self._pivot(int(leave), int(enter))
-        return self.pivots - start
 
     def dual(self) -> int:
         """Dual simplex from a dual feasible basis; returns its pivot count.
@@ -362,32 +340,20 @@ def _dual_bound(coeff: np.ndarray, const: float, cuts: np.ndarray, lam: np.ndarr
 def solve_relaxation(inst: Instance, tol: float = FEAS_TOL) -> tuple[LpSolution, LpStats]:
     """Solve the relaxation to (certified) optimality.
 
-    Round 1 solves the unit rows alone; each later round appends the
-    worst violated triangles (at most 5n) and re-optimizes by dual, then
-    primal simplex. The loop ends when the separation scan is empty.
-    The result is then checked without trusting the tableau: the point
-    must validate within tol, and the dual bound from the final triangle
-    multipliers must be within GAP_TOL * max(1, |objective|) of the
-    objective; either failure raises LpNumericalError.
+    Round 1 reads the box optimum off the starting tableau; each later
+    round appends the worst violated triangles (at most 5n) and
+    re-optimizes by the dual simplex. The loop ends when the separation
+    scan is empty. The result is then checked without trusting the
+    tableau: the point must validate within tol, and the dual bound from
+    the final triangle multipliers must be within GAP_TOL * max(1,
+    |objective|) of the objective; either failure raises LpNumericalError.
     """
     n = inst.n
     coeff, const = _objective_terms(inst)
     stats = LpStats()
-    no_cuts = np.zeros((0, 3), dtype=np.int64)
-
-    if n <= 2:
-        # no triangle constraints: each variable minimizes independently
-        vec = np.where(coeff > 0, 0.0, 1.0) if n == 2 else np.zeros(0)
-        sol = LpSolution(n, vec)
-        stats.objective = lp_objective(inst, sol)
-        stats.dual_bound = _dual_bound(coeff, const, no_cuts, np.zeros(0))
-        stats.gap = stats.objective - stats.dual_bound
-        stats.round_objectives = [stats.objective]
-        return sol, stats
-
     idx = _pair_index_map(n)
     tab = _Tableau(coeff)
-    blocks, seen = [no_cuts], set()
+    blocks, seen = [np.zeros((0, 3), dtype=np.int64)], set()
     new: list[tuple[int, int, int]] = []
     while True:
         start = time.perf_counter()
@@ -395,18 +361,16 @@ def solve_relaxation(inst: Instance, tol: float = FEAS_TOL) -> tuple[LpSolution,
             seen.update(new)
             blocks.append(_cut_columns(idx, new))
             tab.add_rows(blocks[-1])
-        dual = tab.dual()
-        primal = tab.primal()
+        pivots = tab.dual()
         x = LpSolution(n, tab.point())
         obj = float(coeff @ x.vec) + const
         viols = separate_triangle_violations(x, tol)
         seconds = time.perf_counter() - start
         stats.separation_rounds += 1
         stats.round_objectives.append(obj)
-        stats.rounds.append({"cuts": len(new), "dual_pivots": dual,
-                             "primal_pivots": primal, "seconds": seconds})
-        log.debug("round %d: objective %.9g, %d cuts, %d dual + %d primal pivots, %.3f s",
-                  stats.separation_rounds, obj, len(new), dual, primal, seconds)
+        stats.rounds.append({"cuts": len(new), "dual_pivots": pivots, "seconds": seconds})
+        log.debug("round %d: objective %.9g, %d cuts, %d dual pivots, %.3f s",
+                  stats.separation_rounds, obj, len(new), pivots, seconds)
         if not viols:
             break
         if stats.separation_rounds >= MAX_ROUNDS:
@@ -433,15 +397,10 @@ def solve_relaxation(inst: Instance, tol: float = FEAS_TOL) -> tuple[LpSolution,
 
 def resolve_with_constraints(inst: Instance, triangles) -> float:
     """Objective of a fresh solve restricted to the given triangle set."""
-    n = inst.n
     coeff, const = _objective_terms(inst)
-    if n <= 2:
-        sol, stats = solve_relaxation(inst)
-        return stats.objective
     tab = _Tableau(coeff)
-    tab.add_rows(_cut_columns(_pair_index_map(n), triangles))
+    tab.add_rows(_cut_columns(_pair_index_map(inst.n), triangles))
     tab.dual()
-    tab.primal()
     return float(coeff @ tab.point()) + const
 
 

@@ -310,7 +310,7 @@ def test_lp_meta_carries_certificate_and_rounds(tmp_path):
     assert abs(meta["gap"]) <= 1e-9
     assert len(meta["rounds"]) == meta["separation_rounds"]
     assert sum(r["cuts"] for r in meta["rounds"]) == meta["constraints_generated"]
-    assert set(meta["rounds"][0]) == {"cuts", "dual_pivots", "primal_pivots", "seconds"}
+    assert set(meta["rounds"][0]) == {"cuts", "dual_pivots", "seconds"}
 
 
 def test_lp_refuses_instances_past_the_size_limit(tmp_path, capsys):
@@ -318,6 +318,18 @@ def test_lp_refuses_instances_past_the_size_limit(tmp_path, capsys):
     n = cc.lp.MAX_LP_N + 1
     run(["gen", "complete", "--n", str(n), "--p", "0.5", "--seed", "1", "-o", str(inst_file)])
     assert run(["lp", "--instance", str(inst_file)]) == 64
+    assert f"n = {cc.lp.MAX_LP_N}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", [["--n", str(cc.lp.MAX_LP_N + 1)],
+                                  ["--family", "kpartite", "--parts", f"{cc.lp.MAX_LP_N},1"]],
+                         ids=["n", "parts"])
+def test_bench_refuses_instances_past_the_lp_size_limit(size, monkeypatch, capsys):
+    def no_solve(*_args, **_kwargs):
+        raise AssertionError("bench solved an LP past MAX_LP_N")
+
+    monkeypatch.setattr(cc.cli, "solve_relaxation", no_solve)
+    assert run(["bench", "--instances", "1", "--trials", "1", "--seed", "1"] + size) == 64
     assert f"n = {cc.lp.MAX_LP_N}" in capsys.readouterr().err
 
 

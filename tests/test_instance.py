@@ -394,6 +394,32 @@ def test_parse_json_takes_only_documented_types(text):
         cc.parse_instance(text)
 
 
+_C2_PLUS = '{"class": "complete", "n": 2, "edges": [{"u": 0, "v": 1, "label": "+"}]'
+
+
+@pytest.mark.parametrize(
+    "edgelist, text",
+    [
+        ("cc complete 2 ti\n0 1 +\n", _C2_PLUS + ', "flags": {"ti": true}}'),
+        ("cc kpartite 2 0 1 ti\n0 1 +\n", _K2.format("[0, 1]")[:-1] + ', "flags": {"ti": true}}'),
+        ("cc complete 2 0 1\n0 1 +\n", _C2_PLUS + ', "parts": [0, 1]}'),
+        ("cc weighted 2 0 1\n0 1 0.5\n", _W2.format('"lplus": 0.5', ', "parts": [0, 1]')),
+    ],
+    ids=["complete-ti", "kpartite-ti", "complete-parts", "weighted-parts"],
+)
+def test_json_refuses_the_class_flags_the_edge_list_refuses(edgelist, text):
+    for source in (edgelist, text):
+        with pytest.raises(FormatError):
+            cc.parse_instance(source)
+    assert not cc.parse_instance(_C2_PLUS + ', "flags": {"ti": false}}').ti
+
+
+def test_json_weight_key_is_lplus_only():
+    assert cc.parse_instance(_W2.format('"lplus": 0.25', "")).lam_plus[0, 1] == 0.25
+    with pytest.raises(FormatError):
+        cc.parse_instance(_W2.format('"lp": 0.25', ""))
+
+
 # SHA-256 of serialize_instance output, computed before the readers and
 # writers shared one pair-table path; the text must not change.
 _SERIALIZED_SHA256 = {
@@ -425,10 +451,15 @@ def test_serialized_text_is_pinned(fmt, family):
 
 @st.composite
 def _pair_tables(draw):
-    """(kind, n, rows, parts, ti): one row per pair, some ids bad or repeated."""
+    """(kind, n, rows, parts, ti): one row per pair, some ids bad or repeated.
+
+    Part ids and the ti flag are drawn for every class, so both readers
+    must refuse them where the class does not take them.
+    """
     kind = draw(st.sampled_from(["complete", "kpartite", "weighted"]))
     n = draw(st.integers(1, 4))
-    parts = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n)) if kind == "kpartite" else None
+    with_parts = kind == "kpartite" or draw(st.integers(0, 3)) == 0
+    parts = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n)) if with_parts else None
     rows = []
     for u, v in pair_iter(n):
         if kind == "weighted":
@@ -442,7 +473,7 @@ def _pair_tables(draw):
         rows.append([u, v, value])
     for row in draw(st.lists(st.sampled_from(rows), max_size=2)) if rows else []:
         row[draw(st.integers(0, 1))] = draw(st.integers(-1, n))
-    ti = kind == "weighted" and draw(st.booleans())
+    ti = draw(st.booleans()) if kind == "weighted" else draw(st.integers(0, 3)) == 0
     return kind, n, rows, parts, ti
 
 

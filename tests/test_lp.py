@@ -79,6 +79,25 @@ def test_separation_arithmetic():
     assert g == pytest.approx(0.6)
 
 
+@pytest.mark.parametrize("tol", [-np.inf, 0.0, 0.25])
+def test_separation_matches_a_triple_loop(tol):
+    # reference: every ordered middle vertex, the same float operations
+    rng = np.random.default_rng(5)
+    for t in range(60):
+        n = 1 + t % 8
+        pairs = n * (n - 1) // 2
+        vec = rng.choice([0.0, 0.5, 1.0], size=pairs) if t % 2 else rng.random(pairs)
+        if t % 3 == 0 and pairs:
+            vec[0] = np.nan
+        x = cc.LpSolution(n, vec)
+        m = x.matrix
+        want = [(u, v, w, float(m[u, w] - m[u, v] - m[v, w]))
+                for u in range(n) for v in range(n) for w in range(u + 1, n)
+                if v not in (u, w) and m[u, w] - m[u, v] - m[v, w] > tol]
+        want.sort(key=lambda r: (-r[3], r[0], r[1], r[2]))
+        assert cc.separate_triangle_violations(x, tol) == want
+
+
 def test_separation_empty_on_metric():
     rng = SplitMix64(8)
     pts = np.array([[rng.uniform(), rng.uniform()] for _ in range(6)])
@@ -228,7 +247,7 @@ def test_stats_record_each_round():
     _x, stats = cc.solve_relaxation(inst)
     assert len(stats.rounds) == stats.separation_rounds == len(stats.round_objectives)
     assert sum(r["cuts"] for r in stats.rounds) == stats.constraints_generated
-    assert sum(r["dual_pivots"] + r["primal_pivots"] for r in stats.rounds) == stats.iterations
+    assert sum(r["dual_pivots"] for r in stats.rounds) == stats.iterations
     assert stats.rounds[0]["cuts"] == 0 and stats.rounds[0]["dual_pivots"] == 0
     assert all(r["seconds"] >= 0.0 for r in stats.rounds)
     assert stats.dual_bound <= stats.objective + 1e-9 and stats.gap <= 1e-9
