@@ -60,6 +60,11 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_NUMERICAL = 70
 
+# memory walls of the CLI: at grid 1e-3 the weighted sweep peaks near 300 MB
+# (1 GB at 5e-4); a 1,000-vertex instance takes about 0.5 GB as JSON
+MIN_GRID_STEP = 1e-3
+MAX_GEN_N = 1000
+
 
 class _UsageExit(Exception):
     def __init__(self, message):
@@ -90,7 +95,8 @@ def _int_list(text):
 
 _count = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _probability = _checked(float, lambda v: 0.0 <= v <= 1.0, "a probability in [0, 1]")
-_grid_step = _checked(float, lambda v: 0.0 < v <= 1.0, "a grid step in (0, 1]")
+_grid_step = _checked(float, lambda v: MIN_GRID_STEP <= v <= 1.0,
+                      f"a grid step in [{MIN_GRID_STEP:g}, 1] (MIN_GRID_STEP)")
 _part_sizes = _checked(_int_list, lambda v: min(v) >= 1,
                        "a comma-separated list of integers >= 1")
 _alpha = _checked(float, lambda v: 1.0 < v < math.inf, "a finite ratio > 1")
@@ -137,6 +143,9 @@ def _meta(args, **extra) -> dict:
 
 
 def _cmd_gen(args) -> int:
+    n = {"kpartite": sum(args.parts), "gap-ti": 2 * args.n}.get(args.family, args.n)
+    if n > MAX_GEN_N:
+        raise _UsageExit(f"gen writes instances up to n = {MAX_GEN_N} (MAX_GEN_N); got n = {n}")
     if args.family == "complete":
         inst = gen_complete_random(args.n, args.p, args.seed)
     elif args.family == "kpartite":

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import FormatError, Instance, triangle_slabs, worst_triangle
+from .instance import FormatError, Instance, _json_typed, triangle_slabs, worst_triangle
 
 FEAS_TOL = 1e-6          # separation / reported-solution feasibility
 SIMPLEX_TOL = 1e-8       # pivot feasibility tolerance inside the simplex
@@ -419,21 +419,22 @@ def solution_to_json(x: LpSolution, objective: float | None = None) -> str:
 def solution_from_json(text: str) -> LpSolution:
     """Inverse of solution_to_json ("x" may also be the upper-triangle vector).
 
-    FormatError on bad JSON, a missing key, an "n" that disagrees with x,
-    or a non-finite entry.
+    FormatError on bad JSON, a missing key, an "n" that is not an integer
+    >= 1 or disagrees with x, or a non-finite entry.
     """
     try:
         doc = json.loads(text)
-        n = int(doc["n"])
-        raw = doc["x"]
-        if raw and isinstance(raw[0], list):
-            x = LpSolution.from_matrix(np.asarray(raw, dtype=np.float64))
-        else:
-            x = LpSolution.from_upper(n, np.asarray(raw, dtype=np.float64))
+        n, raw = doc["n"], np.asarray(doc["x"], dtype=np.float64)
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"bad LP solution: {e!r}") from e
+    if _json_typed(n, int, "n") < 1:
+        raise FormatError(f"LP solution needs n >= 1, got {n}")
+    if not np.isfinite(raw).all():
+        raise FormatError("LP solution has a non-finite entry")
+    try:
+        x = LpSolution.from_matrix(raw) if raw.ndim == 2 else LpSolution.from_upper(n, raw)
+    except ValueError as e:
+        raise FormatError(f"bad LP solution: {e}") from e
     if x.n != n:
         raise FormatError(f"LP solution says n = {n} but carries a {x.n}-vertex matrix")
-    if not np.isfinite(x.vec).all():
-        raise FormatError("LP solution has a non-finite entry")
     return x

@@ -16,6 +16,11 @@ values. Memory is two 2^n float tables (block costs g and opt), a 2^n
 byte table of popcounts and three chunk buffers of max(_DP_CHUNK,
 2^(n-1)) 8-byte entries (fewer when all (3^n - 1) / 2 candidates fit):
 about 3 MB at n = 16 and 30 MB at the n = 20 wall.
+
+The exact expectations of the randomized pivot algorithm enumerate the
+label coins that are uncertain (0 < lam_plus < 1) in the coin table of
+``rounding.pair_candidates``, then the pivots and memberships; a
+labeled instance has one coin outcome, of probability 1.
 """
 
 from __future__ import annotations
@@ -29,9 +34,9 @@ from .lp import LpSolution, solve_relaxation
 from .rounding import (
     RoundingScheme,
     cut_probabilities,
+    pair_candidates,
     pair_model,
     pivot_terms,
-    probability_matrix,
 )
 
 MAX_EXACT_N = 20  # the DP's wall: (3^n - 1) / 2 candidate blocks
@@ -200,19 +205,25 @@ def _join_outcomes(p: np.ndarray, verts: list, w: int):
             yield members, prob
 
 
-def _label_coin_outcomes(inst: Instance):
-    """(probability, labeled instance) of each label-coin outcome of a weighted instance."""
-    n = inst.n
-    pairs = list(pair_iter(n))
-    for bits in range(1 << len(pairs)):
-        labels = np.zeros((n, n), dtype=np.int8)
+def _coin_outcomes(inst: Instance, x: LpSolution, scheme: RoundingScheme):
+    """(probability, cut-probability matrix) of each outcome of the label coins.
+
+    Only the pairs with 0 < lam_plus < 1 flip, in pair_iter order; every
+    other coin is certain, so a labeled instance has a single outcome of
+    probability 1.
+    """
+    fp, fm, lam = pair_candidates(inst, x, scheme)
+    coins = [(u, v) for u, v in pair_iter(inst.n) if 0.0 < lam[u, v] < 1.0]
+    plus = lam == 1.0
+    for bits in range(1 << len(coins)):
         prob = 1.0
-        for i, (u, v) in enumerate(pairs):
-            plus = (bits >> i) & 1
-            prob *= inst.lam_plus[u, v] if plus else 1.0 - inst.lam_plus[u, v]
-            labels[u, v] = labels[v, u] = 1 if plus else -1
-        if prob != 0.0:
-            yield prob, Instance.complete(labels)
+        for i, (u, v) in enumerate(coins):
+            up = (bits >> i) & 1
+            prob *= lam[u, v] if up else 1.0 - lam[u, v]
+            plus[u, v] = plus[v, u] = up
+        p = np.where(plus, fp, fm)
+        np.fill_diagonal(p, 0.0)
+        yield prob, p
 
 
 def _step_masses(verts: list, members: set, wp, wm, L) -> tuple[float, float]:
@@ -251,25 +262,20 @@ def exact_expected_step_cost(
 ) -> dict:
     """Exact E[violations] and E[LP removed] of the first pivot step.
 
-    Computed by enumerating the pivot and all 2^(n-1) membership
-    outcomes; weighted instances also enumerate the per-pair label
-    coins, so keep n tiny there. Matches the pairwise closed form.
+    Computed by enumerating the uncertain label coins, the pivot and all
+    2^(n-1) membership outcomes; weighted instances flip a coin on every
+    pair, so keep n tiny there. Matches the pairwise closed form.
     """
-    n = inst.n
+    cap = 6 if inst.kind == WEIGHTED else 12
+    if inst.n > cap:
+        raise ValueError(f"step-cost enumeration capped at n = {cap} for {inst.kind} instances")
     model = pair_model(inst, x)  # the enumeration reads no self-loop
-    if inst.kind == WEIGHTED:
-        if n > 6:
-            raise ValueError("weighted enumeration is capped at n = 6")
-        e_alg = 0.0
-        e_lp = 0.0
-        for prob, sampled in _label_coin_outcomes(inst):
-            a, l = _enumerate_step(probability_matrix(sampled, x, scheme), *model)
-            e_alg += prob * a
-            e_lp += prob * l
-        return {"e_alg_0": e_alg, "e_lp_0": e_lp}
-    if n > 12:
-        raise ValueError("enumeration capped at n = 12")
-    e_alg, e_lp = _enumerate_step(probability_matrix(inst, x, scheme), *model)
+    e_alg = 0.0
+    e_lp = 0.0
+    for prob, p in _coin_outcomes(inst, x, scheme):
+        a, l = _enumerate_step(p, *model)
+        e_alg += prob * a
+        e_lp += prob * l
     return {"e_alg_0": e_alg, "e_lp_0": e_lp}
 
 
@@ -298,30 +304,22 @@ def exact_expected_total_cost(
 ) -> float:
     """Exact expected final cost of the randomized pivot algorithm.
 
-    Recursion over active sets with memoization; exponential, meant for
-    cross-checking Monte-Carlo runs at n <= 6 (weighted: n <= 4, since
-    the label coins are enumerated too).
+    Recursion over active sets with memoization per coin outcome;
+    exponential, meant for cross-checking Monte-Carlo runs at n <= 6
+    (weighted: n <= 4, since the label coins are enumerated too).
     """
-    n = inst.n
-    if inst.kind == WEIGHTED:
-        if n > 4:
-            raise ValueError("weighted total-cost enumeration capped at n = 4")
-        total = 0.0
-        for prob, sampled in _label_coin_outcomes(inst):
-            # violation costs are still charged against the weights
-            total += prob * _expected_total(sampled, inst, x, scheme)
-        return total
-    if n > 6:
-        raise ValueError("total-cost enumeration capped at n = 6")
-    return _expected_total(inst, inst, x, scheme)
+    cap = 4 if inst.kind == WEIGHTED else 6
+    if inst.n > cap:
+        raise ValueError(f"total-cost enumeration capped at n = {cap} for {inst.kind} instances")
+    model = pair_model(inst, x)
+    total = 0.0
+    for prob, p in _coin_outcomes(inst, x, scheme):
+        total += prob * _expected_total(p, model)
+    return total
 
 
-def _expected_total(
-    label_inst: Instance, cost_inst: Instance, x: LpSolution, scheme: RoundingScheme
-) -> float:
-    n = label_inst.n
-    p = probability_matrix(label_inst, x, scheme)
-    model = pair_model(cost_inst, x)
+def _expected_total(p: np.ndarray, model) -> float:
+    n = p.shape[0]
     memo: dict[int, float] = {0: 0.0}
 
     def solve(mask: int) -> float:

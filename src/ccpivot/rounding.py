@@ -2,12 +2,16 @@
 
 A scheme is a named triple of piecewise functions (f_plus, f_minus,
 f_neutral) mapping an LP edge length in [0, 1] to a cut probability.
-The randomized pivot algorithm repeatedly picks a uniform pivot among
-active vertices and keeps each active u with probability 1 - p_uw; the
-weighted variant first flips one coin per pair to choose which function
-supplies p_uv; the derandomized variant rounds every p_uv to 0/1
-greedily against the step surplus and then picks the best pivot, which
-turns the expected guarantee into a deterministic one.
+Every cut probability is read off one coin table, ``pair_candidates``:
+each pair is cut with f_plus(x) when its label coin lands "+"
+(probability lam_plus) and with f_minus(x) otherwise. A labeled pair is
+a weighted pair whose coin is certain, and a k-partite neutral pair
+reads f_neutral on both sides. The randomized pivot algorithm
+repeatedly picks a uniform pivot among active vertices and keeps each
+active u with probability 1 - p_uw; the weighted variant first flips
+the pair coins to fix p_uv; the derandomized variant rounds every p_uv
+to 0/1 greedily against the step surplus and then picks the best pivot,
+which turns the expected guarantee into a deterministic one.
 
 Every randomized run reads its seed's splitmix64 stream in a fixed
 order. A weighted run first draws one coin per pair, in ``pair_iter``
@@ -317,75 +321,53 @@ def get_scheme(name: str) -> RoundingScheme:
 
 
 # ---------------------------------------------------------------------------
-# probability matrices
+# the coin table
 # ---------------------------------------------------------------------------
 
 
-def probability_matrix(inst: Instance, x: LpSolution, scheme: RoundingScheme) -> np.ndarray:
-    """p_uv for every pair of a labeled instance; zero diagonal."""
-    if inst.kind == WEIGHTED:
-        raise ValueError("weighted instances sample per-pair coins; see pivot_round_weighted")
-    if inst.kind == KPARTITE and scheme.f_neutral is None:
-        raise IneligibleSchemeError(
-            f"scheme {scheme.name!r} has no neutral-edge function for k-partite input"
-        )
-    n = inst.n
+def pair_candidates(inst: Instance, x: LpSolution, scheme: RoundingScheme):
+    """(f_plus, f_minus, lam_plus): the coin table, three n x n matrices.
+
+    Each pair flips a label coin: with probability lam_plus it is cut
+    with its f_plus value, otherwise with its f_minus value. A weighted
+    instance supplies its own lam_plus; a labeled pair's coin is certain
+    (1 on "+" pairs, 0 elsewhere), and a k-partite neutral pair reads
+    f_neutral on both sides. This is the only place that builds cut
+    probabilities per graph class.
+    """
     xm = np.clip(x.matrix, 0.0, 1.0)
-    p = np.zeros((n, n))
-    for sym, mat in ((1, scheme.f_plus), (-1, scheme.f_minus)):
-        mask = inst.labels == sym
-        if mask.any():
-            p[mask] = mat(xm[mask])
+    fp, fm = scheme.f_plus(xm), scheme.f_minus(xm)
+    if inst.kind == WEIGHTED:
+        return fp, fm, inst.lam_plus
     if inst.kind == KPARTITE:
-        mask = (inst.labels == 0) & ~np.eye(n, dtype=bool)
-        if mask.any():
-            p[mask] = scheme.f_neutral(xm[mask])
-    np.fill_diagonal(p, 0.0)
-    return p
+        neutral = inst.labels == 0
+        f0 = scheme.fn(EDGE_NEUTRAL)(xm)
+        fp, fm = np.where(neutral, f0, fp), np.where(neutral, f0, fm)
+    return fp, fm, (inst.labels == 1).astype(np.float64)
 
 
 def cut_probabilities(inst: Instance, x: LpSolution, scheme: RoundingScheme) -> np.ndarray:
-    """Expected cut probability of every pair, zero diagonal: the scheme
-    matrix on labeled instances, the coin mixture lam_plus f_plus +
-    (1 - lam_plus) f_minus on weighted ones (exact in the step
+    """Expected cut probability of every pair, zero diagonal: the coin
+    mixture lam_plus f_plus + (1 - lam_plus) f_minus of the coin table
+    (the scheme's value itself on labeled pairs; exact in the step
     expectations, which are multilinear in the independent coins).
     """
-    if inst.kind != WEIGHTED:
-        return probability_matrix(inst, x, scheme)
-    xm = np.clip(x.matrix, 0.0, 1.0)
-    p = inst.lam_plus * scheme.f_plus(xm) + (1.0 - inst.lam_plus) * scheme.f_minus(xm)
+    fp, fm, lam = pair_candidates(inst, x, scheme)
+    p = lam * fp + (1.0 - lam) * fm
     np.fill_diagonal(p, 0.0)
     return p
 
 
-def _coin_candidates(inst: Instance, x: LpSolution, scheme: RoundingScheme):
-    """(f_plus, f_minus, lam_plus) on the pairs of a weighted instance, in pair_iter order."""
-    if inst.kind != WEIGHTED:
-        raise ValueError("only weighted instances flip label coins")
-    iu = np.triu_indices(inst.n, 1)
-    xu = np.clip(x.matrix[iu], 0.0, 1.0)
-    return scheme.f_plus(xu), scheme.f_minus(xu), inst.lam_plus[iu]
-
-
-def _flip_coins(n: int, candidates, unif: np.ndarray) -> np.ndarray:
+def _flip_coins(n: int, table, unif: np.ndarray) -> np.ndarray:
     """Probability matrices from coin uniforms of shape (..., n(n-1)/2).
 
-    A pair takes its f_plus value when its uniform is below lam_plus,
-    else its f_minus value; leading axes of unif are separate runs.
+    The upper triangle of the coin table is read in pair_iter order: a
+    pair takes its f_plus value when its uniform is below lam_plus, else
+    its f_minus value; leading axes of unif are separate runs.
     """
-    fp, fm, lam = candidates
+    iu = np.triu_indices(n, 1)
+    fp, fm, lam = (m[iu] for m in table)
     return symmetric_from_upper(n, np.where(unif < lam, fp, fm))
-
-
-def weighted_probability_matrix(
-    inst: Instance, x: LpSolution, scheme: RoundingScheme, rng: SplitMix64
-) -> np.ndarray:
-    """Coin-flip matrix: p_uv = f_plus(x_uv) w.p. lam_plus, else f_minus(x_uv).
-
-    One coin per pair, drawn before any pivoting, in ascending pair order.
-    """
-    candidates = _coin_candidates(inst, x, scheme)
-    return _flip_coins(inst.n, candidates, unit_floats(rng.block(len(candidates[2]))))
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +478,7 @@ def _pivot_run(seed: int, n: int, keep=None, candidates=None) -> list:
     """The pivot steps of one run on the stream of seed.
 
     A labeled run reads keep (n, n); a weighted run passes its coin
-    candidates instead and first flips its pair coins on its own stream.
+    table instead and first flips its pair coins on its own stream.
     """
     coins, width = _stream_layout(n, candidates is not None)
     rng = SplitMix64(seed)
@@ -526,7 +508,9 @@ def _pivot_chunk(seeds: np.ndarray, n: int, keep=None, candidates=None) -> np.nd
 
 
 def _labeled_keep(inst: Instance, x: LpSolution, scheme: RoundingScheme) -> np.ndarray:
-    return (1.0 - probability_matrix(inst, x, scheme)).T
+    if inst.kind == WEIGHTED:
+        raise ValueError("weighted instances flip label coins; see pivot_round_weighted")
+    return (1.0 - cut_probabilities(inst, x, scheme)).T
 
 
 def _assignment(n: int, steps: list) -> list:
@@ -550,7 +534,9 @@ def pivot_round_weighted(
     inst: Instance, x: LpSolution, scheme: RoundingScheme, seed: int
 ) -> Clustering:
     """Coin-flip variant for weighted instances (one label coin per pair)."""
-    steps = _pivot_run(seed, inst.n, candidates=_coin_candidates(inst, x, scheme))
+    if inst.kind != WEIGHTED:
+        raise ValueError("only weighted instances flip label coins")
+    steps = _pivot_run(seed, inst.n, candidates=pair_candidates(inst, x, scheme))
     return Clustering(_assignment(inst.n, steps))
 
 
@@ -710,7 +696,7 @@ def monte_carlo_ratio(
 
     Per-trial seeds come from the master stream, so any single trial can
     be replayed in isolation: trial t equals round_instance with seed
-    word t. The probability matrix (or the weighted coin candidates) and
+    word t. The probability matrix (or the weighted coin table) and
     the pair weights are computed once per run; the trials run in
     lockstep chunks of about CHUNK_WORDS stream words.
     """
@@ -718,7 +704,7 @@ def monte_carlo_ratio(
         raise ValueError("trials must be >= 1")
     n = inst.n
     if inst.kind == WEIGHTED:
-        keep, candidates = None, _coin_candidates(inst, x, scheme)
+        keep, candidates = None, pair_candidates(inst, x, scheme)
     else:
         keep, candidates = _labeled_keep(inst, x, scheme), None
     per_chunk = max(1, CHUNK_WORDS // _stream_layout(n, candidates is not None)[1])

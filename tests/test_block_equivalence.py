@@ -15,7 +15,7 @@ import pytest
 import ccpivot as cc
 from ccpivot import rounding
 from ccpivot.instance import COMPLETE, KPARTITE, WEIGHTED, clustering_cost, pair_iter
-from ccpivot.rng import SplitMix64
+from ccpivot.rng import SplitMix64, unit_floats
 from test_rng import _MASK, _seed_with_first_word
 
 _GAMMA = 0x9E3779B97F4A7C15
@@ -63,7 +63,7 @@ def ref_round(inst, x, scheme, seed):
     if inst.kind == WEIGHTED:
         p = ref_weighted_probability_matrix(inst, x, scheme, rng)
     else:
-        p = rounding.probability_matrix(inst, x, scheme)
+        p = rounding.cut_probabilities(inst, x, scheme)
     return ref_pivot_loop(p, rng)
 
 
@@ -203,7 +203,9 @@ def test_weighted_probability_matrix_matches_reference(seed):
     x = lengths(inst.n, seed)
     scheme = cc.get_scheme("weighted_ti_150")
     a, b = SplitMix64(seed), SplitMix64(seed)
-    got = rounding.weighted_probability_matrix(inst, x, scheme, a)
+    pairs = inst.n * (inst.n - 1) // 2
+    got = rounding._flip_coins(inst.n, rounding.pair_candidates(inst, x, scheme),
+                               unit_floats(a.block(pairs)))
     want = ref_weighted_probability_matrix(inst, x, scheme, b)
     assert np.array_equal(got, want)
     assert a.next_u64() == b.next_u64()  # same number of coins drawn
@@ -233,7 +235,7 @@ def test_pivot_chunk_partitions_match_reference(seed):
     for inst, scheme in instances(seed):
         x = lengths(inst.n, seed)
         if inst.kind == WEIGHTED:
-            keep, cands = None, rounding._coin_candidates(inst, x, scheme)
+            keep, cands = None, rounding.pair_candidates(inst, x, scheme)
         else:
             keep, cands = rounding._labeled_keep(inst, x, scheme), None
         ids = rounding._pivot_chunk(seeds, inst.n, keep, cands)

@@ -257,6 +257,13 @@ BAD_ARGV = {
     "bench --alpha nan": BENCH + ["--alpha", "nan"],
     "bench --alpha inf": BENCH + ["--alpha", "inf"],
     "bench --alpha 0.5": BENCH + ["--alpha", "0.5"],
+    # past the memory walls (each would allocate many GB)
+    "certify --grid 1e-5": ["certify", "complete206", "--alpha", "2.06", "--grid", "1e-5"],
+    "certify weighted --grid 1e-5": ["certify", "weighted_ti_150", "--alpha", "1.5",
+                                     "--class", "weighted", "--grid", "1e-5"],
+    "gen --n 200000": ["gen", "complete", "--n", "200000", "--seed", "1"],
+    "gen gap-ti --n 501": ["gen", "gap-ti", "--n", "501"],  # 2n vertices
+    "gen --parts 500,501": ["gen", "kpartite", "--parts", "500,501", "--seed", "1"],
 }
 
 
@@ -377,6 +384,10 @@ def test_round_refuses_solution_of_another_size(tmp_path):
         {"x": [[0.0, 0.5], [0.5, 0.0]]},  # no "n"
         {"n": 2},  # no "x"
         {"n": 2, "x": [[0.0, 0.5], [0.25, 0.0]]},  # not symmetric
+        {"n": 2.0, "x": [0.5]},  # "n" not an integer
+        {"n": "2", "x": [0.5]},
+        {"n": True, "x": []},
+        {"n": -1, "x": [0.5]},  # "n" below 1
     ],
 )
 def test_solution_from_json_format_errors(tmp_path, doc):

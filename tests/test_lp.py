@@ -196,7 +196,8 @@ def test_validate_flags_non_finite_entries(bad):
 def test_solution_from_json_refuses_non_finite_entries():
     from ccpivot.lp import solution_from_json
 
-    for text in ('{"n": 3, "x": [NaN, 0.5, 0.5]}', '{"n": 3, "x": [0.5, Infinity, 0.5]}'):
+    for text in ('{"n": 3, "x": [NaN, 0.5, 0.5]}', '{"n": 3, "x": [0.5, Infinity, 0.5]}',
+                 '{"n": 2, "x": [[0.0, NaN], [NaN, 0.0]]}'):
         with pytest.raises(cc.FormatError, match="non-finite"):
             solution_from_json(text)
 

@@ -7,9 +7,9 @@ import ccpivot as cc
 from ccpivot.rounding import (
     IneligibleSchemeError,
     PiecewiseFn,
+    cut_probabilities,
     greedy_round_probabilities,
     pair_model,
-    probability_matrix,
     step_surplus_sum,
 )
 from ccpivot.rng import SplitMix64
@@ -159,6 +159,20 @@ def test_weighted_lambda_one_matches_labeled_distribution():
     )
 
 
+def test_pivot_paths_refuse_the_other_class():
+    # both pivot paths read one coin table, so each must refuse what it cannot read
+    x = cc.LpSolution.constant(4, 0.5)
+    weighted = cc.gen_weighted_random(4, seed=3)
+    with pytest.raises(ValueError):
+        cc.pivot_round(weighted, x, cc.get_scheme("weighted_ti_150"), 1)
+    labeled = cc.gen_complete_random(4, 0.5, seed=3)
+    with pytest.raises(ValueError):
+        cc.pivot_round_weighted(labeled, x, cc.get_scheme("weighted_ti_150"), 1)
+    kpartite = cc.gen_kpartite_random([2, 2], 0.5, seed=3)
+    with pytest.raises(IneligibleSchemeError):
+        cc.pivot_round(kpartite, x, cc.get_scheme("acn_linear"), 1)
+
+
 def test_weighted_all_minus_unit_x_singletons():
     lam = np.zeros((4, 4))
     inst = cc.Instance.weighted(lam)
@@ -222,7 +236,7 @@ def test_greedy_rounding_never_decreases_surplus():
     inst = cc.gen_complete_random(6, 0.5, seed=31)
     x = cc.LpSolution.constant(6, 0.4)  # fractional so the greedy has work to do
     s = cc.get_scheme("complete206")
-    p = probability_matrix(inst, x, s)
+    p = cut_probabilities(inst, x, s)
     alpha = 2.06
     wp, wm, L = pair_model(inst, x)
     active = np.arange(6)
