@@ -263,10 +263,12 @@ def exact_expected_step_cost(
     """Exact E[violations] and E[LP removed] of the first pivot step.
 
     Computed by enumerating the uncertain label coins, the pivot and all
-    2^(n-1) membership outcomes; weighted instances flip a coin on every
-    pair, so keep n tiny there. Matches the pairwise closed form.
+    2^(n-1) membership outcomes. Weighted instances flip a coin on every
+    pair, so they are capped at n = 5 (2^10 coin outcomes; n = 6 has 2^15
+    and takes tens of seconds), labeled ones at n = 12. Matches the
+    pairwise closed form.
     """
-    cap = 6 if inst.kind == WEIGHTED else 12
+    cap = 5 if inst.kind == WEIGHTED else 12
     if inst.n > cap:
         raise ValueError(f"step-cost enumeration capped at n = {cap} for {inst.kind} instances")
     model = pair_model(inst, x)  # the enumeration reads no self-loop

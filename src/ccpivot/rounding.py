@@ -33,6 +33,7 @@ cost has the same bits alone or in a batch (``assignment_cost``).
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -55,6 +56,8 @@ EDGE_MINUS = "-"
 EDGE_NEUTRAL = "0"
 
 _U64_0 = np.uint64(0)
+
+log = logging.getLogger(__name__)
 
 
 class IneligibleSchemeError(ValueError):
@@ -609,26 +612,47 @@ def greedy_round_probabilities(wp, wm, L, p: np.ndarray, alpha: float,
                                active: np.ndarray) -> np.ndarray:
     """Round each p_uv to 0 or 1, never decreasing the step surplus.
 
-    Pairs are visited in ascending lexicographic order; ties go to 0.
-    Only the two pivot terms touching the pair depend on it, so each
-    candidate is scored by those terms alone.
+    Pairs are visited in ascending lexicographic order, and a pair goes
+    to 1 only when that strictly raises the surplus, so ties go to 0.
+    Only the two pivot terms touching (u, v) depend on p_uv, and each is
+    quadratic in it. For pivot w with column c = p[active, w], let c0 be
+    c with entry i set to 0; moving entry i from 0 to 1 changes that
+    pivot's alpha * lp - cost by the closed form
+
+        (C c0)_i + d_i,   C = 4 W+ - 2 W- - 2 alpha L,
+        d_i = 2 W+_ii - W-_ii - alpha L_ii - 2 (W+ 1)_i + 2 (W- 1)_i.
+
+    Row w of H holds C c for pivot w. A rounding changes one entry of two
+    columns, and H follows by one row update each, so a pair is scored
+    in O(k) rather than by re-evaluating its two quadratic forms.
     """
     p = p.copy()
-    model = _active_model(wp, wm, L, active)
-
-    def surplus(w):
-        cost, lp = pivot_terms(*model, p[active, w])
-        return alpha * lp - cost
-
-    for ui in range(len(active)):
-        for vi in range(ui + 1, len(active)):
-            u, v = int(active[ui]), int(active[vi])
-            scores = []
-            for val in (0.0, 1.0):
-                p[u, v] = p[v, u] = val
-                scores.append(surplus(u) + surplus(v))
-            best = 1.0 if scores[1] > scores[0] else 0.0
-            p[u, v] = p[v, u] = best
+    k = len(active)
+    wp, wm, L = _active_model(wp, wm, L, active)
+    C = 4.0 * wp - 2.0 * wm - 2.0 * alpha * L
+    cd = np.diag(C)
+    d = (2.0 * np.diag(wp) - np.diag(wm) - alpha * np.diag(L)
+         - 2.0 * wp.sum(axis=1) + 2.0 * wm.sum(axis=1))
+    block = np.ix_(active, active)
+    P = p[block]
+    H = P.T @ C
+    for i in range(k - 1):
+        rest = slice(i + 1, k)
+        # pair (i, j): column j's gain at entry i, plus column i's gain at
+        # entry j less its (C c)_j, which h = H[i] tracks through this row;
+        # column j changes only at entry i here, so rows j > i follow after it
+        fixed = (H[rest, i] - cd[i] * P[i, rest] + d[i]
+                 + d[rest] - cd[rest] * P[rest, i]).tolist()
+        h = H[i]
+        new = []
+        for j, g in enumerate(fixed, start=i + 1):
+            best = 1.0 if h[j] + g > 0.0 else 0.0
+            if best != P[j, i]:
+                h += (best - P[j, i]) * C[j]
+            new.append(best)
+        H[rest] += np.outer(new - P[i, rest], C[i])
+        P[i, rest] = P[rest, i] = new
+    p[block] = P
     return p
 
 
@@ -639,8 +663,10 @@ def derandomize_round(
 
     Per step: set probabilities from the scheme, greedily round them all
     to 0/1 (the step surplus is convex in each variable, so endpoint
-    choices never decrease it), then take the pivot whose conditional
-    surplus is largest. Membership is then deterministic.
+    choices never decrease it; greedy_round_probabilities scores each
+    pair in O(k) by its closed-form change), then take the pivot whose
+    conditional surplus is largest. Membership is then deterministic.
+    Each step logs one DEBUG line on the ``ccpivot.rounding`` logger.
     """
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
@@ -663,6 +689,8 @@ def derandomize_round(
             if val > best_val + 1e-15:
                 best_w, best_val = int(w), float(val)
         cluster = active[p[active, best_w] == 0.0]
+        log.debug("derand step %d: %d active, pivot %d, cluster of %d, surplus %.9g",
+                  cid, active.size, best_w, cluster.size, best_val)
         assignment[cluster] = cid
         active = active[p[active, best_w] != 0.0]
         cid += 1

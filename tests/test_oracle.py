@@ -183,6 +183,20 @@ def test_weighted_enumeration_matches_mixture_formula():
     assert enum["e_lp_0"] == pytest.approx(formula["e_lp_0"], abs=1e-12)
 
 
+def test_weighted_enumeration_cap():
+    # n = 5 is the largest weighted size enumerated: 2^10 coin outcomes
+    s = cc.get_scheme("weighted_ti_150")
+    inst = cc.gen_weighted_random(5, seed=8)
+    x = cc.LpSolution.constant(5, 0.3)
+    enum = cc.exact_expected_step_cost(inst, x, s)
+    formula = cc.step_cost_formula(inst, x, s)
+    assert enum["e_alg_0"] == pytest.approx(formula["e_alg_0"], abs=1e-12)
+    assert enum["e_lp_0"] == pytest.approx(formula["e_lp_0"], abs=1e-12)
+    with pytest.raises(ValueError, match="capped at n = 5 for weighted"):
+        cc.exact_expected_step_cost(cc.gen_weighted_random(6, seed=8),
+                                    cc.LpSolution.constant(6, 0.3), s)
+
+
 def test_triple_sum_upper_bounds_enumeration():
     # the self-loop terms make the ordered-triple bound an overestimate
     inst = cc.gen_complete_random(5, 0.5, seed=9)

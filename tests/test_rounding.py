@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -8,8 +9,10 @@ from ccpivot.rounding import (
     IneligibleSchemeError,
     PiecewiseFn,
     cut_probabilities,
+    _active_model,
     greedy_round_probabilities,
     pair_model,
+    pivot_terms,
     step_surplus_sum,
 )
 from ccpivot.rng import SplitMix64
@@ -265,6 +268,79 @@ def test_greedy_rounding_never_decreases_surplus():
     assert set(np.unique(rounded[off])) <= {0.0, 1.0}
     # the replay and the library greedy make the same choices
     assert np.array_equal(rounded, current)
+
+
+def reference_greedy(wp, wm, L, p, alpha, active, follow):
+    """Full-recompute greedy: each pair scored by its two pivot terms at 0
+    and at 1. Yields (u, v, scores) per pair, then sets the pair to
+    follow's value, so every pair is scored from the library's state."""
+    p = p.copy()
+    model = _active_model(wp, wm, L, active)
+
+    def surplus(w):
+        cost, lp = pivot_terms(*model, p[active, w])
+        return alpha * lp - cost
+
+    for ui, u in enumerate(active):
+        for v in active[ui + 1:]:
+            scores = []
+            for val in (0.0, 1.0):
+                p[u, v] = p[v, u] = val
+                scores.append(surplus(u) + surplus(v))
+            yield u, v, scores
+            p[u, v] = p[v, u] = follow[u, v]
+
+
+WORKLOAD_CLASSES = {
+    # (workload instance, certified instance of the same class, scheme, alpha)
+    "complete": (lambda s: cc.gen_complete_random(11, 0.5, s), None, "complete206", 2.06),
+    "kpartite": (lambda s: cc.gen_kpartite_random([4, 4, 3], 0.5, s), None, "kpartite3", 3.0),
+    "weighted": (lambda s: cc.gen_weighted_random(10, s),
+                 lambda s: line_metric_instance(10, s), "weighted_ti_150", 1.5),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WORKLOAD_CLASSES))
+def test_greedy_matches_full_recompute_reference(kind):
+    gen, certified, scheme_name, alpha = WORKLOAD_CLASSES[kind]
+    scheme = cc.get_scheme(scheme_name)
+    rng = np.random.default_rng(17)
+    for seed in range(10):
+        inst = gen(seed)
+        n = inst.n
+        x, _ = cc.solve_relaxation(inst)
+        wp, wm, L = pair_model(inst, x)
+        upper = np.triu(rng.random((n, n)), 1)
+        subset = np.sort(rng.choice(n, size=rng.integers(2, n), replace=False))
+        for p in (cut_probabilities(inst, x, scheme), upper + upper.T):
+            for active in (np.arange(n), subset):
+                got = greedy_round_probabilities(wp, wm, L, p, alpha, active)
+                for u, v, (s0, s1) in reference_greedy(wp, wm, L, p, alpha, active, got):
+                    if abs(s1 - s0) > 1e-12 * max(1.0, abs(s0)):
+                        assert got[u, v] == (1.0 if s1 > s0 else 0.0), (seed, u, v)
+                before = step_surplus_sum(inst, x, p, alpha, active)
+                assert step_surplus_sum(inst, x, got, alpha, active) >= before - 1e-9
+                off = ~np.eye(len(active), dtype=bool)
+                assert set(np.unique(got[np.ix_(active, active)][off])) <= {0.0, 1.0}
+        if certified is not None:
+            inst = certified(seed)
+            x, _ = cc.solve_relaxation(inst)
+        c = cc.derandomize_round(inst, x, scheme, alpha)
+        assert cc.clustering_cost(inst, c) <= alpha * cc.lp_objective(inst, x) + 1e-9
+
+
+def test_derand_logs_one_line_per_step(caplog):
+    n = 5
+    inst = cc.gen_complete_random(n, 0.0, seed=1)
+    x = cc.LpSolution.constant(n, 1.0)  # all pairs cut: n singleton steps
+    with caplog.at_level(logging.DEBUG, logger="ccpivot.rounding"):
+        c = cc.derandomize_round(inst, x, cc.get_scheme("complete206"), 2.06)
+    assert c == cc.Clustering.singletons(n)
+    lines = [r.getMessage() for r in caplog.records if r.name == "ccpivot.rounding"]
+    assert len(lines) == n
+    assert lines[0].startswith(f"derand step 0: {n} active, pivot ")
+    assert lines[-1].startswith(f"derand step {n - 1}: 1 active, pivot ")
+    assert all(", cluster of 1, surplus " in line for line in lines)
 
 
 # -- monte carlo ---------------------------------------------------------------
