@@ -66,7 +66,6 @@ from .oracle import (
     exact_expected_step_cost,
     exact_expected_total_cost,
     integrality_ratio,
-    partitions,
     step_cost_formula,
 )
 from .rng import SplitMix64

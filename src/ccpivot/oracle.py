@@ -3,8 +3,8 @@
 ``brute_force_opt`` minimizes over every partition of the vertex set by
 an exact DP over bit masks: opt[mask] is the cheapest partition of
 mask, taken over the (3^n - 1) / 2 candidate blocks that hold each
-mask's lowest vertex, instead of over the Bell(n) partitions that
-``partitions`` enumerates (the tests price those as the reference).
+mask's lowest vertex, instead of over the Bell(n) partitions (the
+tests enumerate those as the reference).
 It serves every n up to ``MAX_EXACT_N``; tied optima resolve to the
 DP's first minimum, so the argmin is some optimum, not a canonical one.
 
@@ -17,10 +17,23 @@ byte table of popcounts and three chunk buffers of max(_DP_CHUNK,
 2^(n-1)) 8-byte entries (fewer when all (3^n - 1) / 2 candidates fit):
 about 3 MB at n = 16 and 30 MB at the n = 20 wall.
 
-The exact expectations of the randomized pivot algorithm enumerate the
-label coins that are uncertain (0 < lam_plus < 1) in the coin table of
-``rounding.pair_candidates``, then the pivots and memberships; a
-labeled instance has one coin outcome, of probability 1.
+The exact expectations of the randomized pivot algorithm run the same
+kind of DP over active sets, on the marginal cut probabilities p of
+``rounding.cut_probabilities`` alone. A pair's label coin is read at
+most once, when one endpoint pivots while the other is active, and
+given the pivot w every active u joins independently with probability
+1 - p[u, w]; so the expectation is multilinear in the coins and the
+coin mixture p is exact, for the total as for one step. With F[S] the
+expected sum of g over the clusters cut from an active set S,
+
+    F[S] = (1/|S|) sum_{w in S} sum_{w in B <= S}
+           prod_{u in B-w} (1 - p[u, w]) prod_{u in S-B} p[u, w] (g[B] + F[S-B])
+
+and E[ALG] = base + F[V]. The step expectations are its top layer
+(S = V). Both functions serve every class up to ``MAX_EXPECT_N``: the
+DP reads n 3^(n-1) (pivot, cluster) terms, about 0.5 s at n = 14 on a
+2-core host, and holds the two membership products as n x 2^n tables
+(about 4 MB at n = 14).
 """
 
 from __future__ import annotations
@@ -29,45 +42,33 @@ import math
 
 import numpy as np
 
-from .instance import WEIGHTED, Clustering, Instance, pair_iter
+from .instance import Clustering, Instance
 from .lp import LpSolution, solve_relaxation
-from .rounding import (
-    RoundingScheme,
-    cut_probabilities,
-    pair_candidates,
-    pair_model,
-    pivot_terms,
-)
+from .rounding import RoundingScheme, cut_probabilities, pair_model, pivot_terms
 
 MAX_EXACT_N = 20  # the DP's wall: (3^n - 1) / 2 candidate blocks
+MAX_EXPECT_N = 14  # the expectation DP's cap: n 3^(n-1) (pivot, cluster) terms
 _DP_CHUNK = 1 << 16  # DP candidates evaluated per numpy call (masks x blocks)
 
 
-def partitions(n: int):
-    """Every set partition of range(n) exactly once, as assignment arrays.
-
-    Restricted-growth order: element 0 is always in block 0 and each new
-    block id is one more than the current maximum, so the yielded arrays
-    are already in canonical first-occurrence form. Count is the Bell
-    number of n.
-    """
-    if n == 0:
-        yield np.zeros(0, dtype=np.int64)
-        return
-    a = np.zeros(n, dtype=np.int64)
-    m = np.zeros(n, dtype=np.int64)  # m[i] = max block id among a[:i+1]
-    while True:
-        yield a.copy()
-        i = n - 1
-        while i > 0 and a[i] == m[i - 1] + 1:
-            i -= 1
-        if i == 0:
-            return
-        a[i] += 1
-        m[i] = max(m[i - 1], a[i])
-        for j in range(i + 1, n):
-            a[j] = 0
-            m[j] = m[i]
+def _pair_sums(m: np.ndarray) -> np.ndarray:
+    """t[mask] = sum of m[u, v] over the pairs u < v inside mask."""
+    n = m.shape[0]
+    size = 1 << n
+    # peel the lowest bit: a mask with lowest bit `low` is bit + (r << (low+1)),
+    # and its rest r << (low+1) has strictly higher bits, so fill low descending.
+    # link[r] = sum of m[low, j] over the bits j of r << (low+1), added in
+    # ascending j by one doubling step per bit.
+    t = np.zeros(size, dtype=np.float64)
+    idx = np.arange(size)
+    for low in range(n - 1, -1, -1):
+        shift = low + 1
+        link = np.zeros(size >> shift, dtype=np.float64)
+        for j in range(n - shift):
+            np.add(link[: 1 << j], m[low, shift + j], out=link[1 << j : 2 << j])
+        rests = idx[: size >> shift] << shift
+        t[rests + (1 << low)] = t[rests] + link
+    return t
 
 
 def _block_costs(inst: Instance) -> tuple[np.ndarray, float]:
@@ -76,26 +77,17 @@ def _block_costs(inst: Instance) -> tuple[np.ndarray, float]:
     Total cost of a partition is then base + sum of g over its blocks,
     with base the all-singletons cost.
     """
-    n = inst.n
     wp, wm = inst.pair_weights()
-    delta = wm - wp  # joining u, v costs delta[u, v] more than splitting them
-    base = float(np.triu(wp, 1).sum())
-    size = 1 << n
+    # joining u, v costs (wm - wp)[u, v] more than splitting them
+    return _pair_sums(wm - wp), float(np.triu(wp, 1).sum())
 
-    # peel the lowest bit: a mask with lowest bit `low` is bit + (r << (low+1)),
-    # and its rest r << (low+1) has strictly higher bits, so fill low descending.
-    # link[r] = sum of delta[low, j] over the bits j of r << (low+1), added in
-    # ascending j by one doubling step per bit.
-    g = np.zeros(size, dtype=np.float64)
-    idx = np.arange(size)
-    for low in range(n - 1, -1, -1):
-        shift = low + 1
-        link = np.zeros(size >> shift, dtype=np.float64)
-        for j in range(n - shift):
-            np.add(link[: 1 << j], delta[low, shift + j], out=link[1 << j : 2 << j])
-        rests = idx[: size >> shift] << shift
-        g[rests + (1 << low)] = g[rests] + link
-    return g, base
+
+def _popcounts(n: int) -> np.ndarray:
+    """popcount[mask] for every mask of n bits, by doubling."""
+    popcount = np.zeros(1 << n, dtype=np.int8)
+    for j in range(n):
+        np.add(popcount[: 1 << j], 1, out=popcount[1 << j : 2 << j])
+    return popcount
 
 
 def _brute_force_subset_dp(inst: Instance) -> tuple[Clustering, float]:
@@ -105,9 +97,7 @@ def _brute_force_subset_dp(inst: Instance) -> tuple[Clustering, float]:
     g, base = _block_costs(inst)
     opt = np.full(size, np.inf, dtype=np.float64)
     opt[0] = 0.0
-    popcount = np.zeros(size, dtype=np.int8)
-    for j in range(n):
-        np.add(popcount[: 1 << j], 1, out=popcount[1 << j : 2 << j])
+    popcount = _popcounts(n)
     # a chunk holds at most max(_DP_CHUNK, size / 2) of all (3^n - 1) / 2 candidates
     cap = min(max(_DP_CHUNK, size >> 1), 3**n // 2)
     bufs = (np.empty(cap, dtype=np.int64), np.empty(cap), np.empty(cap))
@@ -162,13 +152,14 @@ def _brute_force_subset_dp(inst: Instance) -> tuple[Clustering, float]:
     return Clustering(assignment), float(base + opt[size - 1])
 
 
+def _refuse_above(inst: Instance, cap: int, name: str, what: str) -> None:
+    if inst.n > cap:
+        raise ValueError(f"{what} instances up to n = {cap} ({name}); this one has n = {inst.n}")
+
+
 def brute_force_opt(inst: Instance) -> tuple[Clustering, float]:
     """Global minimum clustering cost and one argmin, for n <= MAX_EXACT_N."""
-    if inst.n > MAX_EXACT_N:
-        raise ValueError(
-            f"the exact oracle solves instances up to n = {MAX_EXACT_N} "
-            f"(MAX_EXACT_N); this one has n = {inst.n}"
-        )
+    _refuse_above(inst, MAX_EXACT_N, "MAX_EXACT_N", "the exact oracle solves")
     return _brute_force_subset_dp(inst)
 
 
@@ -185,76 +176,56 @@ def integrality_ratio(inst: Instance) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive expectations
+# exact expectations of the randomized pivot algorithm
 # ---------------------------------------------------------------------------
 
 
-def _join_outcomes(p: np.ndarray, verts: list, w: int):
-    """(members, probability) of each outcome of pivot w; u joins w.p. 1 - p[u, w]."""
-    others = [u for u in verts if u != w]
-    for bits in range(1 << len(others)):
-        members = {w}
-        prob = 1.0
-        for i, u in enumerate(others):
-            join = (bits >> i) & 1
-            q = 1.0 - p[u, w]
-            prob *= q if join else 1.0 - q
-            if join:
-                members.add(u)
-        if prob != 0.0:
-            yield members, prob
+def _membership_tables(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(stay, cut): stay[w, mask] = prod of 1 - p[u, w] and cut[w, mask] =
+    prod of p[u, w] over the bits u of mask, filled by doubling.
 
-
-def _coin_outcomes(inst: Instance, x: LpSolution, scheme: RoundingScheme):
-    """(probability, cut-probability matrix) of each outcome of the label coins.
-
-    Only the pairs with 0 < lam_plus < 1 flip, in pair_iter order; every
-    other coin is certain, so a labeled instance has a single outcome of
-    probability 1.
+    p has a zero diagonal, so the pivot's own bit leaves stay unchanged.
     """
-    fp, fm, lam = pair_candidates(inst, x, scheme)
-    coins = [(u, v) for u, v in pair_iter(inst.n) if 0.0 < lam[u, v] < 1.0]
-    plus = lam == 1.0
-    for bits in range(1 << len(coins)):
-        prob = 1.0
-        for i, (u, v) in enumerate(coins):
-            up = (bits >> i) & 1
-            prob *= lam[u, v] if up else 1.0 - lam[u, v]
-            plus[u, v] = plus[v, u] = up
-        p = np.where(plus, fp, fm)
-        np.fill_diagonal(p, 0.0)
-        yield prob, p
-
-
-def _step_masses(verts: list, members: set, wp, wm, L) -> tuple[float, float]:
-    """(violated mass, LP mass removed) of one step over the pairs of verts."""
-    alg = 0.0
-    lpmass = 0.0
-    for ui, u in enumerate(verts):
-        for v in verts[ui + 1:]:
-            u_in, v_in = u in members, v in members
-            if u_in != v_in:
-                alg += wp[u, v]
-            elif u_in:
-                alg += wm[u, v]
-            if u_in or v_in:
-                lpmass += L[u, v]
-    return alg, lpmass
-
-
-def _enumerate_step(p: np.ndarray, wp: np.ndarray, wm: np.ndarray,
-                    L: np.ndarray) -> tuple[float, float]:
-    """Step-0 expectations by brute enumeration of pivot and memberships."""
     n = p.shape[0]
-    verts = list(range(n))
-    e_alg = 0.0
-    e_lp = 0.0
-    for w in verts:
-        for members, prob in _join_outcomes(p, verts, w):
-            alg, lpmass = _step_masses(verts, members, wp, wm, L)
-            e_alg += prob * alg / n
-            e_lp += prob * lpmass / n
-    return e_alg, e_lp
+    stay = np.ones((n, 1 << n), dtype=np.float64)
+    cut = np.ones((n, 1 << n), dtype=np.float64)
+    for u in range(n):
+        lo, hi = slice(0, 1 << u), slice(1 << u, 2 << u)
+        np.multiply(stay[:, lo], (1.0 - p[u])[:, None], out=stay[:, hi])
+        np.multiply(cut[:, lo], p[u][:, None], out=cut[:, hi])
+    return stay, cut
+
+
+def _first_clusters(masks: np.ndarray, k: int, stay: np.ndarray,
+                    cut: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(blocks, rests, prob) for active sets of popcount k, one row per mask.
+
+    Column c of a row is the submask B picked by the binary digits of c
+    over the mask's bits in ascending order, rests = mask - B, and prob
+    is the chance that the first pivot's cluster is B: the pivot w is
+    uniform on the mask, every other u joins w.p. 1 - p[u, w]. Each
+    row's prob sums to 1 (the empty column has 0).
+    """
+    n = stay.shape[0]
+    rows = len(masks)
+    _rows, pos = np.nonzero((masks[:, None] >> np.arange(n)) & 1)
+    pos = pos.reshape(rows, k)
+    blocks = np.zeros((rows, 1 << k), dtype=np.int64)
+    for j in range(k):
+        np.add(blocks[:, : 1 << j], np.left_shift(1, pos[:, j : j + 1]),
+               out=blocks[:, 1 << j : 2 << j])
+    rests = masks[:, None] - blocks
+    prob = np.zeros((rows, 1 << k), dtype=np.float64)
+    stay, cut = stay.ravel(), cut.ravel()
+    for j in range(k):
+        # the blocks holding pivot pos[:, j] are the columns with digit j set
+        shape = (rows, 1 << (k - 1 - j), 2, 1 << j)
+        held = (slice(None), slice(None), 1)
+        row_of_w = (pos[:, j] << n)[:, None, None]
+        prob.reshape(shape)[held] += (stay[row_of_w + blocks.reshape(shape)[held]]
+                                      * cut[row_of_w + rests.reshape(shape)[held]])
+    prob /= k
+    return blocks, rests, prob
 
 
 def exact_expected_step_cost(
@@ -262,23 +233,24 @@ def exact_expected_step_cost(
 ) -> dict:
     """Exact E[violations] and E[LP removed] of the first pivot step.
 
-    Computed by enumerating the uncertain label coins, the pivot and all
-    2^(n-1) membership outcomes. Weighted instances flip a coin on every
-    pair, so they are capped at n = 5 (2^10 coin outcomes; n = 6 has 2^15
-    and takes tens of seconds), labeled ones at n = 12. Matches the
-    pairwise closed form.
+    The top layer (S = V) of the expectation DP, for n <= MAX_EXPECT_N
+    on every class: the violated mass of cluster B is g[B] + WP(V) -
+    WP(V - B) and the LP mass removed is LS(V) - LS(V - B), with WP and
+    LS the pair sums of W+ and L. Matches the pairwise closed form.
     """
-    cap = 5 if inst.kind == WEIGHTED else 12
-    if inst.n > cap:
-        raise ValueError(f"step-cost enumeration capped at n = {cap} for {inst.kind} instances")
-    model = pair_model(inst, x)  # the enumeration reads no self-loop
-    e_alg = 0.0
-    e_lp = 0.0
-    for prob, p in _coin_outcomes(inst, x, scheme):
-        a, l = _enumerate_step(p, *model)
-        e_alg += prob * a
-        e_lp += prob * l
-    return {"e_alg_0": e_alg, "e_lp_0": e_lp}
+    _refuse_above(inst, MAX_EXPECT_N, "MAX_EXPECT_N", "the exact expectations handle")
+    n = inst.n
+    if n == 0:  # no vertex, no pivot step
+        return {"e_alg_0": 0.0, "e_lp_0": 0.0}
+    full = np.array([(1 << n) - 1])
+    tables = _membership_tables(cut_probabilities(inst, x, scheme))
+    blocks, rests, prob = (a[0] for a in _first_clusters(full, n, *tables))
+    wp, wm = inst.pair_weights()
+    g, kept = _pair_sums(wm - wp), _pair_sums(wp)
+    lp_kept = _pair_sums(pair_model(inst, x)[2])
+    e_alg = prob @ (g[blocks] + kept[-1] - kept[rests])
+    e_lp = lp_kept[-1] - prob @ lp_kept[rests]
+    return {"e_alg_0": float(e_alg), "e_lp_0": float(e_lp)}
 
 
 def step_cost_formula(inst: Instance, x: LpSolution, scheme: RoundingScheme) -> dict:
@@ -306,39 +278,23 @@ def exact_expected_total_cost(
 ) -> float:
     """Exact expected final cost of the randomized pivot algorithm.
 
-    Recursion over active sets with memoization per coin outcome;
-    exponential, meant for cross-checking Monte-Carlo runs at n <= 6
-    (weighted: n <= 4, since the label coins are enumerated too).
+    F[S] = sum over first clusters B of Pr(B) (g[B] + F[S - B]), filled
+    layer by layer in popcount order like the OPT DP, in chunks of at
+    most _DP_CHUNK (mask, cluster) columns; E[ALG] = base + F[V]. For
+    n <= MAX_EXPECT_N on every class.
     """
-    cap = 4 if inst.kind == WEIGHTED else 6
-    if inst.n > cap:
-        raise ValueError(f"total-cost enumeration capped at n = {cap} for {inst.kind} instances")
-    model = pair_model(inst, x)
-    total = 0.0
-    for prob, p in _coin_outcomes(inst, x, scheme):
-        total += prob * _expected_total(p, model)
-    return total
-
-
-def _expected_total(p: np.ndarray, model) -> float:
-    n = p.shape[0]
-    memo: dict[int, float] = {0: 0.0}
-
-    def solve(mask: int) -> float:
-        if mask in memo:
-            return memo[mask]
-        verts = [u for u in range(n) if (mask >> u) & 1]
-        total = 0.0
-        for w in verts:
-            acc = 0.0
-            for members, prob in _join_outcomes(p, verts, w):
-                step_cost, _lp = _step_masses(verts, members, *model)
-                rest = mask
-                for u in members:
-                    rest ^= 1 << u
-                acc += prob * (step_cost + solve(rest))
-            total += acc / len(verts)
-        memo[mask] = total
-        return total
-
-    return solve((1 << n) - 1)
+    _refuse_above(inst, MAX_EXPECT_N, "MAX_EXPECT_N", "the exact expectations handle")
+    n = inst.n
+    g, base = _block_costs(inst)
+    tables = _membership_tables(cut_probabilities(inst, x, scheme))
+    popcount = _popcounts(n)
+    F = np.zeros(1 << n, dtype=np.float64)
+    for k in range(1, n + 1):
+        layer = np.flatnonzero(popcount == k)
+        step = max(1, _DP_CHUNK >> k)
+        for lo in range(0, len(layer), step):
+            masks = layer[lo : lo + step]
+            blocks, rests, prob = _first_clusters(masks, k, *tables)
+            # the empty column reads F[mask] itself, still 0, with prob 0
+            F[masks] = (prob * (g[blocks] + F[rests])).sum(axis=1)
+    return float(base + F[-1])

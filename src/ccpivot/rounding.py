@@ -352,8 +352,10 @@ def pair_candidates(inst: Instance, x: LpSolution, scheme: RoundingScheme):
 def cut_probabilities(inst: Instance, x: LpSolution, scheme: RoundingScheme) -> np.ndarray:
     """Expected cut probability of every pair, zero diagonal: the coin
     mixture lam_plus f_plus + (1 - lam_plus) f_minus of the coin table
-    (the scheme's value itself on labeled pairs; exact in the step
-    expectations, which are multilinear in the independent coins).
+    (the scheme's value itself on labeled pairs). It is exact in the
+    step expectations and in the expected total cost alike: a pair's
+    coin is read at most once, when one endpoint pivots while the other
+    is active, so both are multilinear in the independent coins.
     """
     fp, fm, lam = pair_candidates(inst, x, scheme)
     p = lam * fp + (1.0 - lam) * fm

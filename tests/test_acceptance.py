@@ -12,6 +12,7 @@ import pytest
 
 import ccpivot as cc
 from ccpivot.rng import SplitMix64
+from exhaustive import partitions
 
 S206 = cc.get_scheme("complete206")
 KP3 = cc.get_scheme("kpartite3")
@@ -218,6 +219,24 @@ def test_criterion_07_randomized_guarantee(complete_family):
               f"(worst margin {worst:.3f}); exact step inequality holds everywhere")
 
 
+def test_criterion_07_exact_randomized_guarantee(complete_family, kpartite_family):
+    # the guarantees bound E[ALG] itself; the expectation DP computes it exactly
+    suite = [("complete206", 2.06, inst, x, stats) for inst, x, stats, _ in complete_family]
+    suite += [("kpartite3", 3.0, inst, x, stats) for inst, x, stats in kpartite_family]
+    for k in range(2, 7):
+        inst = cc.gen_gap_triangle_ineq(k)
+        suite.append(("weighted_ti_150", 1.5, inst, *cc.solve_relaxation(inst)))
+    worst = {}
+    for name, alpha, inst, x, stats in suite:
+        e_alg = cc.exact_expected_total_cost(inst, x, cc.get_scheme(name))
+        assert e_alg <= alpha * stats.objective + 1e-9
+        if stats.objective > 1e-12:
+            worst[name] = max(worst.get(name, 0.0), e_alg / stats.objective)
+    assert len(suite) == 155
+    report(7, "exact E[ALG] <= alpha * LP on all 155 instances; largest E/LP "
+              + ", ".join(f"{name} {r:.3f}" for name, r in worst.items()))
+
+
 def test_criterion_08_relaxation_sanity(complete_family, kpartite_family):
     suite = [(inst, x, stats) for inst, x, stats, _ in complete_family]
     suite += list(kpartite_family)
@@ -244,7 +263,7 @@ def test_criterion_08_relaxation_sanity(complete_family, kpartite_family):
 def test_criterion_09_gap_reproduction():
     inst4 = cc.gen_gap_triangle_ineq(4)
     copt, opt = cc.brute_force_opt(inst4)
-    n_partitions = sum(1 for _ in cc.partitions(8))
+    n_partitions = sum(1 for _ in partitions(8))
     assert n_partitions == 4140
     assert opt == pytest.approx(40.0 / 3.0, abs=1e-9)
     assert copt == cc.Clustering.single_cluster(8)

@@ -5,7 +5,8 @@ import pytest
 
 import ccpivot as cc
 from ccpivot.instance import assignment_cost
-from ccpivot.oracle import MAX_EXACT_N, _brute_force_subset_dp
+from ccpivot.oracle import MAX_EXACT_N, MAX_EXPECT_N, _brute_force_subset_dp
+from exhaustive import expected_step, expected_total, partitions
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 
@@ -13,7 +14,7 @@ BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 def exhaustive_opt(inst, batch=4096):
     """Minimum cost over every partition of inst, priced in batches."""
     wp, wm = inst.pair_weights()
-    parts = cc.partitions(inst.n)
+    parts = partitions(inst.n)
     best = np.inf
     while chunk := list(islice(parts, batch)):
         best = min(best, assignment_cost(np.array(chunk), wp, wm).min())
@@ -29,13 +30,13 @@ def k3(labels_ut):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_partition_counts_are_bell_numbers(n):
-    count = sum(1 for _ in cc.partitions(n))
+    count = sum(1 for _ in partitions(n))
     assert count == BELL[n]
 
 
 def test_partitions_distinct_and_canonical():
     seen = set()
-    for a in cc.partitions(5):
+    for a in partitions(5):
         key = tuple(a.tolist())
         assert key not in seen
         seen.add(key)
@@ -62,7 +63,7 @@ def test_brute_force_gap_ti_single_cluster():
 
 def test_brute_force_matches_exhaustive_scan():
     inst = cc.gen_complete_random(7, 0.5, seed=3)
-    best = min(cc.clustering_cost(inst, cc.Clustering(a)) for a in cc.partitions(7))
+    best = min(cc.clustering_cost(inst, cc.Clustering(a)) for a in partitions(7))
     _c, cost = cc.brute_force_opt(inst)
     assert cost == pytest.approx(best)
 
@@ -70,6 +71,8 @@ def test_brute_force_matches_exhaustive_scan():
 def small_instance(kind, n, seed):
     if kind == "complete":
         return cc.gen_complete_random(n, 0.5, seed)
+    if kind == "planted":
+        return cc.gen_planted(n, min(n, 2), 0.2, seed)[0]
     if kind == "kpartite":  # up to three parts, none empty
         sizes = [(n + i) // 3 for i in range(3)]
         return cc.gen_kpartite_random([s for s in sizes if s], 0.5, seed)
@@ -183,18 +186,54 @@ def test_weighted_enumeration_matches_mixture_formula():
     assert enum["e_lp_0"] == pytest.approx(formula["e_lp_0"], abs=1e-12)
 
 
-def test_weighted_enumeration_cap():
-    # n = 5 is the largest weighted size enumerated: 2^10 coin outcomes
-    s = cc.get_scheme("weighted_ti_150")
-    inst = cc.gen_weighted_random(5, seed=8)
-    x = cc.LpSolution.constant(5, 0.3)
-    enum = cc.exact_expected_step_cost(inst, x, s)
+EXPECT_SCHEMES = {"complete": "complete206", "planted": "acn_linear",
+                  "kpartite": "kpartite3", "weighted": "weighted_ti_150"}
+
+
+def fractional_point(n, seed):
+    # an arbitrary point in the box, so every cut probability is fractional
+    return cc.LpSolution(n, np.random.default_rng(seed).uniform(size=n * (n - 1) // 2))
+
+
+@pytest.mark.parametrize("kind", list(EXPECT_SCHEMES))
+@pytest.mark.parametrize("n", range(1, 6))
+def test_expectations_match_coin_enumeration(kind, n):
+    # the reference flips every label coin and never reads cut_probabilities
+    inst = small_instance(kind, n, seed=40 + n)
+    s = cc.get_scheme(EXPECT_SCHEMES[kind])
+    for x in (fractional_point(n, n), cc.solve_relaxation(inst)[0]):
+        step, ref = cc.exact_expected_step_cost(inst, x, s), expected_step(inst, x, s)
+        for key in ("e_alg_0", "e_lp_0"):
+            assert step[key] == pytest.approx(ref[key], rel=1e-12, abs=1e-15)
+        if kind == "weighted" and n > 4:  # 2^10 coin outcomes, each a full recursion
+            continue
+        total = cc.exact_expected_total_cost(inst, x, s)
+        assert total == pytest.approx(expected_total(inst, x, s), rel=1e-12, abs=1e-15)
+
+
+def test_expectations_of_the_empty_instance():
+    inst = cc.Instance.complete(np.zeros((0, 0), dtype=np.int8))
+    x, s = cc.LpSolution.constant(0, 0.5), cc.get_scheme("complete206")
+    assert cc.exact_expected_step_cost(inst, x, s) == {"e_alg_0": 0.0, "e_lp_0": 0.0}
+    assert cc.exact_expected_total_cost(inst, x, s) == 0.0
+
+
+@pytest.mark.parametrize("kind", list(EXPECT_SCHEMES))
+def test_expectation_cap(kind):
+    s = cc.get_scheme(EXPECT_SCHEMES[kind])
+    n = MAX_EXPECT_N
+    inst = small_instance(kind, n, seed=9)
+    x = fractional_point(n, 9)
+    step = cc.exact_expected_step_cost(inst, x, s)
     formula = cc.step_cost_formula(inst, x, s)
-    assert enum["e_alg_0"] == pytest.approx(formula["e_alg_0"], abs=1e-12)
-    assert enum["e_lp_0"] == pytest.approx(formula["e_lp_0"], abs=1e-12)
-    with pytest.raises(ValueError, match="capped at n = 5 for weighted"):
-        cc.exact_expected_step_cost(cc.gen_weighted_random(6, seed=8),
-                                    cc.LpSolution.constant(6, 0.3), s)
+    for key in ("e_alg_0", "e_lp_0"):
+        assert step[key] == pytest.approx(formula[key], rel=1e-12)
+    assert cc.exact_expected_total_cost(inst, x, s) >= cc.brute_force_opt(inst)[1] - 1e-9
+    big = small_instance(kind, n + 1, seed=9)
+    x = cc.LpSolution.constant(n + 1, 0.3)
+    for fn in (cc.exact_expected_step_cost, cc.exact_expected_total_cost):
+        with pytest.raises(ValueError, match=f"up to n = {n} \\(MAX_EXPECT_N\\)"):
+            fn(big, x, s)
 
 
 def test_triple_sum_upper_bounds_enumeration():
