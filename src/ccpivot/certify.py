@@ -399,7 +399,9 @@ def certify(
     # each assignment's lowest grid surplus, the first in sweep order
     found = {types: (math.inf, None) for c in canonicals for types in _assignments(c)}
     rows = list(found)
+    points = 0  # surplus evaluations, grid and corners
     for family, lengths in _labeled_batches(use_full, grid_step):
+        points += len(rows) * len(lengths[0])
         for types, s in zip(rows, _type_surpluses(rows, lengths, scheme, alpha)):
             found[types] = _lowest(found[types], s, lambda i: {
                 "types": "".join(types), "family": family,
@@ -413,6 +415,7 @@ def certify(
         for types in _assignments(canonical):
             label = "".join(types)
             triples = _metric_triples(*(corners[t] for t in types))
+            points += len(triples)
             s = next(_type_surpluses([types], list(zip(*triples)), scheme, alpha))
             corner_rows += [{"types": label, "lengths": list(t), "surplus": float(v)}
                             for t, v in zip(triples, s)]
@@ -425,7 +428,8 @@ def certify(
         )
     return CertificateReport(scheme=scheme.name, alpha=alpha, graph_class=graph_class,
                              grid_step=grid_step, tol=tol, eligible=elig.eligible,
-                             used_full_grid=use_full, results=results)
+                             used_full_grid=use_full, results=results,
+                             sweep={"surplus_points": points})
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,9 @@ WEIGHT_SUM_TOL = 1e-9
 # Guard for weighted_to_unweighted: N * n beyond this is refused.
 MAX_BLOWUP_VERTICES = 20_000
 
+# Entries per block of the triangle scan: 8 MB of float64.
+_SCAN_BLOCK = 1 << 20
+
 
 class FormatError(ValueError):
     """Malformed instance text (bad header, bad line, broken invariant)."""
@@ -158,31 +161,41 @@ class Instance:
         return float(np.triu(wp + wm, 1).sum())
 
 
-def triangle_slabs(d: np.ndarray):
-    """(u, slab) per vertex u of a symmetric d: one n x n slab at a time.
+def triangle_blocks(d: np.ndarray):
+    """(u0, g) per block of pivot rows u0 <= u < u0 + len(g) of a symmetric d.
 
-    slab[v, w] = d[u,w] - d[u,v] - d[v,w] on distinct u < w, v, else -inf.
+    g[i, v, w] = d[u,w] - d[u,v] - d[v,w] for u = u0 + i on distinct
+    u < w, v, else -inf. A block holds at most max(n^2, _SCAN_BLOCK)
+    entries, so n <= 101 is one block, and the blocks in order flatten
+    to the n x n x n tensor in (u, v, w) order.
     """
-    for u in range(d.shape[0]):
+    n = d.shape[0]
+    rows = max(1, _SCAN_BLOCK // max(1, n * n))
+    idx = np.arange(n)
+    for u0 in range(0, n, rows):
+        du, u = d[u0:u0 + rows], idx[u0:u0 + rows, None, None]
         with np.errstate(invalid="ignore"):  # inf - inf gives a NaN gap
-            slab = d[u][None, :] - d[u][:, None] - d
-        slab[:, :u + 1] = slab[u, :] = -math.inf
-        np.fill_diagonal(slab, -math.inf)
-        yield u, slab
+            g = du[:, None, :] - du[:, :, None] - d
+        g[(idx <= u) | (idx[:, None] == u) | (idx[:, None] == idx)] = -math.inf  # w <= u, v = u, v = w
+        yield u0, g
 
 
 def worst_triangle(d: np.ndarray) -> tuple[float, tuple | None]:
     """(gap, (u, v, w)) maximizing d[u,w] - d[u,v] - d[v,w] over distinct u < w, v.
 
     d is symmetric. Ties go to the first triple in (u, v, w) order, NaN
-    gaps are skipped, and memory stays O(n^2): one n x n slab per u.
-    With fewer than three vertices the result is (-inf, None).
+    gaps are skipped, and memory stays within one block of
+    max(n^2, _SCAN_BLOCK) entries. With fewer than three vertices the
+    result is (-inf, None).
     """
     best, where = -math.inf, None
-    for u, slab in triangle_slabs(d):
-        v, w = divmod(int(np.nanargmax(slab)), d.shape[0])
-        if slab[v, w] > best:
-            best, where = float(slab[v, w]), (u, v, w)
+    for u0, g in triangle_blocks(d):
+        i = int(g.argmax())  # the first NaN if there is one; nanargmax is slower
+        if math.isnan(g.flat[i]):
+            i = int(np.nanargmax(g))
+        if g.flat[i] > best:
+            u, vw = divmod(i, d.shape[0] ** 2)
+            best, where = float(g.flat[i]), (u0 + u, *divmod(vw, d.shape[0]))
     return best, where
 
 

@@ -14,7 +14,9 @@ rule after DEGENERATE_RUN degenerate pivots in a row, so it cannot cycle.
 The loop ends when the working set is optimal and the separation scan
 is empty; the result is then checked apart from the tableau, by a dual
 bound built from the final triangle multipliers and by
-validate_solution.
+validate_solution. Both triangle scans (separation, validate_solution's
+worst triangle) are numpy passes of instance.triangle_blocks: the whole
+n x n x n gap tensor at once up to n = 101, with no loop per vertex.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import FormatError, Instance, _json_typed, triangle_slabs, worst_triangle
+from .instance import FormatError, Instance, _json_typed, triangle_blocks, worst_triangle
 
 FEAS_TOL = 1e-6          # separation / reported-solution feasibility
 SIMPLEX_TOL = 1e-8       # pivot feasibility tolerance inside the simplex
@@ -106,7 +108,7 @@ class LpStats:
     # Lagrangian lower bound on the full relaxation and objective minus it
     dual_bound: float = 0.0
     gap: float = 0.0
-    # one dict per round: cuts added, dual pivots, seconds
+    # one dict per round: cuts added, dual pivots, seconds, scan_seconds (its separation scan)
     rounds: list = field(default_factory=list)
 
 
@@ -144,17 +146,24 @@ def lp_objective(inst: Instance, x: LpSolution) -> float:
 
 
 def separate_triangle_violations(x: LpSolution, tol: float = FEAS_TOL):
-    """All triples with x_uw - x_uv - x_vw > tol, worst first.
+    """All triples with x_uw - x_uv - x_vw > tol, worst first, ties in (u, v, w) order.
 
     Returned as (u, v, w, violation) with v the middle vertex of the
-    violated constraint x_uv + x_vw >= x_uw. Full cubic scan.
+    violated constraint x_uv + x_vw >= x_uw. A hit's flat index into the
+    n x n x n tensor of triangle_blocks is its (u, v, w) rank.
     """
-    found = []
-    for u, slab in triangle_slabs(x.matrix):
-        vs, ws = np.nonzero(slab > tol)
-        found += [(u, v, w, g) for v, w, g in zip(vs.tolist(), ws.tolist(), slab[vs, ws].tolist())]
-    found.sort(key=lambda t: (-t[3], t[0], t[1], t[2]))
-    return found
+    n = x.n
+    flats, gaps = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for u0, g in triangle_blocks(x.matrix):
+        i = (g > tol).ravel().nonzero()[0]
+        flats.append(i + u0 * n * n)
+        gaps.append(g.ravel()[i])
+    flat, gap = np.concatenate(flats), np.concatenate(gaps)
+    if len(flat) == 0:
+        return []
+    order = np.lexsort((flat, -gap))
+    u, v, w = np.unravel_index(flat[order], (n, n, n))
+    return list(zip(u.tolist(), v.tolist(), w.tolist(), gap[order].tolist()))
 
 
 def validate_solution(x: LpSolution, tol: float = FEAS_TOL) -> ValidationReport:
@@ -364,13 +373,16 @@ def solve_relaxation(inst: Instance, tol: float = FEAS_TOL) -> tuple[LpSolution,
         pivots = tab.dual()
         x = LpSolution(n, tab.point())
         obj = float(coeff @ x.vec) + const
+        scan = time.perf_counter()
         viols = separate_triangle_violations(x, tol)
-        seconds = time.perf_counter() - start
+        end = time.perf_counter()
+        seconds, scan_seconds = end - start, end - scan
         stats.separation_rounds += 1
         stats.round_objectives.append(obj)
-        stats.rounds.append({"cuts": len(new), "dual_pivots": pivots, "seconds": seconds})
-        log.debug("round %d: objective %.9g, %d cuts, %d dual pivots, %.3f s",
-                  stats.separation_rounds, obj, len(new), pivots, seconds)
+        stats.rounds.append({"cuts": len(new), "dual_pivots": pivots, "seconds": seconds,
+                             "scan_seconds": scan_seconds})
+        log.debug("round %d: objective %.9g, %d cuts, %d dual pivots, %.3f s (scan %.3f s)",
+                  stats.separation_rounds, obj, len(new), pivots, seconds, scan_seconds)
         if not viols:
             break
         if stats.separation_rounds >= MAX_ROUNDS:
@@ -383,7 +395,7 @@ def solve_relaxation(inst: Instance, tol: float = FEAS_TOL) -> tuple[LpSolution,
     stats.iterations = tab.pivots
     stats.constraints_generated = len(cuts)
     stats.final_constraints = sorted(seen)
-    stats.objective = lp_objective(inst, x)
+    stats.objective = float(coeff @ x.vec + const)
     stats.dual_bound = _dual_bound(coeff, const, cuts, tab.multipliers())
     stats.gap = stats.objective - stats.dual_bound
     if stats.gap > GAP_TOL * max(1.0, abs(stats.objective)):

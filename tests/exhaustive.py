@@ -1,4 +1,4 @@
-"""Exhaustive references for the exact oracle.
+"""Exhaustive references for the exact oracle and the triangle scan.
 
 ``partitions`` enumerates every set partition (the reference for the
 subset DP's optimum). ``expected_step`` and ``expected_total`` price the
@@ -8,7 +8,13 @@ coin outcome enumerate the pivots and all membership outcomes. They
 never read the coin mixture ``cut_probabilities``, so they check the
 oracle's claim that the mixture is exact. Exponential in the coins too:
 weighted instances stop at n = 4 (total) and n = 5 (step).
+
+``slab_separation`` and ``slab_worst_triangle`` scan the triangle gaps
+one n x n slab per vertex u with a Python sort, the reference for the
+blocked tensor pass of ``instance.triangle_blocks``.
 """
+
+import math
 
 import numpy as np
 
@@ -152,3 +158,36 @@ def expected_total(inst, x, scheme) -> float:
     model = pair_model(inst, x)
     return sum(prob * expected_given_coins(p, model)
                for prob, p in coin_outcomes(inst, x, scheme))
+
+
+def triangle_slabs(d: np.ndarray):
+    """(u, slab) per vertex u of a symmetric d: one n x n slab at a time.
+
+    slab[v, w] = d[u,w] - d[u,v] - d[v,w] on distinct u < w, v, else -inf.
+    """
+    for u in range(d.shape[0]):
+        with np.errstate(invalid="ignore"):  # inf - inf gives a NaN gap
+            slab = d[u][None, :] - d[u][:, None] - d
+        slab[:, :u + 1] = slab[u, :] = -math.inf
+        np.fill_diagonal(slab, -math.inf)
+        yield u, slab
+
+
+def slab_separation(d: np.ndarray, tol: float) -> list:
+    """(u, v, w, gap) of every gap > tol, by -gap, then u, v, w."""
+    found = []
+    for u, slab in triangle_slabs(d):
+        vs, ws = np.nonzero(slab > tol)
+        found += [(u, v, w, g) for v, w, g in zip(vs.tolist(), ws.tolist(), slab[vs, ws].tolist())]
+    found.sort(key=lambda t: (-t[3], t[0], t[1], t[2]))
+    return found
+
+
+def slab_worst_triangle(d: np.ndarray) -> tuple:
+    """(gap, (u, v, w)) of the largest non-NaN gap, the first in (u, v, w) order."""
+    best, where = -math.inf, None
+    for u, slab in triangle_slabs(d):
+        v, w = divmod(int(np.nanargmax(slab)), d.shape[0])
+        if slab[v, w] > best:
+            best, where = float(slab[v, w]), (u, v, w)
+    return best, where

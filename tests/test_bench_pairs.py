@@ -1,6 +1,7 @@
 """The pair-run driver's summary and its refusals, without running the benchmark."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,45 @@ def test_summarize_one_pair():
     assert s["wall_s"]["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0, "iqr": 0.0,
                                      "values": [2.0]}
     assert s["wall_s"]["change_lower"] == 1 and s["peak_rss_mb"]["change_lower"] == 0
+
+
+def record(host, wall, p50):
+    return {"workload": "solve", "host_factor": host, "raw": {"wall_s": wall, "task_p50_ms": p50}}
+
+
+def test_calibration_medians_per_side():
+    # the host factor moves while the raw work stays put: a calibration shift
+    parent = [record(0.83, 1.08, 225.0), record(0.82, 1.10, 224.0), record(0.84, 1.07, 226.0)]
+    change = [record(0.85, 1.07, 224.0), record(0.86, 1.09, 223.0), record(0.84, 1.08, 221.0)]
+    pairs = [{"parent": result(1.0, 100.0) | {"record": p}, "change": result(1.0, 100.0) | {"record": c}}
+             for p, c in zip(parent, change)]
+    cal = bench_pairs.calibration(pairs)
+    assert cal == {
+        "parent": {"host_factor": 0.83, "raw_wall_s": 1.08, "raw_task_p50_ms": 225.0},
+        "change": {"host_factor": 0.85, "raw_wall_s": 1.08, "raw_task_p50_ms": 223.0},
+    }
+
+
+def test_calibration_of_one_pair_is_its_record():
+    pairs = [{"parent": result(2.0, 100.0) | {"record": record(0.9, 2.2, 9.0)},
+              "change": result(1.0, 100.0) | {"record": record(1.1, 0.9, 4.5)}}]
+    assert bench_pairs.calibration(pairs)["change"] == {
+        "host_factor": 1.1, "raw_wall_s": 0.9, "raw_task_p50_ms": 4.5}
+
+
+def test_main_writes_the_calibration(tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text('{"run_seconds": 1}')
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    fake = {"parent": record(0.8, 1.0, 5.0), "change": record(0.9, 1.0, 5.0)}
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, workload, seed, seconds:
+                        result(1.0, 100.0) | {"record": fake[checkout.name]})
+    bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                      "--workload", "solve", "--pairs", "2", "--seed", "1", "--label", "t"])
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert doc["calibration"]["parent"]["host_factor"] == 0.8
+    assert doc["calibration"]["change"]["host_factor"] == 0.9
 
 
 def test_refuses_checkouts_of_unequal_path_length(tmp_path, capsys):

@@ -317,7 +317,7 @@ def test_lp_meta_carries_certificate_and_rounds(tmp_path):
     assert abs(meta["gap"]) <= 1e-9
     assert len(meta["rounds"]) == meta["separation_rounds"]
     assert sum(r["cuts"] for r in meta["rounds"]) == meta["constraints_generated"]
-    assert set(meta["rounds"][0]) == {"cuts", "dual_pivots", "seconds"}
+    assert set(meta["rounds"][0]) == {"cuts", "dual_pivots", "seconds", "scan_seconds"}
 
 
 def test_lp_refuses_instances_past_the_size_limit(tmp_path, capsys):

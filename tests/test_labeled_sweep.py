@@ -10,6 +10,7 @@ corner rows.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -135,3 +136,32 @@ def test_tight_sweep_matches_reference(name, graph_class, alpha, step):
 ])
 def test_full_grid_matches_reference(graph_class, alpha):
     assert_matches_reference(DECREASING_NEUTRAL, alpha, graph_class, 0.1, full_grid=True)
+
+
+def metric_count(triples):
+    return sum(1 for t in triples
+               if all(t[i] <= t[(i + 1) % 3] + t[(i + 2) % 3] + 1e-12 for i in range(3)))
+
+
+@pytest.mark.parametrize("scheme, graph_class, alpha, step, full_grid", [
+    (S206, "complete", 2.06, 0.005, False),
+    (cc.get_scheme("kpartite3"), "kpartite", 3.0, 0.05, False),
+    (DECREASING_NEUTRAL, "complete", 2.06, 0.1, True),
+    (DECREASING_NEUTRAL, "kpartite", 3.0, 0.1, True),
+])
+def test_report_meta_counts_swept_points(scheme, graph_class, alpha, step, full_grid):
+    # every assignment is priced on each grid point, then on its own corners
+    rep = cc.certify(scheme, alpha, graph_class, grid_step=step)
+    assert rep.used_full_grid == full_grid
+    k = round(1 / step)
+    assignments = [types for c in admissible_types(graph_class)
+                   for types in set(itertools.permutations(c))]
+    grid_points = (metric_count(itertools.product(range(k + 1), repeat=3)) if full_grid
+                   else (k + 1) * (k + 2))  # two tight families of (k+1)(k+2)/2 pairs
+    corners = corner_sets(scheme)
+    corner_points = sum(metric_count(itertools.product(*(corners[t] for t in types)))
+                        for types in assignments)
+    meta = json.loads(rep.to_json())["meta"]
+    assert meta["surplus_points"] == len(assignments) * grid_points + corner_points
+    if scheme is S206 and step == 0.005:
+        assert meta["surplus_points"] == 8 * 201 * 202 + 87

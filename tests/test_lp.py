@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import ccpivot as cc
+from ccpivot.instance import _SCAN_BLOCK, worst_triangle
 from ccpivot.lp import resolve_with_constraints
+from exhaustive import slab_separation, slab_worst_triangle
 from ccpivot.rng import SplitMix64
 
 
@@ -252,6 +254,50 @@ def test_stats_record_each_round():
     assert stats.rounds[0]["cuts"] == 0 and stats.rounds[0]["dual_pivots"] == 0
     assert all(r["seconds"] >= 0.0 for r in stats.rounds)
     assert stats.dual_bound <= stats.objective + 1e-9 and stats.gap <= 1e-9
+
+
+def test_rounds_record_their_scan_time(caplog):
+    for inst in (cc.gen_complete_random(9, 0.5, seed=9), cc.gen_weighted_random(8, seed=4)):
+        with caplog.at_level("DEBUG", logger="ccpivot.lp"):
+            _x, stats = cc.solve_relaxation(inst)
+        assert stats.separation_rounds > 1
+        assert all(0.0 <= r["scan_seconds"] <= r["seconds"] for r in stats.rounds)
+        lines = [r.getMessage() for r in caplog.records if r.name == "ccpivot.lp"]
+        assert all("scan" in line for line in lines)
+        caplog.clear()
+
+
+def _scan_matrices():
+    """Symmetric matrices with zero diagonal for the scan's reference check."""
+    rng = np.random.default_rng(17)
+    for n in (0, 1, 2, 3):
+        yield np.zeros((n, n))
+    for t in range(120):
+        n = 3 + t % 14
+        a = rng.random((n, n))
+        if t % 2:
+            a = np.round(4 * a) / 4  # quarters: many tied gaps
+        if t % 3 == 0:
+            a[rng.integers(0, n, 3), rng.integers(0, n, 3)] = rng.choice([np.nan, np.inf, -np.inf], 3)
+        yield np.triu(a, 1) + np.triu(a, 1).T
+    n = 110
+    assert _SCAN_BLOCK // (n * n) < n  # the scan spans two blocks
+    a = np.round(4 * rng.random((n, n))) / 4
+    yield np.triu(a, 1) + np.triu(a, 1).T
+
+
+def test_scan_matches_the_slab_reference():
+    cases = 0
+    for d in _scan_matrices():
+        n = d.shape[0]
+        x = cc.LpSolution(n, d[np.triu_indices(n, 1)])  # from_matrix refuses NaN
+        for tol in (1e-6, 0.0, 0.5) if n < 100 else (0.9,):
+            assert cc.separate_triangle_violations(x, tol) == slab_separation(x.matrix, tol)
+        want = slab_worst_triangle(x.matrix)
+        assert worst_triangle(x.matrix) == want
+        assert cc.validate_solution(x).worst_triple == (want[1] if want[0] > 0 else None)
+        cases += 1
+    assert cases == 125
 
 
 def test_one_debug_line_per_round(caplog):

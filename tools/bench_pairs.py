@@ -9,7 +9,10 @@ pairs and change first on odd ones, so a drift of the host over the
 runs weighs on both sides alike. The summary goes to
 ``BENCH_<label>.json`` at the root of this repository: per end-to-end
 metric, the median and quartiles on each side, the relative change of
-the medians, and how many pairs came out lower on the change.
+the medians, and how many pairs came out lower on the change; and per
+side, the medians of the run records' host factor and raw
+(uncalibrated) ``wall_s`` and ``task_p50_ms``, so a calibration shift on
+unchanged work is told apart from a change in the work.
 
 The two checkout paths must have the same length: the path is part of
 every file name the interpreter resolves, and a longer one alone moved
@@ -70,6 +73,19 @@ def summarize(pairs: list[dict]) -> dict:
     return out
 
 
+def calibration(pairs: list[dict]) -> dict:
+    """Per side, the medians of record.host_factor, record.raw.wall_s and record.raw.task_p50_ms."""
+    out = {}
+    for side in SIDES:
+        records = [p[side]["record"] for p in pairs]
+        out[side] = {
+            "host_factor": statistics.median(r["host_factor"] for r in records),
+            "raw_wall_s": statistics.median(r["raw"]["wall_s"] for r in records),
+            "raw_task_p50_ms": statistics.median(r["raw"]["task_p50_ms"] for r in records),
+        }
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
@@ -107,6 +123,7 @@ def main(argv=None) -> int:
         "failed": {side: sum(p[side]["failed"] for p in pairs) for side in SIDES},
         "attempted": {side: sum(p[side]["attempted"] for p in pairs) for side in SIDES},
         "records": {side: [p[side]["record"] for p in pairs] for side in SIDES},
+        "calibration": calibration(pairs),
         "metrics": summarize(pairs),
     }
     path = ROOT / f"BENCH_{label}.json"
