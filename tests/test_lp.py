@@ -4,8 +4,8 @@ import pytest
 import ccpivot as cc
 from ccpivot.instance import _SCAN_BLOCK, worst_triangle
 from ccpivot.lp import resolve_with_constraints
-from exhaustive import slab_separation, slab_worst_triangle
 from ccpivot.rng import SplitMix64
+from exhaustive import slab_separation, slab_worst_triangle
 
 
 def k3(labels_ut):
