@@ -36,8 +36,8 @@ WEIGHT_SUM_TOL = 1e-9
 # Guard for weighted_to_unweighted: N * n beyond this is refused.
 MAX_BLOWUP_VERTICES = 20_000
 
-# Entries per block of the triangle scan: 8 MB of float64.
-_SCAN_BLOCK = 1 << 20
+# Entries per block of the triangle scan: 128 KB of float64, which stays in cache.
+_SCAN_BLOCK = 1 << 14
 
 
 class FormatError(ValueError):
@@ -162,37 +162,35 @@ class Instance:
 
 
 def triangle_blocks(d: np.ndarray):
-    """(u0, g) per block of pivot rows u0 <= u < u0 + len(g) of a symmetric d.
+    """(u0, g) per block of rows u = u0 + i of the n x n x n gap tensor of a symmetric d.
 
-    g[i, v, w] = d[u,w] - d[u,v] - d[v,w] for u = u0 + i on distinct
-    u < w, v, else -inf. A block holds at most max(n^2, _SCAN_BLOCK)
-    entries, so n <= 101 is one block, and the blocks in order flatten
-    to the n x n x n tensor in (u, v, w) order.
+    g[i, v, w] = d[u,w] - d[u,v] - d[v,w] on distinct u < w, v, else -inf.
+    A block holds at most max(n^2, _SCAN_BLOCK) entries: one block up to n = 25.
     """
     n = d.shape[0]
     rows = max(1, _SCAN_BLOCK // max(1, n * n))
     idx = np.arange(n)
     for u0 in range(0, n, rows):
-        du, u = d[u0:u0 + rows], idx[u0:u0 + rows, None, None]
+        du = d[u0:u0 + rows]
         with np.errstate(invalid="ignore"):  # inf - inf gives a NaN gap
-            g = du[:, None, :] - du[:, :, None] - d
-        g[(idx <= u) | (idx[:, None] == u) | (idx[:, None] == idx)] = -math.inf  # w <= u, v = u, v = w
+            g = du[:, None, :] - du[:, :, None]
+            g -= d
+        for u, slab in enumerate(g, u0):
+            slab[:, :u + 1] = slab[u] = -math.inf  # w <= u, v = u
+        g[:, idx, idx] = -math.inf  # v = w
         yield u0, g
 
 
 def worst_triangle(d: np.ndarray) -> tuple[float, tuple | None]:
     """(gap, (u, v, w)) maximizing d[u,w] - d[u,v] - d[v,w] over distinct u < w, v.
 
-    d is symmetric. Ties go to the first triple in (u, v, w) order, NaN
-    gaps are skipped, and memory stays within one block of
-    max(n^2, _SCAN_BLOCK) entries. With fewer than three vertices the
-    result is (-inf, None).
+    d is symmetric. Ties go to the first triple in (u, v, w) order, NaN gaps
+    are skipped, memory stays within one triangle_blocks block, and with
+    fewer than three vertices the result is (-inf, None).
     """
     best, where = -math.inf, None
     for u0, g in triangle_blocks(d):
-        i = int(g.argmax())  # the first NaN if there is one; nanargmax is slower
-        if math.isnan(g.flat[i]):
-            i = int(np.nanargmax(g))
+        i = int(np.nanargmax(g))
         if g.flat[i] > best:
             u, vw = divmod(i, d.shape[0] ** 2)
             best, where = float(g.flat[i]), (u0 + u, *divmod(vw, d.shape[0]))

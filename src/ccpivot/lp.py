@@ -14,9 +14,7 @@ rule after DEGENERATE_RUN degenerate pivots in a row, so it cannot cycle.
 The loop ends when the working set is optimal and the separation scan
 is empty; the result is then checked apart from the tableau, by a dual
 bound built from the final triangle multipliers and by
-validate_solution. Both triangle scans (separation, validate_solution's
-worst triangle) are numpy passes of instance.triangle_blocks: the whole
-n x n x n gap tensor at once up to n = 101, with no loop per vertex.
+validate_solution. Both triangle scans use instance.triangle_blocks.
 """
 
 from __future__ import annotations
@@ -155,12 +153,10 @@ def separate_triangle_violations(x: LpSolution, tol: float = FEAS_TOL):
     n = x.n
     flats, gaps = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     for u0, g in triangle_blocks(x.matrix):
-        i = (g > tol).ravel().nonzero()[0]
+        i = np.flatnonzero(g > tol)
         flats.append(i + u0 * n * n)
         gaps.append(g.ravel()[i])
     flat, gap = np.concatenate(flats), np.concatenate(gaps)
-    if len(flat) == 0:
-        return []
     order = np.lexsort((flat, -gap))
     u, v, w = np.unravel_index(flat[order], (n, n, n))
     return list(zip(u.tolist(), v.tolist(), w.tolist(), gap[order].tolist()))

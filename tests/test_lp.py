@@ -280,10 +280,10 @@ def _scan_matrices():
         if t % 3 == 0:
             a[rng.integers(0, n, 3), rng.integers(0, n, 3)] = rng.choice([np.nan, np.inf, -np.inf], 3)
         yield np.triu(a, 1) + np.triu(a, 1).T
-    n = 110
-    assert _SCAN_BLOCK // (n * n) < n  # the scan spans two blocks
-    a = np.round(4 * rng.random((n, n))) / 4
-    yield np.triu(a, 1) + np.triu(a, 1).T
+    for n in (30, 110):  # several blocks: of many rows at n = 30, of one row at n = 110
+        assert 1 <= _SCAN_BLOCK // (n * n) < n
+        a = np.round(4 * rng.random((n, n))) / 4
+        yield np.triu(a, 1) + np.triu(a, 1).T
 
 
 def test_scan_matches_the_slab_reference():
@@ -295,9 +295,10 @@ def test_scan_matches_the_slab_reference():
             assert cc.separate_triangle_violations(x, tol) == slab_separation(x.matrix, tol)
         want = slab_worst_triangle(x.matrix)
         assert worst_triangle(x.matrix) == want
+        assert worst_triangle(np.asfortranarray(x.matrix)) == want  # any memory layout
         assert cc.validate_solution(x).worst_triple == (want[1] if want[0] > 0 else None)
         cases += 1
-    assert cases == 125
+    assert cases == 126
 
 
 def test_one_debug_line_per_round(caplog):
