@@ -63,7 +63,6 @@ from .certify import (
 )
 from .oracle import (
     brute_force_opt,
-    exact_expected_step_cost,
     exact_expected_total_cost,
     integrality_ratio,
     step_cost_formula,

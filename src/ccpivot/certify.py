@@ -40,7 +40,7 @@ from .rounding import (
     RoundingScheme,
     cut_probabilities,
     pair_model,
-    pivot_terms,
+    pivot_sums,
 )
 
 COMPLETE_TYPES = [
@@ -618,15 +618,8 @@ def step_inequality_check(
     complete-type classes include the positive self-loop terms, so the
     left side upper-bounds the true expectation.
     """
-    n = inst.n
-    p = cut_probabilities(inst, x, scheme)
-    wp, wm, L = pair_model(inst, x)
-    cost_sum = 0.0
-    lp_sum = 0.0
-    for w in range(n):
-        cost, lp = pivot_terms(wp, wm, L, p[:, w])
-        cost_sum += cost
-        lp_sum += lp
+    cost_sum, lp_sum = pivot_sums(*pair_model(inst, x), cut_probabilities(inst, x, scheme))
+    n = max(inst.n, 1)  # n = 0: both sums are 0
     lhs = cost_sum / (2.0 * n)
     rhs = alpha * lp_sum / (2.0 * n)
     return StepInequality(float(lhs), float(rhs), bool(lhs <= rhs + 1e-9))

@@ -37,6 +37,7 @@ from .instance import (
     serialize_instance,
 )
 from .lp import (
+    FEAS_TOL,
     MAX_LP_N,
     LpNumericalError,
     solution_from_json,
@@ -101,6 +102,8 @@ _part_sizes = _checked(_int_list, lambda v: min(v) >= 1,
                        "a comma-separated list of integers >= 1")
 _alpha = _checked(float, lambda v: 1.0 < v < math.inf, "a finite ratio > 1")
 _certify_tol = _checked(float, lambda v: 0.0 <= v <= 1e-6, "a tolerance in [0, 1e-6]")
+_lp_tol = _checked(float, lambda v: 0.0 < v <= FEAS_TOL,
+                   f"a tolerance in (0, {FEAS_TOL:g}] (FEAS_TOL)")
 _opt_cap = _checked(int, lambda v: v <= MAX_EXACT_N,
                     f"an integer <= {MAX_EXACT_N} (MAX_EXACT_N)")
 
@@ -350,7 +353,7 @@ def _build_parser() -> _Parser:
 
     l = sub.add_parser("lp", help="solve the relaxation")
     l.add_argument("--instance", required=True)
-    l.add_argument("--tol", type=float, default=1e-6)
+    l.add_argument("--tol", type=_lp_tol, default=FEAS_TOL)
     l.add_argument("-o", "--output", default=None)
     l.set_defaults(func=_cmd_lp)
 

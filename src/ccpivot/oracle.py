@@ -23,17 +23,17 @@ kind of DP over active sets, on the marginal cut probabilities p of
 most once, when one endpoint pivots while the other is active, and
 given the pivot w every active u joins independently with probability
 1 - p[u, w]; so the expectation is multilinear in the coins and the
-coin mixture p is exact, for the total as for one step. With F[S] the
-expected sum of g over the clusters cut from an active set S,
+coin mixture p is exact. With F[S] the expected sum of g over the
+clusters cut from an active set S,
 
     F[S] = (1/|S|) sum_{w in S} sum_{w in B <= S}
            prod_{u in B-w} (1 - p[u, w]) prod_{u in S-B} p[u, w] (g[B] + F[S-B])
 
-and E[ALG] = base + F[V]. The step expectations are its top layer
-(S = V). Both functions serve every class up to ``MAX_EXPECT_N``: the
-DP reads n 3^(n-1) (pivot, cluster) terms, about 0.5 s at n = 14 on a
-2-core host, and holds the two membership products as n x 2^n tables
-(about 4 MB at n = 14).
+and E[ALG] = base + F[V]. The DP serves every class up to
+``MAX_EXPECT_N``: it reads n 3^(n-1) (pivot, cluster) terms, about 0.5 s
+at n = 14 on a 2-core host, and holds the two membership products as
+n x 2^n tables (about 4 MB at n = 14). The first step alone needs no
+DP: ``step_cost_formula`` is its pairwise closed form, O(n^3) at any n.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import numpy as np
 
 from .instance import Clustering, Instance
 from .lp import LpSolution, solve_relaxation
-from .rounding import RoundingScheme, cut_probabilities, pair_model, pivot_terms
+from .rounding import RoundingScheme, cut_probabilities, pair_model, pivot_sums
 
 MAX_EXACT_N = 20  # the DP's wall: (3^n - 1) / 2 candidate blocks
 MAX_EXPECT_N = 14  # the expectation DP's cap: n 3^(n-1) (pivot, cluster) terms
@@ -228,49 +228,19 @@ def _first_clusters(masks: np.ndarray, k: int, stay: np.ndarray,
     return blocks, rests, prob
 
 
-def exact_expected_step_cost(
-    inst: Instance, x: LpSolution, scheme: RoundingScheme
-) -> dict:
+def step_cost_formula(inst: Instance, x: LpSolution, scheme: RoundingScheme) -> dict:
     """Exact E[violations] and E[LP removed] of the first pivot step.
 
-    The top layer (S = V) of the expectation DP, for n <= MAX_EXPECT_N
-    on every class: the violated mass of cluster B is g[B] + WP(V) -
-    WP(V - B) and the LP mass removed is LS(V) - LS(V - B), with WP and
-    LS the pair sums of W+ and L. Matches the pairwise closed form.
+    The pairwise closed form, O(n^3) on every class with no size cap:
+    pivot_sums without self-loops, over 2n. Weighted instances plug in
+    the coin-averaged cut probabilities, which is exact because every
+    term is multilinear in the independent per-pair values.
     """
-    _refuse_above(inst, MAX_EXPECT_N, "MAX_EXPECT_N", "the exact expectations handle")
-    n = inst.n
-    if n == 0:  # no vertex, no pivot step
-        return {"e_alg_0": 0.0, "e_lp_0": 0.0}
-    full = np.array([(1 << n) - 1])
-    tables = _membership_tables(cut_probabilities(inst, x, scheme))
-    blocks, rests, prob = (a[0] for a in _first_clusters(full, n, *tables))
-    wp, wm = inst.pair_weights()
-    g, kept = _pair_sums(wm - wp), _pair_sums(wp)
-    lp_kept = _pair_sums(pair_model(inst, x)[2])
-    e_alg = prob @ (g[blocks] + kept[-1] - kept[rests])
-    e_lp = lp_kept[-1] - prob @ lp_kept[rests]
-    return {"e_alg_0": float(e_alg), "e_lp_0": float(e_lp)}
-
-
-def step_cost_formula(inst: Instance, x: LpSolution, scheme: RoundingScheme) -> dict:
-    """Pairwise closed form for the same two step-0 expectations.
-
-    Weighted instances plug in the coin-averaged cut probabilities,
-    which is exact because every term is multilinear in the independent
-    per-pair values.
-    """
-    n = inst.n
-    p = cut_probabilities(inst, x, scheme)
     wp, wm, L = pair_model(inst, x)
     np.fill_diagonal(wp, 0.0)  # a real step has no self-loops
-    e_alg = 0.0
-    e_lp = 0.0
-    for w in range(n):
-        cost, lp = pivot_terms(wp, wm, L, p[:, w])
-        e_alg += 0.5 * cost / n
-        e_lp += 0.5 * lp / n
-    return {"e_alg_0": float(e_alg), "e_lp_0": float(e_lp)}
+    e_alg, e_lp = pivot_sums(wp, wm, L, cut_probabilities(inst, x, scheme))
+    n = max(inst.n, 1)  # n = 0: no pivot step, both sums are 0
+    return {"e_alg_0": float(0.5 * e_alg / n), "e_lp_0": float(0.5 * e_lp / n)}
 
 
 def exact_expected_total_cost(

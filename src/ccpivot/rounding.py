@@ -591,6 +591,20 @@ def pivot_terms(wp, wm, L, pw) -> tuple[float, float]:
     return cost, lp
 
 
+def pivot_sums(wp, wm, L, p) -> tuple[float, float]:
+    """(cost, lp): pivot_terms summed over the pivots w in order, on columns p[:, w].
+
+    Over 2n they are the first step's expected violated and removed LP
+    mass: exact when wp has a zero diagonal, a bound with self-loops.
+    """
+    cost_sum = lp_sum = 0.0
+    for w in range(p.shape[1]):
+        cost, lp = pivot_terms(wp, wm, L, p[:, w])
+        cost_sum += cost
+        lp_sum += lp
+    return cost_sum, lp_sum
+
+
 def _active_model(wp, wm, L, active: np.ndarray):
     sub = np.ix_(active, active)
     return wp[sub], wm[sub], L[sub]
@@ -605,9 +619,8 @@ def step_surplus_sum(inst: Instance, x: LpSolution, p: np.ndarray, alpha: float,
     pair is certified for the class.
     """
     act = np.arange(inst.n) if active is None else np.asarray(sorted(active))
-    model = _active_model(*pair_model(inst, x), act)
-    terms = (pivot_terms(*model, p[act, w]) for w in act)
-    return float(sum(alpha * lp - cost for cost, lp in terms))
+    cost, lp = pivot_sums(*_active_model(*pair_model(inst, x), act), p[np.ix_(act, act)])
+    return float(alpha * lp - cost)
 
 
 def greedy_round_probabilities(wp, wm, L, p: np.ndarray, alpha: float,
@@ -737,7 +750,8 @@ def monte_carlo_ratio(
         keep, candidates = None, pair_candidates(inst, x, scheme)
     else:
         keep, candidates = _labeled_keep(inst, x, scheme), None
-    per_chunk = max(1, CHUNK_WORDS // _stream_layout(n, candidates is not None)[1])
+    # an empty instance's runs read no words; count one word each
+    per_chunk = max(1, CHUNK_WORDS // max(1, _stream_layout(n, candidates is not None)[1]))
     seeds = SplitMix64(seed).block(trials)
     wp, wm = inst.pair_weights()
     costs = np.empty(trials)

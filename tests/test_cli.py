@@ -254,6 +254,12 @@ BAD_ARGV = {
     "certify --tol nan": ["certify", "complete206", "--alpha", "2.06", "--tol", "nan"],
     "certify --tol inf": ["certify", "complete206", "--alpha", "2.0", "--tol", "inf"],
     "certify --tol -1e-9": ["certify", "complete206", "--alpha", "2.06", "--tol=-1e-9"],
+    # refused while parsing, before the (missing) instance file is read
+    "lp --tol inf": ["lp", "--instance", "inst.json", "--tol", "inf"],
+    "lp --tol nan": ["lp", "--instance", "inst.json", "--tol", "nan"],
+    "lp --tol 0": ["lp", "--instance", "inst.json", "--tol", "0"],
+    "lp --tol -1e-9": ["lp", "--instance", "inst.json", "--tol=-1e-9"],
+    "lp --tol 1e-3": ["lp", "--instance", "inst.json", "--tol", "1e-3"],
     "bench --alpha nan": BENCH + ["--alpha", "nan"],
     "bench --alpha inf": BENCH + ["--alpha", "inf"],
     "bench --alpha 0.5": BENCH + ["--alpha", "0.5"],

@@ -140,7 +140,7 @@ def test_integrality_ratio_gap_ti():
 def test_exact_step_cost_trivial_all_plus():
     inst = cc.gen_complete_random(4, 1.0, seed=1)
     x = cc.LpSolution.constant(4, 0.0)
-    r = cc.exact_expected_step_cost(inst, x, cc.get_scheme("complete206"))
+    r = cc.step_cost_formula(inst, x, cc.get_scheme("complete206"))
     assert r["e_alg_0"] == pytest.approx(0.0)
 
 
@@ -149,7 +149,7 @@ def test_exact_step_cost_n2_closed_form():
     # the pair is violated (and removed) exactly when the other vertex stays out
     inst = cc.Instance.complete(np.array([[0, 1], [1, 0]], dtype=np.int8))
     x = cc.LpSolution.from_matrix(np.array([[0.0, 0.4], [0.4, 0.0]]))
-    r = cc.exact_expected_step_cost(inst, x, cc.get_scheme("acn_linear"))
+    r = cc.step_cost_formula(inst, x, cc.get_scheme("acn_linear"))
     assert r["e_alg_0"] == pytest.approx(0.4)
     assert r["e_lp_0"] == pytest.approx(0.4)
     # the distinct-pivot closed forms themselves give 0.48 / 0.336
@@ -170,7 +170,7 @@ def test_enumeration_matches_pairwise_formula(seed, kind):
         inst = cc.gen_complete_random(3, 0.5, seed)
         s = cc.get_scheme("complete206")
     x, _ = cc.solve_relaxation(inst)
-    enum = cc.exact_expected_step_cost(inst, x, s)
+    enum = expected_step(inst, x, s)
     formula = cc.step_cost_formula(inst, x, s)
     assert enum["e_alg_0"] == pytest.approx(formula["e_alg_0"], abs=1e-12)
     assert enum["e_lp_0"] == pytest.approx(formula["e_lp_0"], abs=1e-12)
@@ -180,7 +180,7 @@ def test_weighted_enumeration_matches_mixture_formula():
     inst = cc.gen_weighted_random(3, seed=4)
     x = cc.LpSolution.constant(3, 0.5)
     s = cc.get_scheme("weighted_ti_150")
-    enum = cc.exact_expected_step_cost(inst, x, s)
+    enum = expected_step(inst, x, s)
     formula = cc.step_cost_formula(inst, x, s)
     assert enum["e_alg_0"] == pytest.approx(formula["e_alg_0"], abs=1e-12)
     assert enum["e_lp_0"] == pytest.approx(formula["e_lp_0"], abs=1e-12)
@@ -202,7 +202,7 @@ def test_expectations_match_coin_enumeration(kind, n):
     inst = small_instance(kind, n, seed=40 + n)
     s = cc.get_scheme(EXPECT_SCHEMES[kind])
     for x in (fractional_point(n, n), cc.solve_relaxation(inst)[0]):
-        step, ref = cc.exact_expected_step_cost(inst, x, s), expected_step(inst, x, s)
+        step, ref = cc.step_cost_formula(inst, x, s), expected_step(inst, x, s)
         for key in ("e_alg_0", "e_lp_0"):
             assert step[key] == pytest.approx(ref[key], rel=1e-12, abs=1e-15)
         if kind == "weighted" and n > 4:  # 2^10 coin outcomes, each a full recursion
@@ -214,8 +214,12 @@ def test_expectations_match_coin_enumeration(kind, n):
 def test_expectations_of_the_empty_instance():
     inst = cc.Instance.complete(np.zeros((0, 0), dtype=np.int8))
     x, s = cc.LpSolution.constant(0, 0.5), cc.get_scheme("complete206")
-    assert cc.exact_expected_step_cost(inst, x, s) == {"e_alg_0": 0.0, "e_lp_0": 0.0}
+    assert cc.step_cost_formula(inst, x, s) == {"e_alg_0": 0.0, "e_lp_0": 0.0}
     assert cc.exact_expected_total_cost(inst, x, s) == 0.0
+    si = cc.step_inequality_check(inst, x, s, 2.06)
+    assert (si.lhs, si.rhs, si.holds) == (0.0, 0.0, True)
+    mc = cc.monte_carlo_ratio(inst, x, s, trials=3, seed=1)
+    assert (mc.trials, mc.mean, mc.max, mc.lp, mc.ratio) == (3, 0.0, 0.0, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("kind", list(EXPECT_SCHEMES))
@@ -224,16 +228,24 @@ def test_expectation_cap(kind):
     n = MAX_EXPECT_N
     inst = small_instance(kind, n, seed=9)
     x = fractional_point(n, 9)
-    step = cc.exact_expected_step_cost(inst, x, s)
-    formula = cc.step_cost_formula(inst, x, s)
-    for key in ("e_alg_0", "e_lp_0"):
-        assert step[key] == pytest.approx(formula[key], rel=1e-12)
     assert cc.exact_expected_total_cost(inst, x, s) >= cc.brute_force_opt(inst)[1] - 1e-9
     big = small_instance(kind, n + 1, seed=9)
     x = cc.LpSolution.constant(n + 1, 0.3)
-    for fn in (cc.exact_expected_step_cost, cc.exact_expected_total_cost):
-        with pytest.raises(ValueError, match=f"up to n = {n} \\(MAX_EXPECT_N\\)"):
-            fn(big, x, s)
+    with pytest.raises(ValueError, match=f"up to n = {n} \\(MAX_EXPECT_N\\)"):
+        cc.exact_expected_total_cost(big, x, s)
+
+
+@pytest.mark.parametrize("kind", ["complete", "kpartite", "weighted"])
+def test_step_formula_past_the_expectation_cap(kind):
+    # the closed form has no cap; the triple-sum check reads the same LP sum
+    # and adds the self-loop terms to the cost side only
+    n, alpha = 30, 2.06
+    inst, x = small_instance(kind, n, seed=30), fractional_point(n, 30)
+    s = cc.get_scheme(EXPECT_SCHEMES[kind])
+    formula = cc.step_cost_formula(inst, x, s)
+    si = cc.step_inequality_check(inst, x, s, alpha)
+    assert si.rhs / alpha == pytest.approx(formula["e_lp_0"], rel=1e-12)
+    assert si.lhs >= formula["e_alg_0"]
 
 
 def test_triple_sum_upper_bounds_enumeration():
@@ -241,7 +253,7 @@ def test_triple_sum_upper_bounds_enumeration():
     inst = cc.gen_complete_random(5, 0.5, seed=9)
     x = cc.LpSolution.constant(5, 0.5)
     s = cc.get_scheme("complete206")
-    enum = cc.exact_expected_step_cost(inst, x, s)
+    enum = cc.step_cost_formula(inst, x, s)
     si = cc.step_inequality_check(inst, x, s, 2.06)
     assert si.lhs >= enum["e_alg_0"] - 1e-12
     assert si.rhs / 2.06 == pytest.approx(enum["e_lp_0"], abs=1e-9)
