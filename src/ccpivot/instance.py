@@ -17,6 +17,7 @@ construction by convention and safe to share across workers.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -51,15 +52,26 @@ def pair_iter(n: int):
             yield u, v
 
 
+@functools.lru_cache(maxsize=16)
+def pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1): the (u, v) rows of the pairs in pair_iter order.
+
+    Cached per n and shared by every caller, so both arrays are read-only.
+    """
+    iu, ju = np.triu_indices(n, 1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
 def symmetric_from_upper(n: int, vals, dtype=np.float64) -> np.ndarray:
     """Symmetric (..., n, n) matrices, zero diagonal, from per-pair values.
 
     The last axis of vals runs over the pairs in pair_iter order (the
-    order of np.triu_indices); leading axes are kept.
+    order of pair_index); leading axes are kept.
     """
     vals = np.asarray(vals)
     out = np.zeros(vals.shape[:-1] + (n, n), dtype=dtype)
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = pair_index(n)
     out[..., iu, ju] = vals
     out[..., ju, iu] = vals
     return out
@@ -285,7 +297,7 @@ def assignment_cost(a, wp: np.ndarray, wm: np.ndarray):
     summation order from the shape).
     """
     a = np.asarray(a)
-    iu, ju = np.triu_indices(a.shape[-1], 1)
+    iu, ju = pair_index(a.shape[-1])
     terms = np.where(a[..., iu] == a[..., ju], wm[iu, ju], wp[iu, ju])
     total = np.cumsum(terms, axis=-1)[..., -1] if iu.size else np.zeros(a.shape[:-1])
     return float(total) if a.ndim == 1 else total
@@ -323,7 +335,7 @@ def gen_kpartite_random(part_sizes, plus_prob: float, seed: int) -> Instance:
         raise ValueError("plus_prob must be in [0, 1]")
     parts = np.repeat(np.arange(len(sizes)), sizes)
     n = int(parts.shape[0])
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = pair_index(n)
     cross = parts[iu] != parts[ju]
     u = _pair_uniforms(seed, int(cross.sum()))
     s = np.zeros(iu.shape[0], dtype=np.int8)
@@ -342,7 +354,7 @@ def gen_planted(n: int, k: int, corruption: float, seed: int) -> tuple[Instance,
         raise ValueError("corruption must be in [0, 1]")
     sizes = [n // k + (1 if i < n % k else 0) for i in range(k)]
     truth = np.repeat(np.arange(k), sizes)
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = pair_index(n)
     s = np.where(truth[iu] == truth[ju], 1, -1)
     s = np.where(_pair_uniforms(seed, iu.shape[0]) < corruption, -s, s)
     return Instance.complete(symmetric_from_upper(n, s, np.int8)), Clustering(truth)
@@ -442,7 +454,7 @@ def weighted_to_unweighted(inst: Instance, N: int, seed: int):
     # blocks[u, i, v, j] is labels[u * N + i, v * N + j]; each pair (u, v)
     # takes N * N draws, its copy pairs (u_i, v_j) in row-major order
     blocks = labels.reshape(n, N, n, N)
-    us, vs = np.triu_indices(n, 1)
+    us, vs = pair_index(n)
     per_chunk = max(1, CHUNK_WORDS // (N * N))
     for c in range(0, us.shape[0], per_chunk):
         u, v = us[c:c + per_chunk], vs[c:c + per_chunk]
@@ -499,7 +511,7 @@ def parse_instance(text: str) -> Instance:
 
 def _pair_values(inst: Instance):
     """(u, v, value) per pair in pair_iter order: lam_plus as a float, else the label char."""
-    iu, ju = np.triu_indices(inst.n, 1)
+    iu, ju = pair_index(inst.n)
     if inst.kind == WEIGHTED:
         vals = inst.lam_plus[iu, ju].tolist()
     else:

@@ -46,6 +46,7 @@ from .instance import (
     Clustering,
     Instance,
     assignment_cost,
+    pair_index,
     symmetric_from_upper,
 )
 from .lp import LpSolution, lp_objective
@@ -370,7 +371,7 @@ def _flip_coins(n: int, table, unif: np.ndarray) -> np.ndarray:
     pair takes its f_plus value when its uniform is below lam_plus, else
     its f_minus value; leading axes of unif are separate runs.
     """
-    iu = np.triu_indices(n, 1)
+    iu = pair_index(n)
     fp, fm, lam = (m[iu] for m in table)
     return symmetric_from_upper(n, np.where(unif < lam, fp, fm))
 

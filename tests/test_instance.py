@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ccpivot as cc
-from ccpivot.instance import FormatError, assignment_cost, pair_iter
+from ccpivot.instance import FormatError, assignment_cost, pair_index, pair_iter
 from ccpivot.rng import SplitMix64
 from exhaustive import partitions
 
@@ -76,6 +76,20 @@ def test_batched_cost_matches_single_rows_bit_for_bit():
             for row, cost in zip(batch, got.tolist()):
                 assert cost == assignment_cost(row, wp, wm)
                 assert cost == cc.clustering_cost(inst, cc.Clustering(row))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_pair_index_is_the_cached_upper_triangle(n):
+    iu, ju = pair_index(n)
+    want = np.triu_indices(n, 1)
+    assert np.array_equal(iu, want[0]) and np.array_equal(ju, want[1])
+    assert iu.dtype == want[0].dtype and ju.dtype == want[1].dtype
+    assert list(zip(iu.tolist(), ju.tolist())) == list(pair_iter(n))
+    for a in (iu, ju):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    again = pair_index(n)
+    assert again[0] is iu and again[1] is ju
 
 
 def test_cost_requires_full_coverage():

@@ -267,6 +267,32 @@ def test_rounds_record_their_scan_time(caplog):
         caplog.clear()
 
 
+def _box_point(inst):
+    """The starting tableau's point: x_uv = 1 where its objective coefficient is below -SIMPLEX_TOL."""
+    wp, wm = inst.pair_weights()
+    return (wp - wm < -cc.lp.SIMPLEX_TOL).astype(np.float64)
+
+
+@pytest.mark.parametrize("inst", [
+    cc.gen_complete_random(11, 0.5, seed=1),
+    cc.gen_complete_random(16, 0.5, seed=2),
+    cc.gen_kpartite_random([4, 4, 3], 0.5, seed=3),
+    cc.gen_weighted_random(10, seed=4),
+    cc.gen_complete_random(30, 0.5, seed=7),
+], ids=["complete11", "complete16", "kpartite443", "weighted10", "complete30"])
+def test_second_round_adds_every_violated_triangle_up_to_n_squared(inst):
+    # round 1 is the box optimum; round 2 adds the whole violated batch of
+    # its scan, capped at n^2 (which binds at n = 30)
+    violated = len(slab_separation(_box_point(inst), cc.lp.FEAS_TOL))
+    _x, stats = cc.solve_relaxation(inst)
+    assert violated > 0
+    assert stats.rounds[1]["cuts"] == min(inst.n ** 2, violated)
+    assert stats.gap <= cc.lp.GAP_TOL * max(1.0, abs(stats.objective))
+    if inst.n == 30:
+        assert violated > inst.n ** 2
+        assert stats.separation_rounds <= 4
+
+
 def _scan_matrices():
     """Symmetric matrices with zero diagonal for the scan's reference check."""
     rng = np.random.default_rng(17)
