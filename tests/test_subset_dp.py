@@ -1,11 +1,15 @@
-"""The layered subset DP against a per-mask scalar reference.
+"""The pruned push DP over subsets against a per-mask scalar reference.
 
 The reference functions below fill the block-cost table one bit row at
 a time and run the DP one mask at a time with a full choice table, the
-plain reading of the recursion. The layered, values-only DP with its
-path backtrack must reproduce them exactly: the same g bytes, the same
-optimum to the last bit and the same argmin.
+plain reading of the recursion. The push DP, which pushes only from
+blocks that beat every partition of themselves, and its path backtrack
+must reproduce them exactly: the same g bytes, the same optimum to the
+last bit and the same argmin.
 """
+
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -146,3 +150,72 @@ def test_all_tied_instance_keeps_first_argmin():
     assert v == 0.0
     assert c == cc.Clustering.singletons(11)
     assert_same(inst)
+
+
+# -- pruning and its DEBUG line ------------------------------------------------
+
+DP_LINE = re.compile(r"subset DP n=(\d+): (\d+) blocks kept, (\d+) of (\d+) candidates pushed, "
+                     r"(\d+\.\d{3}) s")
+
+
+def dp_counts(inst, caplog):
+    """(n, kept, pushed, candidates, seconds) from the one line of a brute_force_opt call."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="ccpivot.oracle"):
+        cc.brute_force_opt(inst)
+    lines = [r.getMessage() for r in caplog.records if r.name == "ccpivot.oracle"]
+    assert len(lines) == 1
+    match = DP_LINE.fullmatch(lines[0])
+    assert match, lines[0]
+    *counts, seconds = match.groups()
+    return (*map(int, counts), float(seconds))
+
+
+def test_dp_logs_one_line_per_call(caplog):
+    n = 12
+    got_n, kept, pushed, total, seconds = dp_counts(make("weighted", n, 5), caplog)
+    assert got_n == n
+    assert total == (3**n - 1) // 2
+    assert 1 <= kept <= 2**n - 1
+    assert kept <= pushed <= total
+    assert seconds >= 0.0
+
+
+@pytest.mark.parametrize("chunk", [None, 1])
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_tie_heavy_weighted_instances(k, chunk, monkeypatch):
+    # 1/3 and 2/3 weights tie many partitions at sums that are not exact in
+    # float; a chunk of 1 tests every block instead of pushing small lows whole
+    if chunk is not None:
+        monkeypatch.setattr(oracle, "_DP_CHUNK", chunk)
+    assert_same(cc.gen_gap_triangle_ineq(k))
+
+
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_all_plus_prunes_nothing_and_all_minus_keeps_singletons(chunk, caplog, monkeypatch):
+    n = 12
+    if chunk is not None:
+        monkeypatch.setattr(oracle, "_DP_CHUNK", chunk)
+    plus, minus = cc.gen_complete_random(n, 1.0, 1), cc.gen_complete_random(n, 0.0, 1)
+    assert_same(plus)
+    assert_same(minus)
+    # every block beats its partitions when all pairs are "+"
+    assert dp_counts(plus, caplog)[2] == (3**n - 1) // 2
+    if chunk == 1:
+        # every lowest vertex is tested, and only its singleton beats its partitions
+        assert dp_counts(minus, caplog)[1:3] == (n, 2**n - 1)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_empty_and_single_vertex(n):
+    inst = cc.Instance.complete(np.zeros((n, n))) if n == 0 else make("weighted", n, 1)
+    c, v = oracle._brute_force_subset_dp(inst)
+    assert v == 0.0
+    assert c == cc.Clustering.singletons(n)
+    assert_same(inst)
+
+
+def test_blowup_pushes_under_half_of_its_candidates(caplog):
+    n, _kept, pushed, total, _s = dp_counts(make("blowup", (3, 5), 73), caplog)
+    assert n == 15
+    assert pushed < total // 2
