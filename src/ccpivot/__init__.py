@@ -41,7 +41,6 @@ from .rounding import (
     PivotTrace,
     RoundingScheme,
     derandomize_round,
-    eval_scheme,
     get_scheme,
     monte_carlo_ratio,
     pivot_round,

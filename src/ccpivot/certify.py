@@ -207,15 +207,12 @@ def check_eligibility(scheme: RoundingScheme) -> EligibilityReport:
 
 def corner_sets(scheme: RoundingScheme) -> dict[str, list[float]]:
     """Candidate corner lengths per edge type from the pieces' endpoints."""
-    out = {
-        EDGE_PLUS: scheme.f_plus.breakpoints(),
-        EDGE_MINUS: scheme.f_minus.breakpoints(),
-    }
     neutral = [0.0, 1.0]
     if scheme.f_neutral is not None:
-        neutral = sorted(set(neutral) | set(scheme.f_neutral.interior_breakpoints()))
-    out[EDGE_NEUTRAL] = neutral
-    return out
+        inner = [b for b in scheme.f_neutral.breakpoints() if 1e-12 < b < 1 - 1e-12]
+        neutral = [0.0, *inner, 1.0]  # breakpoints() is sorted and distinct
+    return {EDGE_PLUS: scheme.f_plus.breakpoints(), EDGE_MINUS: scheme.f_minus.breakpoints(),
+            EDGE_NEUTRAL: neutral}
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +566,8 @@ def certify_weighted_ti(
     crossed with a grid of lam_minus triples restricted to the metric
     polytope. The eight per-coin surplus arrays are computed once; each
     lam row only mixes them. The sweep is serial: ``jobs`` is accepted
-    for compatibility and ignored.
+    and ignored. It stays because the benchmark passes ``jobs=1``; both
+    go together at the next change to the benchmark.
     """
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")

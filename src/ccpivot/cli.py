@@ -146,6 +146,8 @@ def _meta(args, **extra) -> dict:
 
 
 def _cmd_gen(args) -> int:
+    if args.family != "gap-ti" and args.seed is None:
+        raise _UsageExit(f"gen {args.family} requires an explicit --seed")
     n = {"kpartite": sum(args.parts), "gap-ti": 2 * args.n}.get(args.family, args.n)
     if n > MAX_GEN_N:
         raise _UsageExit(f"gen writes instances up to n = {MAX_GEN_N} (MAX_GEN_N); got n = {n}")
@@ -349,7 +351,7 @@ def _build_parser() -> _Parser:
     g.add_argument("--seed", type=int, default=None)
     g.add_argument("--format", choices=["edgelist", "json"], default="edgelist")
     g.add_argument("-o", "--output", default=None)
-    g.set_defaults(func=_cmd_gen, needs_seed_families={"complete", "kpartite", "planted", "weighted"})
+    g.set_defaults(func=_cmd_gen)
 
     l = sub.add_parser("lp", help="solve the relaxation")
     l.add_argument("--instance", required=True)
@@ -409,9 +411,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "gen":
-            if args.family in args.needs_seed_families and args.seed is None:
-                raise _UsageExit(f"gen {args.family} requires an explicit --seed")
         return args.func(args)
     except _UsageExit as e:
         print(f"usage error: {e.message}", file=sys.stderr)

@@ -168,10 +168,6 @@ class Instance:
         np.fill_diagonal(wm, 0.0)
         return wp, wm
 
-    def total_pair_mass(self) -> float:
-        wp, wm = self.pair_weights()
-        return float(np.triu(wp + wm, 1).sum())
-
 
 def triangle_blocks(d: np.ndarray):
     """(u0, g) per block of rows u = u0 + i of the n x n x n gap tensor of a symmetric d.
@@ -231,18 +227,6 @@ class Clustering:
     @property
     def num_clusters(self) -> int:
         return int(self.assignment.max()) + 1 if self.n else 0
-
-    @staticmethod
-    def from_blocks(blocks, n: int) -> "Clustering":
-        a = np.full(n, -1, dtype=np.int64)
-        for cid, block in enumerate(blocks):
-            for v in block:
-                if a[v] != -1:
-                    raise ValueError(f"vertex {v} in two blocks")
-                a[v] = cid
-        if np.any(a < 0):
-            raise ValueError("blocks do not cover all vertices")
-        return Clustering(a)
 
     @staticmethod
     def single_cluster(n: int) -> "Clustering":

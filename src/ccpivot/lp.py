@@ -68,10 +68,6 @@ class LpSolution:
             raise ValueError("matrix must be symmetric")
         return LpSolution(n, m[pair_index(n)])
 
-    @staticmethod
-    def from_upper(n: int, vec) -> "LpSolution":
-        return LpSolution(n, np.asarray(vec, dtype=np.float64))
-
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
@@ -81,11 +77,6 @@ class LpSolution:
             m += m.T
             self._matrix = m
         return self._matrix
-
-    def value(self, u: int, v: int) -> float:
-        if u == v:
-            return 0.0
-        return float(self.matrix[u, v])
 
     @staticmethod
     def constant(n: int, value: float) -> "LpSolution":
@@ -410,15 +401,6 @@ def solve_relaxation(inst: Instance, tol: float = FEAS_TOL) -> tuple[LpSolution,
     return x, stats
 
 
-def resolve_with_constraints(inst: Instance, triangles) -> float:
-    """Objective of a fresh solve restricted to the given triangle set."""
-    coeff, const = _objective_terms(inst)
-    tab = _Tableau(coeff)
-    tab.add_rows(_cut_columns(_pair_index_map(inst.n), triangles))
-    tab.dual()
-    return float(coeff @ tab.point()) + const
-
-
 # ---------------------------------------------------------------------------
 # JSON dump / load
 # ---------------------------------------------------------------------------
@@ -447,7 +429,7 @@ def solution_from_json(text: str) -> LpSolution:
     if not np.isfinite(raw).all():
         raise FormatError("LP solution has a non-finite entry")
     try:
-        x = LpSolution.from_matrix(raw) if raw.ndim == 2 else LpSolution.from_upper(n, raw)
+        x = LpSolution.from_matrix(raw) if raw.ndim == 2 else LpSolution(n, raw)
     except ValueError as e:
         raise FormatError(f"bad LP solution: {e}") from e
     if x.n != n:

@@ -290,10 +290,7 @@ def _first_clusters(masks: np.ndarray, k: int, stay: np.ndarray,
     rows = len(masks)
     _rows, pos = np.nonzero((masks[:, None] >> np.arange(n)) & 1)
     pos = pos.reshape(rows, k)
-    blocks = np.zeros((rows, 1 << k), dtype=np.int64)
-    for j in range(k):
-        np.add(blocks[:, : 1 << j], np.left_shift(1, pos[:, j : j + 1]),
-               out=blocks[:, 1 << j : 2 << j])
+    blocks = _submasks(np.left_shift(1, pos), np.empty(rows << k, dtype=np.int64))
     rests = masks[:, None] - blocks
     prob = np.zeros((rows, 1 << k), dtype=np.float64)
     stay, cut = stay.ravel(), cut.ravel()

@@ -156,9 +156,6 @@ class PiecewiseFn:
         pts = [self.pieces[0].lo] + [p.hi for p in self.pieces]
         return sorted(set(pts))
 
-    def interior_breakpoints(self) -> list[float]:
-        return [b for b in self.breakpoints() if 1e-12 < b < 1 - 1e-12]
-
     def to_json_obj(self):
         return [
             {"from": p.lo, "to": p.hi, "kind": p.kind, "params": list(p.params),
@@ -245,14 +242,6 @@ class RoundingScheme:
                 else None
             ),
         )
-
-
-def eval_scheme(scheme: RoundingScheme, edge_type: str, x: float):
-    """Cut probability for an edge of the given type at LP length x."""
-    xv = np.asarray(x, dtype=np.float64)
-    if np.any(xv < -1e-12) or np.any(xv > 1 + 1e-12):
-        raise ValueError("length outside [0, 1]")
-    return scheme.fn(edge_type)(np.clip(xv, 0.0, 1.0))
 
 
 # -- shipped schemes --------------------------------------------------------

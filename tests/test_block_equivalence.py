@@ -162,7 +162,7 @@ def lengths(n, seed):
     marks = [0.0, 0.19, 0.5095, 1.0 / 3.0, 2.0 / 3.0, 1.0]
     vec = [marks[rng.randint(len(marks))] if rng.uniform() < 0.3 else rng.uniform()
            for _ in range(n * (n - 1) // 2)]
-    return cc.LpSolution.from_upper(n, vec)
+    return cc.LpSolution(n, vec)
 
 
 def instances(seed):

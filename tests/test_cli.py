@@ -17,8 +17,9 @@ def test_gen_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_gen_requires_seed():
-    assert run(["gen", "complete", "--n", "5", "--p", "0.5"]) == 64
+@pytest.mark.parametrize("family", ["complete", "kpartite", "planted", "weighted"])
+def test_gen_requires_seed(family):
+    assert run(["gen", family, "--n", "5", "--p", "0.5"]) == 64
 
 
 def test_gen_gap_ti_no_seed_needed(tmp_path):

@@ -3,7 +3,6 @@ import pytest
 
 import ccpivot as cc
 from ccpivot.instance import _SCAN_BLOCK, worst_triangle
-from ccpivot.lp import resolve_with_constraints
 from ccpivot.rng import SplitMix64
 from exhaustive import slab_separation, slab_worst_triangle
 
@@ -151,9 +150,16 @@ def test_round_objectives_monotone():
 
 
 def test_resolve_final_set_reproduces_objective():
+    from ccpivot.lp import _Tableau, _cut_columns, _objective_terms, _pair_index_map
+
     inst = cc.gen_complete_random(8, 0.5, seed=13)
     _x, stats = cc.solve_relaxation(inst)
-    again = resolve_with_constraints(inst, stats.final_constraints)
+    # a fresh tableau holding only the final working set, solved in one dual run
+    coeff, const = _objective_terms(inst)
+    tab = _Tableau(coeff)
+    tab.add_rows(_cut_columns(_pair_index_map(inst.n), stats.final_constraints))
+    tab.dual()
+    again = float(coeff @ tab.point()) + const
     assert again == pytest.approx(stats.objective, abs=1e-9)
 
 

@@ -30,29 +30,29 @@ def k3(labels_ut):
 
 def test_complete206_breakpoint_values():
     s = cc.get_scheme("complete206")
-    assert cc.eval_scheme(s, "+", 0.19) == 0.0
-    assert cc.eval_scheme(s, "+", 0.5095) == 1.0
-    assert cc.eval_scheme(s, "+", 0.34975) == pytest.approx(0.25)
-    assert cc.eval_scheme(s, "-", 0.37) == pytest.approx(0.37)
+    assert s.fn("+")(0.19) == 0.0
+    assert s.fn("+")(0.5095) == 1.0
+    assert s.fn("+")(0.34975) == pytest.approx(0.25)
+    assert s.fn("-")(0.37) == pytest.approx(0.37)
 
 
 def test_kpartite3_values():
     s = cc.get_scheme("kpartite3")
-    assert cc.eval_scheme(s, "0", 0.5) == pytest.approx(0.75)
-    assert cc.eval_scheme(s, "+", 0.33) == 0.0
-    assert cc.eval_scheme(s, "+", 1.0 / 3.0) == 1.0
-    assert cc.eval_scheme(s, "0", 2.0 / 3.0) == pytest.approx(1.0)
-    assert cc.eval_scheme(s, "0", 0.9) == 1.0
+    assert s.fn("0")(0.5) == pytest.approx(0.75)
+    assert s.fn("+")(0.33) == 0.0
+    assert s.fn("+")(1.0 / 3.0) == 1.0
+    assert s.fn("0")(2.0 / 3.0) == pytest.approx(1.0)
+    assert s.fn("0")(0.9) == 1.0
 
 
 def test_weighted_scheme_values():
     s = cc.get_scheme("weighted_ti_150")
-    assert cc.eval_scheme(s, "-", 0.25) == pytest.approx(0.5)
+    assert s.fn("-")(0.25) == pytest.approx(0.5)
     c = 4.0 - 2.0 * math.sqrt(2.0)
-    assert cc.eval_scheme(s, "+", 0.5) == pytest.approx(c * 0.25)
-    assert cc.eval_scheme(s, "+", 0.95) == 1.0
+    assert s.fn("+")(0.5) == pytest.approx(c * 0.25)
+    assert s.fn("+")(0.95) == 1.0
     s3 = cc.get_scheme("weighted_ti_153")
-    assert cc.eval_scheme(s3, "+", 0.6) == pytest.approx(0.36)
+    assert s3.fn("+")(0.6) == pytest.approx(0.36)
 
 
 def test_all_schemes_start_at_zero_and_stay_in_range():
@@ -63,7 +63,7 @@ def test_all_schemes_start_at_zero_and_stay_in_range():
 
 def test_neutral_requires_f_neutral():
     with pytest.raises(IneligibleSchemeError):
-        cc.eval_scheme(cc.get_scheme("complete206"), "0", 0.5)
+        cc.get_scheme("complete206").fn("0")(0.5)
 
 
 def test_scheme_json_roundtrip():
@@ -415,7 +415,7 @@ def test_derand_weighted_metric_within_150(inst):
     for u in range(inst.n):
         for v in range(u + 1, inst.n):
             lplus = float(inst.lam_plus[u, v])
-            d = min(max(x.value(u, v), 0.0), 1.0)
+            d = min(max(x.matrix[u, v], 0.0), 1.0)
             lp += lplus * d + (1.0 - lplus) * (1.0 - d)
             cut = c.assignment[u] != c.assignment[v]
             cost += lplus if cut else 1.0 - lplus
