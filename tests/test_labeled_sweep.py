@@ -1,12 +1,13 @@
 """The labeled certification sweep against a per-assignment reference.
 
 `certify` prices every assignment of the class on one length batch (the
-two tight families together, or one full-grid slab at a time) and each
+tight family (x,y,x+y), or one full-grid slab at a time) and each
 assignment's corners as one array. The reference below sweeps one
-assignment and one tight family at a time and prices the corners one
-scalar `triple_costs` call at a time, as the sweep first did; both must
-give the same minima to the last bit, the same witnesses and the same
-corner rows.
+assignment and both tight families, (x,y,x+y) then (x,x+z,z), one at a
+time and prices the corners one scalar `triple_costs` call at a time,
+as the sweep first did; both must give the same minima to the last bit,
+the same witnesses and the same corner rows, so the second family adds
+nothing.
 """
 
 import itertools
@@ -138,6 +139,28 @@ def test_full_grid_matches_reference(graph_class, alpha):
     assert_matches_reference(DECREASING_NEUTRAL, alpha, graph_class, 0.1, full_grid=True)
 
 
+@pytest.mark.parametrize("name, graph_class, alpha", [
+    ("complete206", "complete", 2.06),
+    ("acn_linear", "complete", 2.5),
+    ("kpartite3", "kpartite", 3.0),
+])
+def test_second_tight_family_is_the_first_relabeled(name, graph_class, alpha):
+    # (a, a+b, b) is (a, b, a+b) with edges 1 and 2 swapped; only the summation order differs
+    scheme = cc.get_scheme(name)
+    g = grid(0.01)
+    A, B = np.meshgrid(g, g, indexing="ij")
+    mask = A + B <= 1.0 + 1e-12
+    a, b = A[mask], B[mask]
+    for canonical in admissible_types(graph_class):
+        for types in set(itertools.permutations(canonical)):
+            probs = [scheme.fn(t)(L) for t, L in zip(types, (a, a + b, b))]
+            alg, lp = triple_sums(types, (a, a + b, b), probs)
+            swapped = (types[0], types[2], types[1])
+            want = surplus_on_lengths(swapped, a, b, a + b, scheme, alpha)
+            ulp = np.spacing(np.maximum(np.abs(alpha * lp), np.abs(alg)))  # of the terms summed
+            assert np.all(np.abs(alpha * lp - alg - want) <= 4 * ulp)
+
+
 def metric_count(triples):
     return sum(1 for t in triples
                if all(t[i] <= t[(i + 1) % 3] + t[(i + 2) % 3] + 1e-12 for i in range(3)))
@@ -157,11 +180,11 @@ def test_report_meta_counts_swept_points(scheme, graph_class, alpha, step, full_
     assignments = [types for c in admissible_types(graph_class)
                    for types in set(itertools.permutations(c))]
     grid_points = (metric_count(itertools.product(range(k + 1), repeat=3)) if full_grid
-                   else (k + 1) * (k + 2))  # two tight families of (k+1)(k+2)/2 pairs
+                   else (k + 1) * (k + 2) // 2)  # one tight family of (k+1)(k+2)/2 pairs
     corners = corner_sets(scheme)
     corner_points = sum(metric_count(itertools.product(*(corners[t] for t in types)))
                         for types in assignments)
     meta = json.loads(rep.to_json())["meta"]
     assert meta["surplus_points"] == len(assignments) * grid_points + corner_points
     if scheme is S206 and step == 0.005:
-        assert meta["surplus_points"] == 8 * 201 * 202 + 87
+        assert meta["surplus_points"] == 8 * 201 * 202 // 2 + 87 == 162_495

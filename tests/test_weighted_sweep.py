@@ -1,11 +1,15 @@
 """The weighted certification sweep against the per-row reference.
 
 `certify_weighted_ti` computes the eight per-coin surplus arrays once
-and mixes them per lam row. The reference below recomputes the whole
-coin mixture for every lam row, as the sweep first did; both must give
-the same minimum to the last bit and the same witness.
+and mixes them over blocks of lam rows. The reference below recomputes
+the whole coin mixture for every lam row, as the sweep first did; both
+must give the same minimum to the last bit and the same witness, at any
+block size. The sweep prices the one tight family (a, b, a+b); the
+tests here also show that the other two, (a, a+b, b) and (a+b, a, b),
+add nothing.
 """
 
+import importlib
 import itertools
 import json
 import math
@@ -14,9 +18,10 @@ import numpy as np
 import pytest
 
 import ccpivot as cc
-from ccpivot.certify import _weighted_length_batches, triple_sums
+from ccpivot.certify import _weighted_length_batches, triple_sums, weighted_surplus
 
 COINS = list(itertools.product(("+", "-"), repeat=3))
+certify_mod = importlib.import_module("ccpivot.certify")  # cc.certify is the function
 
 
 def reference_weighted_surplus(lam_minus, lengths, scheme, alpha):
@@ -74,6 +79,7 @@ def assert_matches_reference(name, alpha, length_grid_step, lam_grid_step):
     got = rep.worst()
     assert got.min_surplus.hex() == ref_min.hex()
     assert got.witness == ref_witness
+    return got.witness
 
 
 @pytest.mark.parametrize("name", ["weighted_ti_150", "weighted_ti_153"])
@@ -86,6 +92,126 @@ def test_sweep_matches_per_row_reference(name, alpha, length_grid_step, lam_grid
 
 def test_sweep_matches_per_row_reference_default_grid():
     assert_matches_reference("weighted_ti_153", 1.49, 0.01, 1.0 / 12.0)
+
+
+def tight_pairs(length_grid_step):
+    g = np.linspace(0.0, 1.0, round(1.0 / length_grid_step) + 1)
+    return [(a, b) for a in g for b in g if a + b <= 1.0 + 1e-12]
+
+
+def coin_term_scale(lam_minus, lengths, scheme, alpha):
+    """The coin mixture of max(|alpha * LP|, |ALG|): the size of the terms the surplus sums."""
+    lm = [np.asarray(v, dtype=np.float64) for v in lam_minus]
+    total = 0.0
+    for combo in COINS:
+        weight = 1.0
+        for i, t in enumerate(combo):
+            weight = weight * (lm[i] if t == "-" else (1.0 - lm[i]))
+        alg, lp = triple_sums(combo, lengths, [scheme.fn(t)(l) for t, l in zip(combo, lengths)])
+        total = total + weight * np.maximum(np.abs(alpha * lp), np.abs(alg))
+    return total
+
+
+@pytest.mark.parametrize("name", ["weighted_ti_150", "weighted_ti_153"])
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.53])
+@pytest.mark.parametrize("length_grid_step, lam_grid_step", [(0.05, 1.0 / 12.0), (0.01, 0.25)])
+def test_other_tight_families_are_relabelings(name, alpha, length_grid_step, lam_grid_step):
+    # each edge keeps its own lam_minus; only the summation order differs
+    scheme = cc.get_scheme(name)
+    a, b = (np.array(v) for v in zip(*tight_pairs(length_grid_step)))
+    lam = reference_lam_rows(lam_grid_step).T[:, :, None]
+    l0, l1, l2 = lam
+    base = (a, b, a + b)
+    for lengths, lam_base in (((a, a + b, b), (l0, l2, l1)), ((a + b, a, b), (l1, l2, l0))):
+        got = weighted_surplus(lam, lengths, scheme, alpha)
+        want = weighted_surplus(lam_base, base, scheme, alpha)
+        scale = coin_term_scale(lam, lengths, scheme, alpha)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(scale))
+
+
+def reference_three_families(scheme, alpha, length_grid_step, lam_grid_step):
+    """Per-row sweep over all three tight families and the corners, built here."""
+    pairs = tight_pairs(length_grid_step)
+    triples = ([(a, b, a + b) for a, b in pairs] + [(a, a + b, b) for a, b in pairs]
+               + [(a + b, a, b) for a, b in pairs])
+    pts = sorted(set(scheme.f_plus.breakpoints()) | set(scheme.f_minus.breakpoints()))
+    triples += [t for t in itertools.product(pts, repeat=3)
+                if all(t[i] <= t[(i + 1) % 3] + t[(i + 2) % 3] + 1e-12 for i in range(3))]
+    ls = [np.array(v, dtype=np.float64) for v in zip(*triples)]
+    return min(float(np.min(reference_weighted_surplus(lam, ls, scheme, alpha)))
+               for lam in reference_lam_rows(lam_grid_step))
+
+
+@pytest.mark.parametrize("name", ["weighted_ti_150", "weighted_ti_153"])
+@pytest.mark.parametrize("alpha", [1.2, 1.49, 1.5, 1.53])
+@pytest.mark.parametrize("length_grid_step, lam_grid_step", [(0.1, 0.25), (0.2, 0.1)])
+def test_one_family_matches_three_family_reference(name, alpha, length_grid_step, lam_grid_step):
+    scheme = cc.get_scheme(name)
+    rep = cc.certify_weighted_ti(scheme, alpha, length_grid_step=length_grid_step,
+                                 lam_grid_step=lam_grid_step)
+    ref = reference_three_families(scheme, alpha, length_grid_step, lam_grid_step)
+    assert rep.passed == (ref >= -rep.tol)
+    assert abs(rep.min_surplus - ref) <= 1e-15
+
+
+def test_one_family_matches_three_family_reference_default_grid():
+    scheme = cc.get_scheme("weighted_ti_150")
+    rep = cc.certify_weighted_ti(scheme, 1.5)
+    ref = reference_three_families(scheme, 1.5, 0.01, 1.0 / 12.0)
+    assert rep.passed and ref >= -rep.tol
+    assert abs(rep.min_surplus - ref) <= 1e-15
+
+
+def set_rows_per_block(monkeypatch, scheme, length_grid_step, rows):
+    """Make each mixture block hold `rows` lam rows (the last one fewer)."""
+    n_lengths = len(_weighted_length_batches(scheme, length_grid_step)[0])
+    monkeypatch.setattr(certify_mod, "_MIX_BLOCK", rows * n_lengths + n_lengths - 1)
+
+
+@pytest.mark.parametrize("rows", [2, 3])
+@pytest.mark.parametrize("name, alpha, length_grid_step, lam_grid_step, witness_row", [
+    ("weighted_ti_153", 1.49, 0.1, 1.0 / 12.0, 411),  # 1,105 rows: 1 left over in both
+    ("weighted_ti_150", 1.2, 0.2, 1.0 / 12.0, 6),
+    ("weighted_ti_150", 1.5, 0.1, 0.25, 25),  # 65 rows: 1 and 2 left over
+    ("weighted_ti_150", 1.53, 0.1, 0.25, 0),  # minimum 0 on many rows: the first wins
+])
+def test_blocks_match_per_row_reference(monkeypatch, rows, name, alpha, length_grid_step,
+                                        lam_grid_step, witness_row):
+    scheme = cc.get_scheme(name)
+    assert len(reference_lam_rows(lam_grid_step)) % rows != 0
+    set_rows_per_block(monkeypatch, scheme, length_grid_step, rows)
+    witness = assert_matches_reference(name, alpha, length_grid_step, lam_grid_step)
+    lam_rows = [[float(v) for v in r] for r in reference_lam_rows(lam_grid_step)]
+    assert lam_rows.index(witness["lam_minus"]) == witness_row
+
+
+@pytest.mark.parametrize("rows", [2, 3, None])
+@pytest.mark.parametrize("planted, first", [
+    ({(7, 40), (10, 3)}, (7, 40)),  # row 7 is in block 3 (0-based) of 2 rows and block 2 of 3
+    ({(64, 5)}, (64, 5)),  # the last of 65 rows, in the short last block
+])
+def test_nan_in_a_later_block_counts_as_minus_inf(monkeypatch, rows, planted, first):
+    # NaN planted at (lam row, length) points; the first in sweep order
+    # (row-major over lam rows, then lengths) is the witness, whatever the blocks
+    scheme = cc.get_scheme("weighted_ti_150")
+    if rows is not None:
+        set_rows_per_block(monkeypatch, scheme, 0.1, rows)
+    lam_rows = reference_lam_rows(0.25)
+    ls = _weighted_length_batches(scheme, 0.1)
+    mixture = certify_mod._coin_mixture
+
+    def with_nans(lam_minus, surpluses):  # lam_minus: a block's rows as (3, rows, 1) columns
+        out = mixture(lam_minus, surpluses)
+        for r, j in planted:
+            out[np.all(lam_minus[:, :, 0].T == lam_rows[r], axis=1), j] = math.nan
+        return out
+
+    monkeypatch.setattr(certify_mod, "_coin_mixture", with_nans)
+    rep = cc.certify_weighted_ti(scheme, 1.5, length_grid_step=0.1, lam_grid_step=0.25)
+    worst = rep.worst()
+    assert worst.min_surplus == -math.inf and not rep.passed
+    assert worst.witness == {"lam_minus": [float(v) for v in lam_rows[first[0]]],
+                             "lengths": [float(l[first[1]]) for l in ls]}
 
 
 def _integer_metric_triples(m):
@@ -105,9 +231,9 @@ def test_report_meta_counts_swept_points(name, length_grid_step, lam_grid_step):
     pts = sorted(set(scheme.f_plus.breakpoints()) | set(scheme.f_minus.breakpoints()))
     corners = sum(1 for a, b, c in itertools.product(pts, repeat=3)
                   if a <= b + c + 1e-12 and b <= a + c + 1e-12 and c <= a + b + 1e-12)
-    expected = (3 * (k + 1) * (k + 2) // 2 + corners) * _integer_metric_triples(round(1 / lam_grid_step))
+    expected = ((k + 1) * (k + 2) // 2 + corners) * _integer_metric_triples(round(1 / lam_grid_step))
     meta = json.loads(rep.to_json())["meta"]
     assert meta["lam_grid_step"] == lam_grid_step
     assert meta["surplus_points"] == expected
     if name == "weighted_ti_150" and length_grid_step == 0.01:
-        assert expected == 15_468 * 1_105
+        assert expected == 5_166 * 1_105
