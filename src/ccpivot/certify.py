@@ -22,6 +22,8 @@ Every sweep prices its length batches with one kernel,
 probability array once per batch, and keeps its minimum with
 ``_lowest``: the first strictly lower value wins, so ties resolve in
 sweep order, and a NaN counts as -inf, so it can only fail a sweep.
+The corners of every type assignment form one batch; full-grid batches
+and weighted mixture blocks are sized by ``_MIX_BLOCK``.
 """
 
 from __future__ import annotations
@@ -285,6 +287,14 @@ class CertificateReport:
         return json.dumps(doc, indent=1)
 
 
+# Full-grid batches join whole l0 slabs up to this many points; a weighted mixture
+# buffer holds at most this many (lam row, length) entries, or one row. On the
+# weighted sweep at grid 0.01 (5,166 lengths, 2-core host) 2^13 leaves one row per
+# block and took 62-73 ms a call, 2^14 33-41 ms, and 2^15 32-36 ms but raised the
+# certify benchmark's peak RSS by 1.6 MB (+4.5%).
+_MIX_BLOCK = 1 << 14
+
+
 def _grid(step: float) -> np.ndarray:
     k = int(round(1.0 / step))
     return np.linspace(0.0, 1.0, k + 1)
@@ -341,17 +351,22 @@ def _labeled_batches(full_grid: bool, step: float):
 
     Eligible schemes: the tight family (x,y,x+y) alone; (x,x+z,z) is it
     with edges 1 and 2 swapped, and every type assignment is swept. The
-    full-grid fallback streams the metric polytope one l0 slab at a time.
+    full-grid fallback streams the metric polytope in l0 order, joining whole
+    l0 slabs until a batch holds ``_MIX_BLOCK`` points (the last may hold fewer).
     """
     g = _grid(step)
     if not full_grid:
         yield "(x,y,x+y)", _tight_triples(g)
         return
     B, C = np.meshgrid(g, g, indexing="ij")
+    slabs = []
     for l0 in g:
         ok = (l0 <= B + C + 1e-12) & (B <= l0 + C + 1e-12) & (C <= l0 + B + 1e-12)
         b, c = B[ok], C[ok]
-        yield "full-grid", (np.full_like(b, l0), b, c)
+        slabs.append((np.full_like(b, l0), b, c))
+        if sum(len(s[0]) for s in slabs) >= _MIX_BLOCK or l0 == g[-1]:
+            yield "full-grid", [np.concatenate(p) for p in zip(*slabs)]
+            slabs = []
 
 
 def certify(
@@ -395,20 +410,24 @@ def certify(
                 "types": "".join(types), "family": family,
                 "lengths": [float(l[i]) for l in lengths],
             })
+    # every assignment's corner triples, priced as one batch; each reads its own slice
     corners = corner_sets(scheme)
+    triples = {types: _metric_triples(*(corners[t] for t in types)) for types in rows}
+    flat = [t for types in rows for t in triples[types]]
+    points += len(flat)
+    starts = itertools.accumulate((len(triples[t]) for t in rows), initial=0)
+    corner_s = {types: s[i:i + len(triples[types])] for types, i, s in
+                zip(rows, starts, _type_surpluses(rows, list(zip(*flat)), scheme, alpha))}
     results = []
     for canonical in canonicals:
         best = min((found[t] for t in _assignments(canonical)), key=lambda b: b[0])
         corner_best, corner_rows = (math.inf, None), []
         for types in _assignments(canonical):
-            label = "".join(types)
-            triples = _metric_triples(*(corners[t] for t in types))
-            points += len(triples)
-            s = next(_type_surpluses([types], list(zip(*triples)), scheme, alpha))
+            label, s = "".join(types), corner_s[types]
             corner_rows += [{"types": label, "lengths": list(t), "surplus": float(v)}
-                            for t, v in zip(triples, s)]
+                            for t, v in zip(triples[types], s)]
             corner_best = _lowest(corner_best, s, lambda i: {
-                "types": label, "family": "corner", "lengths": list(triples[i]),
+                "types": label, "family": "corner", "lengths": list(triples[types][i]),
             })
         witness = best[1] if best[0] <= corner_best[0] else corner_best[1]
         results.append(
@@ -511,22 +530,22 @@ def lower_bound_check(alpha: float, x: float) -> LowerBoundResult:
 # ---------------------------------------------------------------------------
 
 _COIN_TYPES = list(itertools.product(("+", "-"), repeat=3))
-# Mixture entries (lam rows x lengths) per block: at most 128 KB of float64 (or
-# one row), so temporaries stay in cache and under malloc's mmap threshold:
-# 512 KB blocks took 19k minor page faults per weighted sweep, 128 KB ones 5.
-_MIX_BLOCK = 1 << 14
 
 
-def _coin_mixture(lam_minus, surpluses):
-    """Sum of the per-coin surpluses weighted by their lam_minus probabilities."""
+def _coin_weights(lam_minus) -> np.ndarray:
+    """The probability of each coin outcome of _COIN_TYPES, stacked on a new first axis."""
     lm = [np.asarray(v, dtype=np.float64) for v in lam_minus]
+    side = {"-": lm, "+": [1.0 - v for v in lm]}
+    weights = [1.0 * side[a][0] * side[b][1] * side[c][2] for a, b, c in _COIN_TYPES]
+    return np.stack(np.broadcast_arrays(*weights))
+
+
+def _coin_mixture(weights, surpluses, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Sum of the per-coin weight * surplus from 0.0 in coin order, into out (tmp: scratch)."""
     total = 0.0
-    for combo, s in zip(_COIN_TYPES, surpluses):
-        weight = 1.0
-        for i, t in enumerate(combo):
-            weight = weight * (lm[i] if t == "-" else (1.0 - lm[i]))
-        total = total + weight * s
-    return total
+    for w, s in zip(weights, surpluses):
+        total = np.add(total, np.multiply(w, s, out=tmp), out=out)
+    return out
 
 
 def weighted_surplus(lam_minus, lengths, scheme: RoundingScheme, alpha: float):
@@ -536,7 +555,10 @@ def weighted_surplus(lam_minus, lengths, scheme: RoundingScheme, alpha: float):
     coin outcomes contributes its unweighted surplus times its
     probability.
     """
-    return _coin_mixture(lam_minus, list(_type_surpluses(_COIN_TYPES, lengths, scheme, alpha)))
+    weights = _coin_weights(lam_minus)
+    surpluses = list(_type_surpluses(_COIN_TYPES, lengths, scheme, alpha))
+    shape = np.broadcast_shapes(weights.shape[1:], *(np.shape(s) for s in surpluses))
+    return _coin_mixture(weights, surpluses, np.empty(shape), np.empty(shape))
 
 
 def _weighted_length_batches(scheme: RoundingScheme, grid_step: float):
@@ -561,10 +583,11 @@ def certify_weighted_ti(
     to the metric polytope; (a, a+b, b) and (a+b, a, b) are relabelings
     that add no point, as every coin outcome is swept and the lam grid
     is closed under permutation. The eight per-coin surplus arrays are
-    computed once; each block of lam rows only mixes them. The sweep is
-    serial: ``jobs`` is accepted and ignored. It stays because the
-    benchmark passes ``jobs=1``; both go together at the next change to
-    the benchmark.
+    computed once, and so are the eight coin weights of every lam row;
+    each block of lam rows only multiplies and adds them into two
+    buffers reused from block to block. The sweep is serial: ``jobs`` is
+    accepted and ignored. It stays because the benchmark passes
+    ``jobs=1``; both go together at the next change to the benchmark.
     """
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
@@ -577,12 +600,16 @@ def certify_weighted_ti(
     lam_rows = np.array(_metric_triples(g, g, g), dtype=np.float64)
     ls = _weighted_length_batches(scheme, length_grid_step)
     surpluses = list(_type_surpluses(_COIN_TYPES, ls, scheme, alpha))
+    weights = _coin_weights(lam_rows.T)[:, :, None]
     L = len(ls[0])
     rows = max(1, _MIX_BLOCK // L)
+    out, tmp = np.empty((2, rows, L))
     best = (math.inf, None)
     for r0 in range(0, len(lam_rows), rows):
         block = lam_rows[r0:r0 + rows]
-        best = _lowest(best, _coin_mixture(block.T[:, :, None], surpluses).ravel(), lambda i: {
+        mixed = _coin_mixture(weights[:, r0:r0 + rows], surpluses, out[:len(block)],
+                              tmp[:len(block)])
+        best = _lowest(best, mixed.ravel(), lambda i: {
             "lam_minus": [float(v) for v in block[i // L]],
             "lengths": [float(l[i % L]) for l in ls],
         })

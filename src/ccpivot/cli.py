@@ -61,8 +61,9 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_NUMERICAL = 70
 
-# memory walls of the CLI: at grid 1e-3 the weighted sweep peaks near 300 MB
-# (1 GB at 5e-4); a 1,000-vertex instance takes about 0.5 GB as JSON
+# walls of the CLI (peak RSS, 2-core host): at grid 1e-3 the weighted sweep takes 119 MB
+# and 7 s, the complete-class full-grid fallback 164 MB and 214 s; at 5e-4, 382 MB and
+# 37 s, and 561 MB and 30 min. A 1,000-vertex instance takes about 0.5 GB as JSON.
 MIN_GRID_STEP = 1e-3
 MAX_GEN_N = 1000
 

@@ -1,15 +1,18 @@
 """The labeled certification sweep against a per-assignment reference.
 
 `certify` prices every assignment of the class on one length batch (the
-tight family (x,y,x+y), or one full-grid slab at a time) and each
-assignment's corners as one array. The reference below sweeps one
+tight family (x,y,x+y), or whole full-grid l0 slabs joined up to
+`_MIX_BLOCK` points) and the corners of every assignment in one batch,
+each assignment reading its own slice. The reference below sweeps one
 assignment and both tight families, (x,y,x+y) then (x,x+z,z), one at a
-time and prices the corners one scalar `triple_costs` call at a time,
-as the sweep first did; both must give the same minima to the last bit,
-the same witnesses and the same corner rows, so the second family adds
-nothing.
+time, the full grid one l0 slab at a time, and prices the corners one
+scalar `triple_costs` call at a time, as the sweep first did; both must
+give the same minima to the last bit, the same witnesses (the first
+point in sweep order among ties, whatever the batches) and the same
+corner rows, so the second family adds nothing.
 """
 
+import importlib
 import itertools
 import json
 import math
@@ -21,6 +24,7 @@ import ccpivot as cc
 from ccpivot.certify import admissible_types, corner_sets, triple_costs, triple_sums
 from ccpivot.rounding import Piece, PiecewiseFn, RoundingScheme
 
+certify_mod = importlib.import_module("ccpivot.certify")  # cc.certify is the function
 S206 = cc.get_scheme("complete206")
 DECREASING_NEUTRAL = RoundingScheme(
     "complete206_decreasing_neutral",
@@ -137,6 +141,72 @@ def test_tight_sweep_matches_reference(name, graph_class, alpha, step):
 ])
 def test_full_grid_matches_reference(graph_class, alpha):
     assert_matches_reference(DECREASING_NEUTRAL, alpha, graph_class, 0.1, full_grid=True)
+
+
+def batch_minima(scheme, alpha, graph_class, step):
+    """Per assignment, the batches whose lowest surplus is the assignment's minimum."""
+    rows = [t for c in admissible_types(graph_class) for t in set(itertools.permutations(c))]
+    lows = {t: [] for t in rows}
+    for _family, lengths in certify_mod._labeled_batches(True, step):
+        for t in rows:
+            lows[t].append(float(np.min(surplus_on_lengths(t, *lengths, scheme, alpha))))
+    return {t: [k for k, v in enumerate(low) if v == min(low)] for t, low in lows.items()}
+
+
+@pytest.mark.parametrize("graph_class, alpha", [
+    ("complete", 2.06), ("complete", 2.0), ("kpartite", 3.0),
+])
+def test_full_grid_matches_reference_over_batches(graph_class, alpha):
+    # the benchmark's grid: several batches, and minima tied across them
+    assert 4 <= len(list(certify_mod._labeled_batches(True, 0.02))) <= 5
+    assert any(len(k) > 1 for k in batch_minima(DECREASING_NEUTRAL, alpha, graph_class,
+                                                0.02).values())
+    assert_matches_reference(DECREASING_NEUTRAL, alpha, graph_class, 0.02, full_grid=True)
+
+
+# At step 0.1 the l0 slabs hold 11, 30, 46, 59, 69, 76, 80, 81, 79, 74, 66 points.
+# No one batch size gives batches of 2-3 slabs ending in a short one, so two do.
+@pytest.mark.parametrize("block, slabs_per_batch", [
+    (87, [3, 2, 2, 2, 2]),
+    (141, [4, 2, 2, 2, 1]),  # the last batch, 66 points, is short
+])
+@pytest.mark.parametrize("graph_class, alpha", [
+    ("complete", 2.06), ("complete", 2.0), ("kpartite", 3.0),
+])
+def test_full_grid_batches_of_whole_slabs(monkeypatch, block, slabs_per_batch, graph_class,
+                                          alpha):
+    monkeypatch.setattr(certify_mod, "_MIX_BLOCK", block)
+    batches = [lengths for _f, lengths in certify_mod._labeled_batches(True, 0.1)]
+    assert [len(set(b[0])) for b in batches] == slabs_per_batch
+    assert all(len(b[0]) >= block for b in batches[:-1])
+    assert_matches_reference(DECREASING_NEUTRAL, alpha, graph_class, 0.1, full_grid=True)
+
+
+@pytest.mark.parametrize("graph_class", ["complete", "kpartite"])
+def test_nan_in_a_later_full_grid_batch_counts_as_minus_inf(monkeypatch, graph_class):
+    # two NaNs, in the fourth batch of 141 points and in the short fifth; the first in
+    # sweep order is the witness, and the corners (priced by the same kernel) miss both
+    monkeypatch.setattr(certify_mod, "_MIX_BLOCK", 141)
+    g = grid(0.1)
+    planted_types = ("+", "-", "-")
+    planted = [(g[8], g[3], g[6]), (g[10], g[4], g[7])]
+    surpluses = certify_mod._type_surpluses
+
+    def with_nans(type_rows, lengths, scheme, alpha):
+        for types, s in zip(type_rows, surpluses(type_rows, lengths, scheme, alpha)):
+            if types == planted_types:
+                for p in planted:
+                    s[np.all([l == v for l, v in zip(lengths, p)], axis=0)] = math.nan
+            yield s
+
+    monkeypatch.setattr(certify_mod, "_type_surpluses", with_nans)
+    rep = cc.certify(DECREASING_NEUTRAL, 3.0, graph_class, grid_step=0.1)
+    assert rep.used_full_grid and not rep.passed
+    worst = rep.worst()
+    assert worst.label == "+--" and worst.min_surplus == -math.inf
+    assert worst.witness == {"types": "+--", "family": "full-grid",
+                             "lengths": [float(v) for v in planted[0]]}
+    assert math.isfinite(worst.corner_min)
 
 
 @pytest.mark.parametrize("name, graph_class, alpha", [

@@ -1,12 +1,13 @@
 """The weighted certification sweep against the per-row reference.
 
-`certify_weighted_ti` computes the eight per-coin surplus arrays once
-and mixes them over blocks of lam rows. The reference below recomputes
-the whole coin mixture for every lam row, as the sweep first did; both
-must give the same minimum to the last bit and the same witness, at any
-block size. The sweep prices the one tight family (a, b, a+b); the
-tests here also show that the other two, (a, a+b, b) and (a+b, a, b),
-add nothing.
+`certify_weighted_ti` computes the eight per-coin surplus arrays and
+the eight coin weights of every lam row once, and mixes them over
+blocks of lam rows with the same mixture `weighted_surplus` uses. The
+reference below recomputes the whole coin mixture for every lam row, as
+the sweep first did; both must give the same minimum to the last bit
+and the same witness, at any block size. The sweep prices the one
+tight family (a, b, a+b); the tests here also show that the other two,
+(a, a+b, b) and (a+b, a, b), add nothing.
 """
 
 import importlib
@@ -197,14 +198,15 @@ def test_nan_in_a_later_block_counts_as_minus_inf(monkeypatch, rows, planted, fi
     if rows is not None:
         set_rows_per_block(monkeypatch, scheme, 0.1, rows)
     lam_rows = reference_lam_rows(0.25)
+    weights = certify_mod._coin_weights(lam_rows.T)  # (8, lam rows); one column per row
     ls = _weighted_length_batches(scheme, 0.1)
     mixture = certify_mod._coin_mixture
 
-    def with_nans(lam_minus, surpluses):  # lam_minus: a block's rows as (3, rows, 1) columns
-        out = mixture(lam_minus, surpluses)
+    def with_nans(w, surpluses, out, tmp):  # w: a block's coin weights as (8, rows, 1)
+        mixed = mixture(w, surpluses, out, tmp)
         for r, j in planted:
-            out[np.all(lam_minus[:, :, 0].T == lam_rows[r], axis=1), j] = math.nan
-        return out
+            mixed[np.all(w[:, :, 0].T == weights[:, r], axis=1), j] = math.nan
+        return mixed
 
     monkeypatch.setattr(certify_mod, "_coin_mixture", with_nans)
     rep = cc.certify_weighted_ti(scheme, 1.5, length_grid_step=0.1, lam_grid_step=0.25)
@@ -212,6 +214,32 @@ def test_nan_in_a_later_block_counts_as_minus_inf(monkeypatch, rows, planted, fi
     assert worst.min_surplus == -math.inf and not rep.passed
     assert worst.witness == {"lam_minus": [float(v) for v in lam_rows[first[0]]],
                              "lengths": [float(l[first[1]]) for l in ls]}
+
+
+@pytest.mark.parametrize("rows", [2, 3, None])
+@pytest.mark.parametrize("name, alpha", [("weighted_ti_150", 1.5), ("weighted_ti_153", 1.49)])
+def test_block_mixture_is_weighted_surplus(monkeypatch, rows, name, alpha):
+    # every (lam row, length) entry the sweep mixes, to the last bit (and the sign of zero)
+    scheme = cc.get_scheme(name)
+    lam_rows = reference_lam_rows(0.25)
+    ls = _weighted_length_batches(scheme, 0.1)
+    want = weighted_surplus(lam_rows.T[:, :, None], ls, scheme, alpha)
+    assert want.shape == (len(lam_rows), len(ls[0]))
+    if rows is not None:
+        set_rows_per_block(monkeypatch, scheme, 0.1, rows)
+    blocks = []
+    mixture = certify_mod._coin_mixture
+
+    def recorded(w, surpluses, out, tmp):
+        blocks.append(mixture(w, surpluses, out, tmp).copy())
+        return out
+
+    monkeypatch.setattr(certify_mod, "_coin_mixture", recorded)
+    cc.certify_weighted_ti(scheme, alpha, length_grid_step=0.1, lam_grid_step=0.25)
+    if rows is not None:
+        assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        assert 0 < len(blocks[-1]) < rows
+    assert np.concatenate(blocks).tobytes() == want.tobytes()
 
 
 def _integer_metric_triples(m):
