@@ -8,22 +8,25 @@ surplus alpha * LP - ALG is nonnegative on every admissible triangle.
 For monotone schemes with piecewise-convex f_plus and piecewise-concave
 f_minus, it is enough to check triangles whose lengths make the triangle
 inequality tight, plus a finite corner set built from the pieces'
-endpoints; ``certify`` sweeps exactly those on a grid. The one family
-(x, y, x+y) is enough: any other tight triangle is it relabeled, and
-the sweeps price every relabeling of the types (and of lam_minus, whose
-grid is closed under permutation). Eligibility is
+endpoints; ``certify`` sweeps exactly those on a grid. Eligibility is
 read off each piece's kind and parameters (sufficient conditions, no
 sampling); ineligible schemes fall back to a full 3-D grid over the
 metric polytope, and schemes whose values leave [0, 1] are refused,
 because the surplus formulas assume probabilities.
 
-Every sweep prices its length batches with one kernel,
+One generator, ``_length_batches``, builds every swept length triple,
+sorted l0 <= l1 <= l2, one per triangle: the tight family (x, y, x+y)
+with x <= y, or the sorted metric triples of the full grid. Any other
+ordering is a sorted triple relabeled, and the sweeps price every
+relabeling of the types (and of lam_minus, whose grid is closed under
+permutation). Every sweep prices its length batches with one kernel,
 ``_type_surpluses``, which computes each (edge type, position)
 probability array once per batch, and keeps its minimum with
 ``_lowest``: the first strictly lower value wins, so ties resolve in
 sweep order, and a NaN counts as -inf, so it can only fail a sweep.
-The corners of every type assignment form one batch; full-grid batches
-and weighted mixture blocks are sized by ``_MIX_BLOCK``.
+The labeled corners stay ordered triples, as each is a row of the
+report, and the corners of every type assignment form one batch;
+full-grid batches and weighted mixture blocks are sized by ``_MIX_BLOCK``.
 """
 
 from __future__ import annotations
@@ -289,10 +292,11 @@ class CertificateReport:
 
 # Full-grid batches join whole l0 slabs up to this many points; a weighted mixture
 # buffer holds at most this many (lam row, length) entries, or one row. On the
-# weighted sweep at grid 0.01 (5,166 lengths, 2-core host) 2^13 leaves one row per
-# block and took 62-73 ms a call, 2^14 33-41 ms, and 2^15 32-36 ms but raised the
-# certify benchmark's peak RSS by 1.6 MB (+4.5%).
-_MIX_BLOCK = 1 << 14
+# weighted sweep at grid 0.01 (2,608 sorted lengths, 2-core host, minimum of 11
+# calls) one row per block (2^12) took 30-52 ms a call, two rows (6,144) 20-21 ms,
+# three (2^13) 42-52 ms and six (2^14) 35-43 ms; the full-grid fallback at grid
+# 0.005 then takes 90 batches instead of 37, in the same 0.16-0.17 s.
+_MIX_BLOCK = 6144
 
 
 def _grid(step: float) -> np.ndarray:
@@ -314,11 +318,29 @@ def _metric_triples(s0, s1, s2) -> list:
     ]
 
 
-def _tight_triples(g: np.ndarray):
-    """The tight family (a, b, a + b) over grid pairs with a + b <= 1."""
-    A, B = np.meshgrid(g, g, indexing="ij")
-    mask = A + B <= 1.0 + 1e-12
-    return A[mask], B[mask], A[mask] + B[mask]
+def _length_batches(values, full_grid: bool):
+    """Batches of sorted length triples l0 <= l1 <= l2 over ascending values, one per triangle.
+
+    The tight family is (a, b, a+b) with a <= b and a + b <= 1, one batch in
+    (a, b) order. The full grid streams the metric polytope in l0 slabs,
+    l2 <= l0 + l1, joining whole slabs until a batch holds ``_MIX_BLOCK``
+    points (the last may hold fewer).
+    """
+    v = np.asarray(values, dtype=np.float64)
+    if not full_grid:
+        A, B = np.meshgrid(v, v, indexing="ij")
+        mask = (A <= B) & (A + B <= 1.0 + 1e-12)
+        yield A[mask], B[mask], A[mask] + B[mask]
+        return
+    slabs = []
+    for i, l0 in enumerate(v):
+        B, C = np.meshgrid(v[i:], v[i:], indexing="ij")
+        ok = (B <= C) & (C <= l0 + B + 1e-12)
+        b, c = B[ok], C[ok]
+        slabs.append((np.full_like(b, l0), b, c))
+        if sum(len(s[0]) for s in slabs) >= _MIX_BLOCK or i == len(v) - 1:
+            yield [np.concatenate(p) for p in zip(*slabs)]
+            slabs = []
 
 
 def _type_surpluses(type_rows, lengths, scheme: RoundingScheme, alpha: float):
@@ -346,29 +368,6 @@ def _lowest(best, s, witness):
     return (low, witness(i)) if low < best[0] else best
 
 
-def _labeled_batches(full_grid: bool, step: float):
-    """(family, lengths) of each length batch of the labeled sweep, in sweep order.
-
-    Eligible schemes: the tight family (x,y,x+y) alone; (x,x+z,z) is it
-    with edges 1 and 2 swapped, and every type assignment is swept. The
-    full-grid fallback streams the metric polytope in l0 order, joining whole
-    l0 slabs until a batch holds ``_MIX_BLOCK`` points (the last may hold fewer).
-    """
-    g = _grid(step)
-    if not full_grid:
-        yield "(x,y,x+y)", _tight_triples(g)
-        return
-    B, C = np.meshgrid(g, g, indexing="ij")
-    slabs = []
-    for l0 in g:
-        ok = (l0 <= B + C + 1e-12) & (B <= l0 + C + 1e-12) & (C <= l0 + B + 1e-12)
-        b, c = B[ok], C[ok]
-        slabs.append((np.full_like(b, l0), b, c))
-        if sum(len(s[0]) for s in slabs) >= _MIX_BLOCK or l0 == g[-1]:
-            yield "full-grid", [np.concatenate(p) for p in zip(*slabs)]
-            slabs = []
-
-
 def certify(
     scheme: RoundingScheme,
     alpha: float,
@@ -379,11 +378,11 @@ def certify(
 ) -> CertificateReport:
     """Grid-certify that the scheme rounds within factor alpha on the class.
 
-    Eligible schemes are checked on the tight family (x,y,x+y) over
-    every assignment of the type triple to edge positions (which covers
-    its relabelings) plus the corner set; PASS means the minimum surplus
-    stays above -tol. A scheme whose values leave [0, 1] is refused,
-    fallback or not.
+    Eligible schemes are checked on the tight family (x,y,x+y) with
+    x <= y over every assignment of the type triple to edge positions
+    (which covers its relabelings) plus the corner set; PASS means the
+    minimum surplus stays above -tol. A scheme whose values leave
+    [0, 1] is refused, fallback or not.
     """
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
@@ -403,7 +402,8 @@ def certify(
     found = {types: (math.inf, None) for c in canonicals for types in _assignments(c)}
     rows = list(found)
     points = 0  # surplus evaluations, grid and corners
-    for family, lengths in _labeled_batches(use_full, grid_step):
+    family = "full-grid" if use_full else "(x,y,x+y)"
+    for lengths in _length_batches(_grid(grid_step), use_full):
         points += len(rows) * len(lengths[0])
         for types, s in zip(rows, _type_surpluses(rows, lengths, scheme, alpha)):
             found[types] = _lowest(found[types], s, lambda i: {
@@ -561,13 +561,6 @@ def weighted_surplus(lam_minus, lengths, scheme: RoundingScheme, alpha: float):
     return _coin_mixture(weights, surpluses, np.empty(shape), np.empty(shape))
 
 
-def _weighted_length_batches(scheme: RoundingScheme, grid_step: float):
-    """The tight family (a, b, a+b) plus the corner triples, as one batch."""
-    pts = sorted(set(scheme.f_plus.breakpoints()) | set(scheme.f_minus.breakpoints()))
-    corner = np.array(_metric_triples(pts, pts, pts), dtype=np.float64).reshape(-1, 3)
-    return [np.concatenate(p) for p in zip(_tight_triples(_grid(grid_step)), corner.T)]
-
-
 def certify_weighted_ti(
     scheme: RoundingScheme,
     alpha: float,
@@ -578,11 +571,13 @@ def certify_weighted_ti(
 ) -> CertificateReport:
     """Certify a scheme on weighted instances with metric negative weights.
 
-    The surplus is swept over the tight length triples (a, b, a+b) (and
-    length corners) crossed with a grid of lam_minus triples restricted
-    to the metric polytope; (a, a+b, b) and (a+b, a, b) are relabelings
-    that add no point, as every coin outcome is swept and the lam grid
-    is closed under permutation. The eight per-coin surplus arrays are
+    The surplus is swept over the sorted tight length triples (a, b, a+b)
+    with a <= b, then the sorted metric triples of the breakpoints,
+    crossed with a grid of lam_minus triples restricted to the metric
+    polytope: at grid 0.01 and lam grid 1/12, 2,608 lengths by 1,105
+    rows. Every other ordering is a sorted triple relabeled and adds no
+    point, as every coin outcome is swept and the lam grid is closed
+    under permutation. The eight per-coin surplus arrays are
     computed once, and so are the eight coin weights of every lam row;
     each block of lam rows only multiplies and adds them into two
     buffers reused from block to block. The sweep is serial: ``jobs`` is
@@ -598,7 +593,9 @@ def certify_weighted_ti(
         )
     g = _grid(lam_grid_step)
     lam_rows = np.array(_metric_triples(g, g, g), dtype=np.float64)
-    ls = _weighted_length_batches(scheme, length_grid_step)
+    pts = sorted(set(scheme.f_plus.breakpoints()) | set(scheme.f_minus.breakpoints()))
+    ls = [np.concatenate(p) for p in zip(*_length_batches(_grid(length_grid_step), False),
+                                         *_length_batches(pts, True))]
     surpluses = list(_type_surpluses(_COIN_TYPES, ls, scheme, alpha))
     weights = _coin_weights(lam_rows.T)[:, :, None]
     L = len(ls[0])

@@ -348,6 +348,17 @@ def test_lower_bound_vacuous_radicand():
     assert r.root_interval is None and not r.contradiction
 
 
+def test_lower_bound_quadratic_without_real_root():
+    # the required quadratic has a negative discriminant: no f_plus(x) satisfies it
+    r = cc.lower_bound_check(1.001, 0.001)
+    assert r.contradiction and r.root_interval is None and r.roots_raw is None
+
+
+def test_bound_curves_need_alpha_above_one():
+    with pytest.raises(ValueError, match="alpha must exceed 1"):
+        cc.bound_curves(1.0)
+
+
 # -- weighted certification ------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import ccpivot as cc
@@ -271,6 +272,9 @@ BAD_ARGV = {
     "gen --n 200000": ["gen", "complete", "--n", "200000", "--seed", "1"],
     "gen gap-ti --n 501": ["gen", "gap-ti", "--n", "501"],  # 2n vertices
     "gen --parts 500,501": ["gen", "kpartite", "--parts", "500,501", "--seed", "1"],
+    # families outside argparse's choices
+    "gen bogus": ["gen", "bogus", "--seed", "1"],
+    "bench --family weighted": BENCH + ["--family", "weighted"],
 }
 
 
@@ -296,6 +300,28 @@ def test_bench_csv(tmp_path):
         assert float(r["derand_alg"]) <= 2.06 * lp + 1e-9
         if lp > 0:
             assert float(r["ratio_mean"]) <= 2.06 + 3.0  # loose smoke bound
+
+
+def test_bench_kpartite_csv(tmp_path):
+    out = tmp_path / "bench.csv"
+    assert run(["bench", "--family", "kpartite", "--parts", "2,2,2", "--instances", "3",
+                "--trials", "20", "--scheme", "kpartite3", "--alpha", "3", "--seed", "5",
+                "-o", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    rows = [dict(zip(lines[1].split(","), l.split(","))) for l in lines[2:]]
+    assert len(rows) == 3
+    for r in rows:
+        assert float(r["derand_alg"]) <= 3.0 * float(r["lp"]) + 1e-9
+
+
+def test_gen_planted(tmp_path):
+    out = tmp_path / "planted.cc"
+    assert run(["gen", "planted", "--n", "9", "--k", "3", "--corruption", "0.2",
+                "--seed", "4", "-o", str(out)]) == 0
+    want, _truth = cc.gen_planted(9, 3, 0.2, 4)
+    got = cc.parse_instance(out.read_text())
+    assert got.kind == want.kind == "complete"
+    assert np.array_equal(got.labels, want.labels)
 
 
 def test_bench_reproducible(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ccpivot as cc
+from ccpivot.cli import main
 from ccpivot.instance import FormatError, assignment_cost, pair_index, pair_iter
 from ccpivot.rng import SplitMix64
 from exhaustive import partitions
@@ -543,3 +544,27 @@ _HUGE = "9" * 400  # a JSON integer past the float range
 def test_parse_refuses_numbers_past_machine_range(text):
     with pytest.raises(FormatError):
         cc.parse_instance(text)
+
+
+READER_REFUSALS = {
+    "complete 0 label": ("cc complete 3\n0 1 +\n0 2 0\n1 2 -\n",
+                         "complete instance has a neutral pair"),
+    "ti lam_minus not metric": ("cc weighted 3 ti\n0 1 1\n0 2 1\n1 2 0\n",
+                                "lam_minus violates triangle inequality by 1"),
+    "kpartite part count": ("cc kpartite 3 0 1\n0 1 +\n0 2 -\n1 2 +\n",
+                            "k-partite instance needs 3 part ids, got 2"),
+    "bad weight": ("cc weighted 2\n0 1 heavy\n", "bad weight 'heavy'"),
+    "bad vertex id": ("cc complete 2\n0 x +\n", "bad vertex id in '0 x \\+'"),
+    "malformed JSON": ('{"class": "complete", "n": 2,', "bad JSON"),
+    "JSON edge without u": ('{"class": "complete", "n": 2, "edges": [{"v": 1, "label": "+"}]}',
+                            "bad edge entry: KeyError\\('u'\\)"),
+}
+
+
+@pytest.mark.parametrize("text, message", READER_REFUSALS.values(), ids=READER_REFUSALS.keys())
+def test_reader_refusals(text, message, tmp_path):
+    with pytest.raises(FormatError, match=message):
+        cc.parse_instance(text)
+    path = tmp_path / "bad.cc"
+    path.write_text(text)
+    assert main(["lp", "--instance", str(path)]) == 65

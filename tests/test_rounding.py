@@ -119,6 +119,16 @@ def test_pivot_reproducible_and_trace_valid():
         assert pivot in members
 
 
+@pytest.mark.parametrize("steps, message", [
+    ([(0, [1, 2]), (3, [0, 3])], "pivot left its own cluster"),
+    ([(0, [0, 1]), (2, [1, 2, 3])], "clusters overlap"),
+    ([(0, [0, 1]), (2, [2])], "clusters do not cover the vertex set"),
+])
+def test_pivot_trace_check_refuses_corrupted_traces(steps, message):
+    with pytest.raises(AssertionError, match=message):
+        cc.PivotTrace(steps).check(4)
+
+
 def test_integral_metric_reproduced_exactly():
     # 0/1 metric encodes a partition; every scheme with f(1) = 1 returns it
     rng = SplitMix64(5)

@@ -1,13 +1,18 @@
-"""The weighted certification sweep against the per-row reference.
+"""The weighted certification sweep against per-row references.
 
-`certify_weighted_ti` computes the eight per-coin surplus arrays and
-the eight coin weights of every lam row once, and mixes them over
-blocks of lam rows with the same mixture `weighted_surplus` uses. The
-reference below recomputes the whole coin mixture for every lam row, as
-the sweep first did; both must give the same minimum to the last bit
-and the same witness, at any block size. The sweep prices the one
-tight family (a, b, a+b); the tests here also show that the other two,
-(a, a+b, b) and (a+b, a, b), add nothing.
+`certify_weighted_ti` prices sorted length triples l0 <= l1 <= l2, one
+per triangle: the tight family (a, b, a+b) with a <= b, then the sorted
+metric triples of the breakpoints. It computes the eight per-coin surplus
+arrays and the eight coin weights of every lam row once, and mixes them
+over blocks of lam rows with the same mixture `weighted_surplus` uses.
+The sorted reference below builds the same lengths with Python loops and
+recomputes the whole coin mixture for every lam row, as the sweep first
+did; both must give the same minimum to the last bit and the same
+witness, at any block size. The all-orderings reference sweeps all three
+tight families, (a, b, a+b), (a, a+b, b) and (a+b, a, b), over every pair,
+and the ordered corner triples; the tests show that they add nothing,
+because every ordering is a sorted triple relabeled (each edge keeps its
+own lam_minus, and the lam grid is closed under permutation).
 """
 
 import importlib
@@ -19,7 +24,7 @@ import numpy as np
 import pytest
 
 import ccpivot as cc
-from ccpivot.certify import _weighted_length_batches, triple_sums, weighted_surplus
+from ccpivot.certify import triple_sums, weighted_surplus
 
 COINS = list(itertools.product(("+", "-"), repeat=3))
 certify_mod = importlib.import_module("ccpivot.certify")  # cc.certify is the function
@@ -55,8 +60,22 @@ def reference_lam_rows(lam_grid_step):
     return np.array(out, dtype=np.float64)
 
 
+def breakpoints(scheme):
+    return sorted(set(scheme.f_plus.breakpoints()) | set(scheme.f_minus.breakpoints()))
+
+
+def sorted_lengths(scheme, length_grid_step):
+    """The swept lengths: sorted tight triples, then sorted corner triples, as three columns."""
+    g = np.linspace(0.0, 1.0, round(1.0 / length_grid_step) + 1)
+    triples = [(a, b, a + b) for i, a in enumerate(g) for b in g[i:] if a + b <= 1.0 + 1e-12]
+    pts = breakpoints(scheme)
+    triples += [(a, b, c) for i, a in enumerate(pts) for j, b in enumerate(pts[i:], i)
+                for c in pts[j:] if c <= a + b + 1e-12]
+    return [np.array(v, dtype=np.float64) for v in zip(*triples)]
+
+
 def reference_sweep(scheme, alpha, length_grid_step, lam_grid_step):
-    ls = _weighted_length_batches(scheme, length_grid_step)
+    ls = sorted_lengths(scheme, length_grid_step)
     best = (math.inf, None)
     for lam in reference_lam_rows(lam_grid_step):
         s = reference_weighted_surplus(lam, ls, scheme, alpha)
@@ -80,7 +99,15 @@ def assert_matches_reference(name, alpha, length_grid_step, lam_grid_step):
     got = rep.worst()
     assert got.min_surplus.hex() == ref_min.hex()
     assert got.witness == ref_witness
+    assert_witness_reproduces(rep, scheme, alpha)
     return got.witness
+
+
+def assert_witness_reproduces(rep, scheme, alpha):
+    w = rep.worst().witness
+    assert w["lengths"] == sorted(w["lengths"])
+    own = float(weighted_surplus(w["lam_minus"], w["lengths"], scheme, alpha))
+    assert own.hex() == rep.min_surplus.hex()
 
 
 @pytest.mark.parametrize("name", ["weighted_ti_150", "weighted_ti_153"])
@@ -117,17 +144,25 @@ def coin_term_scale(lam_minus, lengths, scheme, alpha):
 @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.53])
 @pytest.mark.parametrize("length_grid_step, lam_grid_step", [(0.05, 1.0 / 12.0), (0.01, 0.25)])
 def test_other_tight_families_are_relabelings(name, alpha, length_grid_step, lam_grid_step):
-    # each edge keeps its own lam_minus; only the summation order differs
+    # every ordering of (a, b, a+b), over every pair (so (b, a, a+b) with a > b too), is
+    # the swept sorted triple with each edge keeping its own lam_minus; only the
+    # summation order differs
     scheme = cc.get_scheme(name)
     a, b = (np.array(v) for v in zip(*tight_pairs(length_grid_step)))
     lam = reference_lam_rows(lam_grid_step).T[:, :, None]
-    l0, l1, l2 = lam
-    base = (a, b, a + b)
-    for lengths, lam_base in (((a, a + b, b), (l0, l2, l1)), ((a + b, a, b), (l1, l2, l0))):
-        got = weighted_surplus(lam, lengths, scheme, alpha)
-        want = weighted_surplus(lam_base, base, scheme, alpha)
-        scale = coin_term_scale(lam, lengths, scheme, alpha)
-        assert np.all(np.abs(got - want) <= 4 * np.spacing(scale))
+    g = np.linspace(0.0, 1.0, round(1.0 / length_grid_step) + 1)
+    swept = {tuple(t) for t in zip(*next(certify_mod._length_batches(g, False)))}
+    for lengths in itertools.permutations((a, b, a + b)):
+        L = np.array(lengths)
+        order = np.argsort(L, axis=0, kind="stable")  # sorted position q holds edge order[q]
+        S = np.take_along_axis(L, order, axis=0)
+        assert {tuple(t) for t in S.T} == swept
+        for perm in set(map(tuple, order.T)):
+            at = np.all(order.T == perm, axis=1)
+            got = weighted_surplus(lam, L[:, at], scheme, alpha)
+            want = weighted_surplus([lam[q] for q in perm], S[:, at], scheme, alpha)
+            scale = coin_term_scale(lam, L[:, at], scheme, alpha)
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(scale))
 
 
 def reference_three_families(scheme, alpha, length_grid_step, lam_grid_step):
@@ -135,8 +170,7 @@ def reference_three_families(scheme, alpha, length_grid_step, lam_grid_step):
     pairs = tight_pairs(length_grid_step)
     triples = ([(a, b, a + b) for a, b in pairs] + [(a, a + b, b) for a, b in pairs]
                + [(a + b, a, b) for a, b in pairs])
-    pts = sorted(set(scheme.f_plus.breakpoints()) | set(scheme.f_minus.breakpoints()))
-    triples += [t for t in itertools.product(pts, repeat=3)
+    triples += [t for t in itertools.product(breakpoints(scheme), repeat=3)
                 if all(t[i] <= t[(i + 1) % 3] + t[(i + 2) % 3] + 1e-12 for i in range(3))]
     ls = [np.array(v, dtype=np.float64) for v in zip(*triples)]
     return min(float(np.min(reference_weighted_surplus(lam, ls, scheme, alpha)))
@@ -152,7 +186,8 @@ def test_one_family_matches_three_family_reference(name, alpha, length_grid_step
                                  lam_grid_step=lam_grid_step)
     ref = reference_three_families(scheme, alpha, length_grid_step, lam_grid_step)
     assert rep.passed == (ref >= -rep.tol)
-    assert abs(rep.min_surplus - ref) <= 1e-15
+    assert abs(rep.min_surplus - ref) <= 1e-15  # another ordering reorders the float sums
+    assert_witness_reproduces(rep, scheme, alpha)
 
 
 def test_one_family_matches_three_family_reference_default_grid():
@@ -160,12 +195,13 @@ def test_one_family_matches_three_family_reference_default_grid():
     rep = cc.certify_weighted_ti(scheme, 1.5)
     ref = reference_three_families(scheme, 1.5, 0.01, 1.0 / 12.0)
     assert rep.passed and ref >= -rep.tol
-    assert abs(rep.min_surplus - ref) <= 1e-15
+    assert abs(rep.min_surplus - ref) <= 1e-15  # another ordering reorders the float sums
+    assert_witness_reproduces(rep, scheme, 1.5)
 
 
 def set_rows_per_block(monkeypatch, scheme, length_grid_step, rows):
     """Make each mixture block hold `rows` lam rows (the last one fewer)."""
-    n_lengths = len(_weighted_length_batches(scheme, length_grid_step)[0])
+    n_lengths = len(sorted_lengths(scheme, length_grid_step)[0])
     monkeypatch.setattr(certify_mod, "_MIX_BLOCK", rows * n_lengths + n_lengths - 1)
 
 
@@ -199,7 +235,7 @@ def test_nan_in_a_later_block_counts_as_minus_inf(monkeypatch, rows, planted, fi
         set_rows_per_block(monkeypatch, scheme, 0.1, rows)
     lam_rows = reference_lam_rows(0.25)
     weights = certify_mod._coin_weights(lam_rows.T)  # (8, lam rows); one column per row
-    ls = _weighted_length_batches(scheme, 0.1)
+    ls = sorted_lengths(scheme, 0.1)
     mixture = certify_mod._coin_mixture
 
     def with_nans(w, surpluses, out, tmp):  # w: a block's coin weights as (8, rows, 1)
@@ -222,7 +258,7 @@ def test_block_mixture_is_weighted_surplus(monkeypatch, rows, name, alpha):
     # every (lam row, length) entry the sweep mixes, to the last bit (and the sign of zero)
     scheme = cc.get_scheme(name)
     lam_rows = reference_lam_rows(0.25)
-    ls = _weighted_length_batches(scheme, 0.1)
+    ls = sorted_lengths(scheme, 0.1)
     want = weighted_surplus(lam_rows.T[:, :, None], ls, scheme, alpha)
     assert want.shape == (len(lam_rows), len(ls[0]))
     if rows is not None:
@@ -256,12 +292,12 @@ def test_report_meta_counts_swept_points(name, length_grid_step, lam_grid_step):
     rep = cc.certify_weighted_ti(scheme, 1.5, length_grid_step=length_grid_step,
                                  lam_grid_step=lam_grid_step)
     k = round(1 / length_grid_step)
-    pts = sorted(set(scheme.f_plus.breakpoints()) | set(scheme.f_minus.breakpoints()))
-    corners = sum(1 for a, b, c in itertools.product(pts, repeat=3)
-                  if a <= b + c + 1e-12 and b <= a + c + 1e-12 and c <= a + b + 1e-12)
-    expected = ((k + 1) * (k + 2) // 2 + corners) * _integer_metric_triples(round(1 / lam_grid_step))
+    corners = sum(1 for a, b, c in itertools.combinations_with_replacement(breakpoints(scheme), 3)
+                  if c <= a + b + 1e-12)  # sorted: the other two inequalities hold
+    tight = (k + 2) ** 2 // 4  # pairs a <= b with a + b <= k
+    expected = (tight + corners) * _integer_metric_triples(round(1 / lam_grid_step))
     meta = json.loads(rep.to_json())["meta"]
     assert meta["lam_grid_step"] == lam_grid_step
     assert meta["surplus_points"] == expected
     if name == "weighted_ti_150" and length_grid_step == 0.01:
-        assert expected == 5_166 * 1_105
+        assert expected == 2_608 * 1_105
