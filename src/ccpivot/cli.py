@@ -66,6 +66,12 @@ EXIT_NUMERICAL = 70
 # 19 s, and 215 MB and 230 s. A 1,000-vertex instance takes about 0.5 GB as JSON.
 MIN_GRID_STEP = 1e-3
 MAX_GEN_N = 1000
+# bench's walls (2-core host): 10**6 trials hold 8 MB of costs and take 2.4 s per
+# instance at the default n = 9, 33 s at n = 40 (MAX_LP_N); an instance takes 5 ms at
+# n = 9 with 200 trials, 12 s at n = 40, so 10**4 instances take about a minute at the
+# defaults.
+_MAX_TRIALS = 10**6
+_MAX_INSTANCES = 10**4
 
 
 class _UsageExit(Exception):
@@ -107,6 +113,9 @@ _lp_tol = _checked(float, lambda v: 0.0 < v <= FEAS_TOL,
                    f"a tolerance in (0, {FEAS_TOL:g}] (FEAS_TOL)")
 _opt_cap = _checked(int, lambda v: v <= MAX_EXACT_N,
                     f"an integer <= {MAX_EXACT_N} (MAX_EXACT_N)")
+_trials = _checked(int, lambda v: 1 <= v <= _MAX_TRIALS, f"an integer in [1, {_MAX_TRIALS}]")
+_instances = _checked(int, lambda v: 1 <= v <= _MAX_INSTANCES,
+                      f"an integer in [1, {_MAX_INSTANCES}]")
 
 
 def _write(path: str | None, text: str) -> None:
@@ -390,8 +399,8 @@ def _build_parser() -> _Parser:
     b.add_argument("--n", type=_count, default=9)
     b.add_argument("--parts", type=_part_sizes, default="3,3,3")
     b.add_argument("--p", type=_probability, default=0.5)
-    b.add_argument("--instances", type=_count, default=10)
-    b.add_argument("--trials", type=_count, default=200)
+    b.add_argument("--instances", type=_instances, default=10)
+    b.add_argument("--trials", type=_trials, default=200)
     b.add_argument("--scheme", default="complete206")
     b.add_argument("--alpha", type=_alpha, default=2.06)
     b.add_argument("--seed", type=int, required=True)

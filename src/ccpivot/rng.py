@@ -28,11 +28,16 @@ _S11, _S27, _S30, _S31 = _U64(11), _U64(27), _U64(30), _U64(31)
 
 # Word budget of one block when a caller splits a long draw into several:
 # bounds the temporaries whatever the size of the whole draw. Monte-Carlo
-# runs a chunk's trials in lockstep, so the chunk must hold hundreds of
-# runs for numpy's per-call cost to amortise: 1 << 10 words (15 runs at
-# n = 10) was slower than one run at a time; 1 << 16 gained little more
-# and added 2 MB of peak memory.
-CHUNK_WORDS = 1 << 14
+# runs a chunk's trials in lockstep: a chunk takes up to n steps of a
+# fixed set of numpy calls whatever its size, so larger chunks spread
+# that cost over more runs, and its words and uniforms take 16 bytes per
+# word. Traced sample-workload runs of the vertex-major kernel (2-core
+# host, medians of 4) spent 3.75, 3.82 and 3.23 us per labeled trial and
+# 6.28, 6.47 and 5.12 us per weighted trial at 1 << 14, 15 and 16 words.
+# 1 << 16 holds 1,000 runs at n = 10 in one chunk; a call then peaks at
+# 1.5 MB (traced), against 0.4 MB at 1 << 14, and its arrays, above
+# glibc's 128 KB mmap threshold, are page-faulted afresh more often.
+CHUNK_WORDS = 1 << 16
 
 
 def mix64(z: int) -> int:

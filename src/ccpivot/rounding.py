@@ -23,8 +23,12 @@ and every decision is the one the scalar draws would make, so outputs
 at a given seed do not depend on how the stream is computed.
 
 Single runs (``pivot_round``, ``pivot_round_weighted``) use the scalar
-kernel. Monte-Carlo trials run in lockstep chunks: each numpy pass of
-``_pivot_batch`` makes one pivot step in every run of the chunk, and a
+kernel. Monte-Carlo trials run in lockstep chunks: each pass of
+``_pivot_batch`` makes one pivot step in every run of the chunk on
+vertex-major (n, runs) arrays. One small matrix product ranks every
+active vertex and points it at its uniform, so a step makes a handful of
+numpy calls: the randint from per-k tables, the pivot by one comparison
+and sum, the keep values and uniforms by two gathers, then the joins. A
 run whose randint would reject a word is redone alone by the scalar
 kernel. Any trial can still be replayed alone from seed word t, and its
 cost has the same bits alone or in a batch (``assignment_cost``).
@@ -35,6 +39,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,8 +60,6 @@ from .rng import CHUNK_WORDS, SplitMix64, block_rows, rejection_bound, unit_floa
 EDGE_PLUS = "+"
 EDGE_MINUS = "-"
 EDGE_NEUTRAL = "0"
-
-_U64_0 = np.uint64(0)
 
 log = logging.getLogger(__name__)
 
@@ -353,8 +356,8 @@ def cut_probabilities(inst: Instance, x: LpSolution, scheme: RoundingScheme) -> 
     return p
 
 
-def _flip_coins(n: int, table, unif: np.ndarray) -> np.ndarray:
-    """Probability matrices from coin uniforms of shape (..., n(n-1)/2).
+def _coin_values(n: int, table, unif: np.ndarray) -> np.ndarray:
+    """Cut probabilities per pair from coin uniforms of shape (..., n(n-1)/2).
 
     The upper triangle of the coin table is read in pair_iter order: a
     pair takes its f_plus value when its uniform is below lam_plus, else
@@ -362,7 +365,12 @@ def _flip_coins(n: int, table, unif: np.ndarray) -> np.ndarray:
     """
     iu = pair_index(n)
     fp, fm, lam = (m[iu] for m in table)
-    return symmetric_from_upper(n, np.where(unif < lam, fp, fm))
+    return np.where(unif < lam, fp, fm)
+
+
+def _flip_coins(n: int, table, unif: np.ndarray) -> np.ndarray:
+    """Probability matrices (..., n, n) of _coin_values, zero diagonal."""
+    return symmetric_from_upper(n, _coin_values(n, table, unif))
 
 
 # ---------------------------------------------------------------------------
@@ -422,44 +430,62 @@ def _pivot_kernel(keep: list, raw: list, unif: list, rng: SplitMix64) -> list:
     return steps
 
 
-def _pivot_batch(keep: np.ndarray, words: np.ndarray, unif: np.ndarray):
+def _pivot_batch(keep: np.ndarray, words: np.ndarray, unif: np.ndarray, start: int = 0):
     """Runs of _pivot_kernel in lockstep, one pivot step of every run per pass.
 
     keep is (n, n), shared by all runs, or (T, n, n), one per run, with
-    keep[..., w, u] = 1 - p[u, w]; words and unif are the (T, width) rows
-    the runs read, width >= n + n(n+1)/2. Returns the (T, n) cluster ids,
-    numbered in pivot order, and a (T,) mask of the runs whose randint
-    would reject a word: those stop at once, and their rows are left for
-    the caller to redo with _pivot_kernel, which reads past the block.
+    keep[..., w, u] = 1 - p[u, w]. Run t reads row t of words and unif,
+    both (T, width), from column start on: n + n(n+1)/2 words or more.
+    Returns the (T, n) cluster ids, numbered in pivot order, and a (T,)
+    mask of the runs whose randint would reject a word: those go on with
+    the rejected word, inside their rows, and the caller redoes them with
+    _pivot_kernel, which reads past the block.
+
+    A step works on (n, T) arrays. Rows 0..n-1 of state hold the active
+    flags as 0/1 floats and row n each run's flat index of its next word,
+    so one product with lift gives every vertex that index plus the count
+    of active vertices up to itself (small integers, exact in float64).
+    An active vertex of rank j reads the uniform at index + 1 + j, which
+    is that sum, and the pivot is the vertex with pick = randint(k)
+    active vertices before it. randint's modulus and largest accepted
+    word come from per-k tables; a finished run (k = 0) draws randint(1),
+    a dummy that never rejects. Rejections are looked for only when some
+    word is above the smallest accepted limit.
     """
-    T, n = words.shape[0], keep.shape[-1]
-    rows = np.arange(T)
-    last = words.shape[1] - 1
-    active = np.ones((T, n), dtype=bool)
-    k = np.full(T, n)
-    ptr = np.zeros(T, dtype=np.int64)  # next word of each run
-    ids = np.zeros((T, n), dtype=np.int64)
+    (T, width), n = words.shape, keep.shape[-1]
+    words, unif = words.reshape(-1), unif.reshape(-1)
+    state = np.ones((n + 1, T))
+    state[n] = np.arange(T) * width + start
+    active = state[:n]
+    lift = np.tri(n + 1)  # row u < n sums rows 0..u and n of state; row n copies row n
+    lift[:, n] = 1.0
+    lift[n, :n] = 0.0
+    mods = [max(k, 1) for k in range(n + 1)]
+    tops = np.array([rejection_bound(m) - 1 for m in mods], dtype=np.uint64)
+    mods = np.array(mods, dtype=np.uint64)
+    lowest_top = tops.min()
+    if keep.ndim == 2:
+        cols, runs = keep.T, None
+    else:  # cols[u, w * T + t] = keep[t, w, u]
+        cols, runs = keep.transpose(2, 1, 0).reshape(n, n * T), np.arange(T)
+    ids = np.zeros((n, T))
     rejected = np.zeros(T, dtype=bool)
-    for step in range(n):
+    for _ in range(n):
+        idx = (lift @ state).astype(np.intp)
+        ptr, k = idx[n], idx[n - 1] - idx[n]
         if not k.any():
             break
-        ku = np.maximum(k, 1).astype(np.uint64)  # finished runs draw a dummy
-        raw = words[rows, np.minimum(ptr, last)]
-        # rejection_bound(k) = 2**64 - rem with rem = 2**64 mod k
-        rem = (_U64_0 - ku) % ku
-        reject = (k > 0) & (rem != 0) & (raw >= _U64_0 - rem)
-        rank = np.cumsum(active, axis=1) - 1
-        pick = (raw % ku).astype(np.int64)
-        pivot = np.argmax(active & (rank == pick[:, None]), axis=1)
-        r = np.take_along_axis(unif, np.minimum(ptr[:, None] + 1 + rank, last), axis=1)
-        col = keep[pivot] if keep.ndim == 2 else keep[rows, pivot]
-        join = active & (r < col) & ~reject[:, None]
-        ids[join] = step
-        active &= ~(join | reject[:, None])
-        rejected |= reject
-        ptr += 1 + k
-        k = active.sum(axis=1)
-    return ids, rejected
+        raw = words.take(ptr)
+        if raw.max() > lowest_top:
+            rejected |= raw > tops.take(k)
+        last = ptr + (raw % mods.take(k)).view(np.int64)
+        idx = idx[:n]
+        pivot = (idx <= last).sum(axis=0)  # n on finished runs, clipped below
+        col = cols.take(pivot if runs is None else pivot * T + runs, axis=1, mode="clip")
+        np.greater(active, unif.take(idx) < col, out=active)
+        ids += active
+        np.add(idx[n - 1], 1, out=state[n])
+    return ids.T.astype(np.int64, order="C"), rejected
 
 
 def _stream_layout(n: int, weighted: bool) -> tuple[int, int]:
@@ -484,21 +510,32 @@ def _pivot_run(seed: int, n: int, keep=None, candidates=None) -> list:
     return _pivot_kernel(keep.tolist(), words[coins:].tolist(), unif[coins:].tolist(), rng)
 
 
-def _pivot_chunk(seeds: np.ndarray, n: int, keep=None, candidates=None) -> np.ndarray:
+def _pivot_chunk(seeds: np.ndarray, n: int, keep=None, candidates=None,
+                 redone: list | None = None) -> np.ndarray:
     """Cluster ids (len(seeds), n) of one run per seed, run in lockstep.
 
     keep and candidates are as in _pivot_run. A run whose randint rejects
-    a word is redone alone by _pivot_run, which reads past the block.
+    a word is redone alone by _pivot_run, which reads past the block; the
+    number of such runs is appended to redone when it is given.
     """
     coins, width = _stream_layout(n, candidates is not None)
     words = block_rows(seeds, width)
     unif = unit_floats(words)
     batch_keep = keep
     if candidates is not None:
-        batch_keep = 1.0 - _flip_coins(n, candidates, unif[:, :coins]).transpose(0, 2, 1)
-    ids, rejected = _pivot_batch(batch_keep, words[:, coins:], unif[:, coins:])
+        # keep[t, w, u] = 1 - p[t, u, w], gathered from the pairs' values
+        # (row `coins`: the diagonal, where a pivot keeps itself) into the
+        # vertex-major layout that _pivot_batch reads without a copy
+        pairs = np.ones((coins + 1, len(seeds)))
+        np.subtract(1.0, _coin_values(n, candidates, unif[:, :coins]).T, out=pairs[:coins])
+        slots = symmetric_from_upper(n, np.arange(coins), dtype=np.intp)
+        np.fill_diagonal(slots, coins)
+        batch_keep = pairs.take(slots, axis=0).transpose(2, 1, 0)
+    ids, rejected = _pivot_batch(batch_keep, words, unif, coins)
     for t in np.flatnonzero(rejected):
         ids[t] = _assignment(n, _pivot_run(int(seeds[t]), n, keep, candidates))
+    if redone is not None:
+        redone.append(int(rejected.sum()))
     return ids
 
 
@@ -731,10 +768,14 @@ def monte_carlo_ratio(
     be replayed in isolation: trial t equals round_instance with seed
     word t. The probability matrix (or the weighted coin table) and
     the pair weights are computed once per run; the trials run in
-    lockstep chunks of about CHUNK_WORDS stream words.
+    lockstep chunks of about CHUNK_WORDS stream words, each drawing its
+    seeds as the master stream's next words. Logs one DEBUG line on the
+    ``ccpivot.rounding`` logger: trials, chunks, runs redone by the
+    scalar kernel and seconds.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    t0 = time.perf_counter()
     n = inst.n
     if inst.kind == WEIGHTED:
         keep, candidates = None, pair_candidates(inst, x, scheme)
@@ -742,12 +783,15 @@ def monte_carlo_ratio(
         keep, candidates = _labeled_keep(inst, x, scheme), None
     # an empty instance's runs read no words; count one word each
     per_chunk = max(1, CHUNK_WORDS // max(1, _stream_layout(n, candidates is not None)[1]))
-    seeds = SplitMix64(seed).block(trials)
+    master = SplitMix64(seed)
     wp, wm = inst.pair_weights()
     costs = np.empty(trials)
+    redone: list[int] = []
     for lo in range(0, trials, per_chunk):
-        ids = _pivot_chunk(seeds[lo:lo + per_chunk], n, keep, candidates)
+        ids = _pivot_chunk(master.block(min(per_chunk, trials - lo)), n, keep, candidates, redone)
         costs[lo:lo + len(ids)] = assignment_cost(ids, wp, wm)
+    log.debug("monte_carlo_ratio: n=%d, %d trials in %d chunks, %d redone by the scalar "
+              "kernel, %.6f s", n, trials, len(redone), sum(redone), time.perf_counter() - t0)
     lp = lp_objective(inst, x)
     mean = float(costs.mean())
     if lp > 0:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ccpivot as cc
+from ccpivot import cli
 from ccpivot.cli import main
 
 
@@ -238,6 +239,8 @@ BAD_ARGV = {
     "bench --trials 0": BENCH + ["--trials", "0"],
     "bench --parts 2,a": BENCH + ["--parts", "2,a"],
     "bench --opt-cap 21": BENCH + ["--opt-cap", str(cc.oracle.MAX_EXACT_N + 1)],
+    "bench --trials above the cap": BENCH + ["--trials", str(cli._MAX_TRIALS + 1)],
+    "bench --instances above the cap": BENCH + ["--instances", str(cli._MAX_INSTANCES + 1)],
     "gen --n 0": ["gen", "complete", "--n", "0", "--seed", "1"],
     "gen --p 1.5": ["gen", "complete", "--p", "1.5", "--seed", "1"],
     "gen --parts 3,x": ["gen", "kpartite", "--parts", "3,x", "--seed", "1"],
