@@ -395,19 +395,11 @@ def gap_kpartite_lp_point(n1: int, n2: int, edges):
         adj[i, j] = True
 
     parts = np.concatenate([np.zeros(n1, dtype=np.int64), np.ones(n2, dtype=np.int64)])
-    labels = np.zeros((n, n), dtype=np.int8)
-    x = np.full((n, n), 2.0 / 3.0)
-    np.fill_diagonal(x, 0.0)
-    for i in range(n1):
-        for j in range(n2):
-            u, v = i, n1 + j
-            s = 1 if adj[i, j] else -1
-            labels[u, v] = labels[v, u] = s
-            val = 1.0 / 3.0 if adj[i, j] else 1.0
-            x[u, v] = x[v, u] = val
-
-    inst = Instance.kpartite(labels, parts)
-    sol = LpSolution.from_matrix(x)
+    iu, ju = pair_index(n)
+    plus = np.pad(adj, ((0, n2), (n1, 0)))[iu, ju]  # adj as the cross block of an n x n matrix
+    sign = np.where(plus, 1, np.where(parts[iu] == parts[ju], 0, -1))
+    inst = Instance.kpartite(symmetric_from_upper(n, sign, np.int8), parts)
+    sol = LpSolution(n, (2.0 - sign) / 3.0)  # 1/3 on "+", 1 on "-", 2/3 on neutral pairs
     report = validate_solution(sol)
     if not report.feasible(1e-9):
         raise ValueError(f"constructed point infeasible: {report}")

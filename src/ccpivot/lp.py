@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import FormatError, Instance, _json_typed, pair_index, triangle_blocks, worst_triangle
+from .instance import (FormatError, Instance, _json_typed, pair_index, symmetric_from_upper,
+                       triangle_blocks, worst_triangle)
 
 FEAS_TOL = 1e-6          # separation / reported-solution feasibility
 SIMPLEX_TOL = 1e-8       # pivot feasibility tolerance inside the simplex
@@ -64,18 +65,16 @@ class LpSolution:
         n = m.shape[0]
         if m.shape != (n, n):
             raise ValueError("matrix must be square")
-        if not np.allclose(m, m.T, atol=1e-12):
-            raise ValueError("matrix must be symmetric")
+        if not np.allclose(m, m.T, rtol=0.0, atol=1e-12):
+            raise ValueError("matrix must be symmetric within 1e-12")
+        if np.abs(np.diag(m)).max(initial=0.0) > 1e-12:
+            raise ValueError("matrix must have a zero diagonal")
         return LpSolution(n, m[pair_index(n)])
 
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            n = self.n
-            m = np.zeros((n, n))
-            m[pair_index(n)] = self.vec
-            m += m.T
-            self._matrix = m
+            self._matrix = symmetric_from_upper(self.n, self.vec)
         return self._matrix
 
     @staticmethod
@@ -103,18 +102,14 @@ class LpStats:
 @dataclass
 class ValidationReport:
     box: float = 0.0
-    diagonal: float = 0.0
     triangle: float = 0.0
     worst_triple: tuple | None = None
 
     def feasible(self, tol: float = FEAS_TOL) -> bool:
-        return max(self.box, self.diagonal, self.triangle) <= tol
+        return max(self.box, self.triangle) <= tol
 
     def __str__(self):
-        return (
-            f"box={self.box:.3g} diagonal={self.diagonal:.3g} "
-            f"triangle={self.triangle:.3g} worst={self.worst_triple}"
-        )
+        return f"box={self.box:.3g} triangle={self.triangle:.3g} worst={self.worst_triple}"
 
 
 def _objective_terms(inst: Instance) -> tuple[np.ndarray, float]:
@@ -160,7 +155,6 @@ def validate_solution(x: LpSolution, tol: float = FEAS_TOL) -> ValidationReport:
         rep.box = math.inf
     else:
         rep.box = max(0.0, float(max(np.max(-m, initial=0.0), np.max(m - 1.0, initial=0.0))))
-    rep.diagonal = float(np.max(np.abs(np.diag(m)), initial=0.0))
     gap, triple = worst_triangle(m)
     if gap > 0:
         rep.triangle, rep.worst_triple = gap, triple
@@ -312,13 +306,6 @@ class _Tableau:
         return np.maximum(self.t[-1, 2 * self.nvar : -1], 0.0)
 
 
-def _pair_index_map(n: int) -> np.ndarray:
-    idx = np.zeros((n, n), dtype=np.int64)
-    iu = pair_index(n)
-    idx[iu] = np.arange(len(iu[0]))
-    return idx + idx.T
-
-
 def _cut_columns(idx: np.ndarray, triangles) -> np.ndarray:
     """(a, b, c) variable columns of x_uw - x_uv - x_vw <= 0 per (u, v, w)."""
     u, v, w = np.asarray(triangles, dtype=np.int64).reshape(-1, 3).T
@@ -354,7 +341,7 @@ def solve_relaxation(inst: Instance, tol: float = FEAS_TOL) -> tuple[LpSolution,
     n = inst.n
     coeff, const = _objective_terms(inst)
     stats = LpStats()
-    idx = _pair_index_map(n)
+    idx = symmetric_from_upper(n, np.arange(len(coeff)), np.int64)
     tab = _Tableau(coeff)
     blocks, seen = [np.zeros((0, 3), dtype=np.int64)], set()
     new: list[tuple[int, int, int]] = []
@@ -417,7 +404,8 @@ def solution_from_json(text: str) -> LpSolution:
     """Inverse of solution_to_json ("x" may also be the upper-triangle vector).
 
     FormatError on bad JSON, a missing key, an "n" that is not an integer
-    >= 1 or disagrees with x, or a non-finite entry.
+    >= 1 or disagrees with x, a non-finite entry, or a matrix x that is
+    not symmetric within 1e-12 or has a nonzero diagonal.
     """
     try:
         doc = json.loads(text)

@@ -25,7 +25,9 @@ at a given seed do not depend on how the stream is computed.
 Single runs (``pivot_round``, ``pivot_round_weighted``) use the scalar
 kernel. Monte-Carlo trials run in lockstep chunks: each pass of
 ``_pivot_batch`` makes one pivot step in every run of the chunk on
-vertex-major (n, runs) arrays. One small matrix product ranks every
+vertex-major (n, runs) arrays. Keep tables (1 - p) are read as built,
+(n, n) for labeled runs and (n, n, T) for T weighted runs with their own
+coins, untransposed as p is symmetric. One small matrix product ranks every
 active vertex and points it at its uniform, so a step makes a handful of
 numpy calls: the randint from per-k tables, the pivot by one comparison
 and sum, the keep values and uniforms by two gathers, then the joins. A
@@ -368,9 +370,14 @@ def _coin_values(n: int, table, unif: np.ndarray) -> np.ndarray:
     return np.where(unif < lam, fp, fm)
 
 
-def _flip_coins(n: int, table, unif: np.ndarray) -> np.ndarray:
-    """Probability matrices (..., n, n) of _coin_values, zero diagonal."""
-    return symmetric_from_upper(n, _coin_values(n, table, unif))
+def _coin_keep(n: int, table, unif: np.ndarray) -> np.ndarray:
+    """Keep tables (n, n, T), 1 - p, of T runs from (T, n(n-1)/2) coin uniforms; diagonal 1."""
+    coins = n * (n - 1) // 2
+    pairs = np.ones((coins + 1, len(unif)))
+    np.subtract(1.0, _coin_values(n, table, unif).T, out=pairs[:coins])
+    slots = symmetric_from_upper(n, np.arange(coins), dtype=np.intp)
+    np.fill_diagonal(slots, coins)
+    return pairs.take(slots, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -398,14 +405,14 @@ class PivotTrace:
 def _pivot_kernel(keep: list, raw: list, unif: list, rng: SplitMix64) -> list:
     """One randomized pivot run; returns [(pivot, members in id order), ...].
 
-    keep[w][u] = 1 - p[u, w]. raw holds the stream's next words and unif
-    their unit floats, n + n(n+1)/2 or more of each: a run makes at most n
-    steps, each drawing one randint and one uniform per active vertex,
-    so it needs no more unless a randint rejects. rng continues the
-    stream after them. Per step: one randint over the active list, with
-    SplitMix64.randint's rejection bound, then one uniform per active
-    vertex in ascending id order; u joins the pivot iff its uniform is
-    below keep[w][u].
+    keep[u][w] = 1 - p[u, w], symmetric like p. raw holds the stream's
+    next words and unif their unit floats, n + n(n+1)/2 or more of each:
+    a run makes at most n steps, each drawing one randint and one uniform
+    per active vertex, so it needs no more unless a randint rejects. rng
+    continues the stream after them. Per step: one randint over the
+    active list, with SplitMix64.randint's rejection bound, then one
+    uniform per active vertex in ascending id order; u joins pivot w iff
+    its uniform is below keep[w][u].
     """
     steps = []
     active = list(range(len(keep)))
@@ -420,10 +427,10 @@ def _pivot_kernel(keep: list, raw: list, unif: list, rng: SplitMix64) -> list:
             unif += unit_floats(extra).tolist()
             i += 1
         pivot = active[raw[i] % k]
-        col = keep[pivot]
+        row = keep[pivot]
         cluster, survivors = [], []
         for u, r in zip(active, unif[i + 1:i + 1 + k]):
-            (cluster if r < col[u] else survivors).append(u)
+            (cluster if r < row[u] else survivors).append(u)
         i += 1 + k
         steps.append((pivot, cluster))
         active = survivors
@@ -433,9 +440,10 @@ def _pivot_kernel(keep: list, raw: list, unif: list, rng: SplitMix64) -> list:
 def _pivot_batch(keep: np.ndarray, words: np.ndarray, unif: np.ndarray, start: int = 0):
     """Runs of _pivot_kernel in lockstep, one pivot step of every run per pass.
 
-    keep is (n, n), shared by all runs, or (T, n, n), one per run, with
-    keep[..., w, u] = 1 - p[u, w]. Run t reads row t of words and unif,
-    both (T, width), from column start on: n + n(n+1)/2 words or more.
+    keep is (n, n), shared by all runs, or (n, n, T), one per run, with
+    keep[u, w(, t)] = 1 - p[u, w]; p is symmetric, so column w (or w * T + t)
+    of keep.reshape(n, ...) serves pivot w. Run t reads row t of words and
+    unif, both (T, width), from column start on: n + n(n+1)/2 words or more.
     Returns the (T, n) cluster ids, numbered in pivot order, and a (T,)
     mask of the runs whose randint would reject a word: those go on with
     the rejected word, inside their rows, and the caller redoes them with
@@ -452,7 +460,7 @@ def _pivot_batch(keep: np.ndarray, words: np.ndarray, unif: np.ndarray, start: i
     a dummy that never rejects. Rejections are looked for only when some
     word is above the smallest accepted limit.
     """
-    (T, width), n = words.shape, keep.shape[-1]
+    (T, width), n = words.shape, keep.shape[0]
     words, unif = words.reshape(-1), unif.reshape(-1)
     state = np.ones((n + 1, T))
     state[n] = np.arange(T) * width + start
@@ -465,9 +473,9 @@ def _pivot_batch(keep: np.ndarray, words: np.ndarray, unif: np.ndarray, start: i
     mods = np.array(mods, dtype=np.uint64)
     lowest_top = tops.min()
     if keep.ndim == 2:
-        cols, runs = keep.T, None
-    else:  # cols[u, w * T + t] = keep[t, w, u]
-        cols, runs = keep.transpose(2, 1, 0).reshape(n, n * T), np.arange(T)
+        cols, runs = keep, None
+    else:  # cols[u, w * T + t] = keep[u, w, t]
+        cols, runs = keep.reshape(n, n * T), np.arange(T)
     ids = np.zeros((n, T))
     rejected = np.zeros(T, dtype=bool)
     for _ in range(n):
@@ -506,7 +514,7 @@ def _pivot_run(seed: int, n: int, keep=None, candidates=None) -> list:
     words = rng.block(width)
     unif = unit_floats(words)
     if candidates is not None:
-        keep = 1.0 - _flip_coins(n, candidates, unif[:coins]).T
+        keep = _coin_keep(n, candidates, unif[None, :coins])[:, :, 0]
     return _pivot_kernel(keep.tolist(), words[coins:].tolist(), unif[coins:].tolist(), rng)
 
 
@@ -521,16 +529,7 @@ def _pivot_chunk(seeds: np.ndarray, n: int, keep=None, candidates=None,
     coins, width = _stream_layout(n, candidates is not None)
     words = block_rows(seeds, width)
     unif = unit_floats(words)
-    batch_keep = keep
-    if candidates is not None:
-        # keep[t, w, u] = 1 - p[t, u, w], gathered from the pairs' values
-        # (row `coins`: the diagonal, where a pivot keeps itself) into the
-        # vertex-major layout that _pivot_batch reads without a copy
-        pairs = np.ones((coins + 1, len(seeds)))
-        np.subtract(1.0, _coin_values(n, candidates, unif[:, :coins]).T, out=pairs[:coins])
-        slots = symmetric_from_upper(n, np.arange(coins), dtype=np.intp)
-        np.fill_diagonal(slots, coins)
-        batch_keep = pairs.take(slots, axis=0).transpose(2, 1, 0)
+    batch_keep = keep if candidates is None else _coin_keep(n, candidates, unif[:, :coins])
     ids, rejected = _pivot_batch(batch_keep, words, unif, coins)
     for t in np.flatnonzero(rejected):
         ids[t] = _assignment(n, _pivot_run(int(seeds[t]), n, keep, candidates))
@@ -542,7 +541,7 @@ def _pivot_chunk(seeds: np.ndarray, n: int, keep=None, candidates=None,
 def _labeled_keep(inst: Instance, x: LpSolution, scheme: RoundingScheme) -> np.ndarray:
     if inst.kind == WEIGHTED:
         raise ValueError("weighted instances flip label coins; see pivot_round_weighted")
-    return (1.0 - cut_probabilities(inst, x, scheme)).T
+    return 1.0 - cut_probabilities(inst, x, scheme)
 
 
 def _assignment(n: int, steps: list) -> list:

@@ -14,7 +14,8 @@ import pytest
 
 import ccpivot as cc
 from ccpivot import rounding
-from ccpivot.instance import COMPLETE, KPARTITE, WEIGHTED, clustering_cost, pair_iter
+from ccpivot.instance import (COMPLETE, KPARTITE, WEIGHTED, clustering_cost, pair_iter,
+                              symmetric_from_upper)
 from ccpivot.rng import SplitMix64, unit_floats
 from test_rng import _MASK, _seed_with_first_word
 
@@ -204,8 +205,8 @@ def test_weighted_probability_matrix_matches_reference(seed):
     scheme = cc.get_scheme("weighted_ti_150")
     a, b = SplitMix64(seed), SplitMix64(seed)
     pairs = inst.n * (inst.n - 1) // 2
-    got = rounding._flip_coins(inst.n, rounding.pair_candidates(inst, x, scheme),
-                               unit_floats(a.block(pairs)))
+    got = symmetric_from_upper(inst.n, rounding._coin_values(
+        inst.n, rounding.pair_candidates(inst, x, scheme), unit_floats(a.block(pairs))))
     want = ref_weighted_probability_matrix(inst, x, scheme, b)
     assert np.array_equal(got, want)
     assert a.next_u64() == b.next_u64()  # same number of coins drawn

@@ -420,6 +420,8 @@ def test_round_refuses_solution_of_another_size(tmp_path):
         {"x": [[0.0, 0.5], [0.5, 0.0]]},  # no "n"
         {"n": 2},  # no "x"
         {"n": 2, "x": [[0.0, 0.5], [0.25, 0.0]]},  # not symmetric
+        {"n": 2, "x": [[0.0, 0.5 + 1e-9], [0.5, 0.0]]},  # asymmetric by 1e-9, inside allclose's rtol
+        {"n": 2, "x": [[0.7, 0.5], [0.5, 0.0]]},  # nonzero diagonal
         {"n": 2.0, "x": [0.5]},  # "n" not an integer
         {"n": "2", "x": [0.5]},
         {"n": True, "x": []},

@@ -186,6 +186,38 @@ def test_gap_kpartite_lp_point():
         cc.gap_kpartite_lp_point(2, 2, [(0, 5)])
 
 
+def _gap_point_by_pairs(n1, n2, edges):
+    """gap_kpartite_lp_point's labels, parts and x, written out one pair at a time."""
+    n = n1 + n2
+    parts = [0] * n1 + [1] * n2
+    labels, x = np.zeros((n, n), dtype=np.int8), np.zeros((n, n))
+    for u, v in pair_iter(n):
+        if parts[u] == parts[v]:
+            s, val = 0, 2.0 / 3.0
+        elif (u, v - n1) in edges:
+            s, val = 1, 1.0 / 3.0
+        else:
+            s, val = -1, 1.0
+        labels[u, v] = labels[v, u] = s
+        x[u, v] = x[v, u] = val
+    return labels, parts, x
+
+
+HEAWOOD = [(i, j) for i in range(7) for j in range(7) if (j - i) % 7 in (0, 1, 3)]
+
+
+@pytest.mark.parametrize("n1, n2, edges", [(2, 3, [(0, 0), (0, 2), (1, 1)]), (7, 7, HEAWOOD)])
+def test_gap_kpartite_lp_point_pins_every_pair(n1, n2, edges):
+    inst, x = cc.gap_kpartite_lp_point(n1, n2, edges)
+    labels, parts, xm = _gap_point_by_pairs(n1, n2, edges)
+    assert inst.labels.dtype == np.int8
+    assert inst.labels.tobytes() == labels.tobytes()
+    assert inst.parts.tolist() == parts
+    assert [v.hex() for v in x.matrix.ravel().tolist()] == [v.hex() for v in xm.ravel().tolist()]
+    assert [v.hex() for v in x.vec.tolist()] == [v.hex() for v in xm[pair_index(x.n)].tolist()]
+    assert cc.lp_objective(inst, x) == pytest.approx(len(edges) / 3.0, abs=1e-12)
+
+
 def test_blowup_trivials():
     ones = 1.0 - np.eye(3)
     w = cc.Instance.weighted(ones)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ccpivot as cc
-from ccpivot.instance import _SCAN_BLOCK, worst_triangle
+from ccpivot.instance import _SCAN_BLOCK, symmetric_from_upper, worst_triangle
 from ccpivot.rng import SplitMix64
 from exhaustive import slab_separation, slab_worst_triangle
 
@@ -150,14 +150,15 @@ def test_round_objectives_monotone():
 
 
 def test_resolve_final_set_reproduces_objective():
-    from ccpivot.lp import _Tableau, _cut_columns, _objective_terms, _pair_index_map
+    from ccpivot.lp import _Tableau, _cut_columns, _objective_terms
 
     inst = cc.gen_complete_random(8, 0.5, seed=13)
     _x, stats = cc.solve_relaxation(inst)
     # a fresh tableau holding only the final working set, solved in one dual run
     coeff, const = _objective_terms(inst)
     tab = _Tableau(coeff)
-    tab.add_rows(_cut_columns(_pair_index_map(inst.n), stats.final_constraints))
+    idx = symmetric_from_upper(inst.n, np.arange(len(coeff)), np.int64)
+    tab.add_rows(_cut_columns(idx, stats.final_constraints))
     tab.dual()
     again = float(coeff @ tab.point()) + const
     assert again == pytest.approx(stats.objective, abs=1e-9)
@@ -208,6 +209,17 @@ def test_solution_from_json_refuses_non_finite_entries():
                  '{"n": 2, "x": [[0.0, NaN], [NaN, 0.0]]}'):
         with pytest.raises(cc.FormatError, match="non-finite"):
             solution_from_json(text)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_solution_matrix_is_symmetric_from_upper(n):
+    vec = np.random.default_rng(n).uniform(-1.0, 2.0, n * (n - 1) // 2)
+    vec[:1] = -0.0  # the one value where m + m.T and the pair scatter could differ
+    m = cc.LpSolution(n, vec).matrix
+    want = symmetric_from_upper(n, vec)
+    assert m.dtype == want.dtype and m.shape == (n, n)
+    assert m.tobytes() == want.tobytes()
+    assert np.diag(m).tobytes() == np.zeros(n).tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf])
@@ -343,12 +355,12 @@ def test_one_debug_line_per_round(caplog):
 
 def test_dual_bound_is_independent_of_the_tableau():
     # lam = 0 gives the box bound; any lam >= 0 stays below the optimum
-    from ccpivot.lp import _cut_columns, _dual_bound, _objective_terms, _pair_index_map
+    from ccpivot.lp import _cut_columns, _dual_bound, _objective_terms
 
     inst = cc.gen_complete_random(7, 0.5, seed=11)
     _x, stats = cc.solve_relaxation(inst)
     coeff, const = _objective_terms(inst)
-    cuts = _cut_columns(_pair_index_map(7), stats.final_constraints)
+    cuts = _cut_columns(symmetric_from_upper(7, np.arange(len(coeff)), np.int64), stats.final_constraints)
     assert _dual_bound(coeff, const, cuts, np.zeros(len(cuts))) == const + np.minimum(coeff, 0).sum()
     rng = np.random.default_rng(0)
     for _ in range(20):
