@@ -53,12 +53,10 @@ from .certify import (
     certify,
     certify_weighted_ti,
     check_eligibility,
-    edge_cost_given_pivot,
-    edge_lp_given_pivot,
+    edge_terms,
     lower_bound_check,
     step_inequality_check,
     triple_costs,
-    triple_costs_probs,
 )
 from .oracle import (
     brute_force_opt,

@@ -3,9 +3,11 @@
 For a triangle with edge types (t0, t1, t2) and LP lengths (l0, l1, l2)
 (edge i opposite vertex i), the per-pivot expected violation cost and
 removed LP mass are closed-form polynomials in the three cut
-probabilities. A scheme certifies ratio alpha for a graph class when the
-surplus alpha * LP - ALG is nonnegative on every admissible triangle.
-For monotone schemes with piecewise-convex f_plus and piecewise-concave
+probabilities. One edge kernel, ``edge_terms``, computes them in the
+arithmetic of its inputs: floats on the sweeps, Fractions exactly. A
+scheme certifies ratio alpha for a graph class when the surplus
+alpha * LP - ALG is nonnegative on every admissible triangle. For
+monotone schemes with piecewise-convex f_plus and piecewise-concave
 f_minus, it is enough to check triangles whose lengths make the triangle
 inequality tight, plus a finite corner set built from the pieces'
 endpoints; ``certify`` sweeps exactly those on a grid. Eligibility is
@@ -79,35 +81,19 @@ def admissible_types(graph_class: str) -> list[tuple[str, str, str]]:
 # ---------------------------------------------------------------------------
 
 
-def edge_cost_given_pivot(edge_type: str, p_u, p_v):
-    """Probability the pair is violated at this step, given the pivot.
+def edge_terms(edge_type: str, x, p_u, p_v):
+    """(cost, lp) of one pair at a pivot step, in the arithmetic of its inputs.
 
-    A "+" pair is violated when exactly one endpoint joins the cluster,
-    a "-" pair when both do; neutral pairs cost nothing.
+    cost: the probability the pair is violated given the pivot ("+": exactly
+    one endpoint joins the cluster, "-": both do); lp: the expected LP mass
+    of the pair removed. A neutral pair gives 0, 0.
     """
-    p_u = np.asarray(p_u, dtype=np.float64)
-    p_v = np.asarray(p_v, dtype=np.float64)
     if edge_type == EDGE_PLUS:
-        return p_u * (1.0 - p_v) + (1.0 - p_u) * p_v
+        return p_u * (1 - p_v) + (1 - p_u) * p_v, (1 - p_u * p_v) * x
     if edge_type == EDGE_MINUS:
-        return (1.0 - p_u) * (1.0 - p_v)
+        return (1 - p_u) * (1 - p_v), (1 - p_u * p_v) * (1 - x)
     if edge_type == EDGE_NEUTRAL:
-        return np.zeros(np.broadcast(p_u, p_v).shape)
-    raise ValueError(f"unknown edge type {edge_type!r}")
-
-
-def edge_lp_given_pivot(edge_type: str, x, p_u, p_v):
-    """Expected LP mass of the pair removed at this step, given the pivot."""
-    x = np.asarray(x, dtype=np.float64)
-    p_u = np.asarray(p_u, dtype=np.float64)
-    p_v = np.asarray(p_v, dtype=np.float64)
-    removed = 1.0 - p_u * p_v
-    if edge_type == EDGE_PLUS:
-        return removed * x
-    if edge_type == EDGE_MINUS:
-        return removed * (1.0 - x)
-    if edge_type == EDGE_NEUTRAL:
-        return np.zeros(np.broadcast(x, p_u, p_v).shape)
+        return 0, 0
     raise ValueError(f"unknown edge type {edge_type!r}")
 
 
@@ -122,31 +108,28 @@ def triple_sums(types, lengths, probs):
     """(ALG, LP) of one triangle from explicit cut probabilities.
 
     Edge i sits opposite vertex i; the pivot-i term uses the other two
-    probabilities. lengths/probs may be arrays for grid sweeps.
+    probabilities. lengths/probs may be arrays (grid sweeps) or Fractions.
     """
-    alg = 0.0
-    lp = 0.0
+    alg = lp = 0
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
-        alg = alg + edge_cost_given_pivot(types[i], probs[j], probs[k])
-        lp = lp + edge_lp_given_pivot(types[i], lengths[i], probs[j], probs[k])
+        cost, mass = edge_terms(types[i], lengths[i], probs[j], probs[k])
+        alg += cost
+        lp += mass
+        del cost, mass  # free this edge's arrays before the next edge allocates
     return alg, lp
 
 
-def triple_costs_probs(types, lengths, probs, alpha: float) -> TripleCosts:
-    alg, lp = triple_sums(types, lengths, probs)
-    return TripleCosts(float(alg), float(lp), float(alpha * lp - alg))
-
-
 def triple_costs(types, lengths, scheme: RoundingScheme, alpha: float) -> TripleCosts:
-    """Like triple_costs_probs with probabilities taken from the scheme."""
+    """ALG, LP and surplus of one metric triangle, probabilities from the scheme."""
     lengths = tuple(float(v) for v in lengths)
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         if lengths[i] > lengths[j] + lengths[k] + 1e-12:
             raise ValueError(f"lengths {lengths} violate the triangle inequality")
     probs = tuple(float(scheme.fn(t)(l)) for t, l in zip(types, lengths))
-    return triple_costs_probs(types, lengths, probs, alpha)
+    alg, lp = triple_sums(types, lengths, probs)
+    return TripleCosts(float(alg), float(lp), float(alpha * lp - alg))
 
 
 # ---------------------------------------------------------------------------

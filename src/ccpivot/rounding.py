@@ -714,15 +714,14 @@ def derandomize_round(
     n = inst.n
     base = cut_probabilities(inst, x, scheme)
     wp, wm, L = pair_model(inst, x)
-    # the pivot choice scores true conditional expectations: no self-loops
-    wp_pairs = np.where(np.eye(n, dtype=bool), 0.0, wp)
 
     active = np.arange(n)
     assignment = np.full(n, -1, dtype=np.int64)
     cid = 0
     while active.size:
         p = greedy_round_probabilities(wp, wm, L, base, alpha, active)
-        model = _active_model(wp_pairs, wm, L, active)
+        # p is now 0/1 with a zero diagonal, so every self-loop term p(1 - p) is exactly 0
+        model = _active_model(wp, wm, L, active)
         best_w, best_val = -1, -math.inf
         for w in active:
             cost, lp = pivot_terms(*model, p[active, w])

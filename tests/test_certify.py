@@ -26,21 +26,45 @@ def random_triangle(rng):
     return a, b, c
 
 
+def surplus(types, lengths, probs, alpha):
+    alg, lp = triple_sums(types, lengths, probs)
+    return alpha * lp - alg
+
+
 # -- per-pivot building blocks ------------------------------------------------
 
 
 def test_edge_cost_examples():
-    assert cc.edge_cost_given_pivot("+", 0.0, 0.0) == 0.0
-    assert cc.edge_cost_given_pivot("-", 0.0, 0.0) == 1.0
-    assert cc.edge_cost_given_pivot("+", 0.5, 0.5) == pytest.approx(0.5)
-    assert cc.edge_cost_given_pivot("0", 0.3, 0.9) == 0.0
+    assert cc.edge_terms("+", 0.5, 0.0, 0.0)[0] == 0.0
+    assert cc.edge_terms("-", 0.5, 0.0, 0.0)[0] == 1.0
+    assert cc.edge_terms("+", 0.5, 0.5, 0.5)[0] == pytest.approx(0.5)
+    assert cc.edge_terms("0", 0.5, 0.3, 0.9)[0] == 0.0
 
 
 def test_edge_lp_examples():
-    assert cc.edge_lp_given_pivot("+", 0.7, 1.0, 1.0) == 0.0
-    assert cc.edge_lp_given_pivot("-", 1.0, 0.3, 0.8) == pytest.approx(0.0)
-    assert cc.edge_lp_given_pivot("+", 0.5, 0.0, 0.0) == pytest.approx(0.5)
-    assert cc.edge_lp_given_pivot("0", 0.5, 0.1, 0.2) == 0.0
+    assert cc.edge_terms("+", 0.7, 1.0, 1.0)[1] == 0.0
+    assert cc.edge_terms("-", 1.0, 0.3, 0.8)[1] == pytest.approx(0.0)
+    assert cc.edge_terms("+", 0.5, 0.0, 0.0)[1] == pytest.approx(0.5)
+    assert cc.edge_terms("0", 0.5, 0.1, 0.2)[1] == 0.0
+
+
+def test_edge_terms_rejects_unknown_edge_type():
+    with pytest.raises(ValueError, match="unknown edge type"):
+        cc.edge_terms("x", 0.5, 0.5, 0.5)
+
+
+def test_nan_probability_fails_the_sweep_and_a_neutral_pair_adds_exactly_zero():
+    for t in ("+", "-"):
+        assert all(math.isnan(v) for v in cc.edge_terms(t, 0.5, math.nan, 0.2))
+    assert cc.edge_terms("0", math.nan, math.nan, math.nan) == (0, 0)
+    # a NaN length on the neutral edge leaves both sums as they were
+    probs = (0.5, 0.2, 0.1)
+    assert triple_sums(("0", "+", "-"), (math.nan, 0.3, 0.4), probs) == \
+        triple_sums(("0", "+", "-"), (0.25, 0.3, 0.4), probs)
+    # a NaN probability turns the surplus NaN there, and _lowest fails the sweep at it
+    p = [np.array([0.5, math.nan, 0.1]), np.full(3, 0.2), np.full(3, 0.3)]
+    alg, lp = triple_sums(("+", "-", "0"), [np.full(3, 0.4)] * 3, p)
+    assert _lowest((math.inf, None), 2.0 * lp - alg, lambda i: i) == (-math.inf, 1)
 
 
 def test_triple_costs_rejects_nonmetric_lengths():
@@ -91,15 +115,12 @@ def test_triple_costs_symmetric_under_permutation():
     for _ in range(50):
         lengths = random_triangle(rng)
         types = ("+", "-", "0")
-        base = cc.triple_costs_probs(
-            types, lengths, (0.3, 0.6, 0.9), 2.0
-        )
+        base = surplus(types, lengths, (0.3, 0.6, 0.9), 2.0)
         for perm in itertools.permutations(range(3)):
             t = tuple(types[i] for i in perm)
             l = tuple(lengths[i] for i in perm)
             p = tuple((0.3, 0.6, 0.9)[i] for i in perm)
-            tc = cc.triple_costs_probs(t, l, p, 2.0)
-            assert tc.surplus == pytest.approx(base.surplus, abs=1e-12)
+            assert surplus(t, l, p, 2.0) == pytest.approx(base, abs=1e-12)
 
 
 def test_surplus_multilinear_in_each_probability():
@@ -114,7 +135,7 @@ def test_surplus_multilinear_in_each_probability():
             for t in (0.0, 0.5, 1.0):
                 p = list(probs)
                 p[i] = t
-                vals.append(cc.triple_costs_probs(types, lengths, tuple(p), 2.0).surplus)
+                vals.append(surplus(types, lengths, tuple(p), 2.0))
             assert vals[0] - 2 * vals[1] + vals[2] == pytest.approx(0.0, abs=1e-12)
 
 

@@ -83,6 +83,19 @@ def test_round_modes(tmp_path):
     assert run(base + ["--mode", "derand"]) == 64  # missing alpha
 
 
+def test_round_derand_exits_70_when_the_cost_exceeds_alpha_lp(tmp_path, monkeypatch):
+    # every pair is "+", so the LP is 0 and singletons cost 10 > alpha * LP
+    inst_file, sol_file, out = tmp_path / "p.cc", tmp_path / "p.json", tmp_path / "r.json"
+    run(["gen", "complete", "--n", "5", "--p", "1.0", "--seed", "3", "-o", str(inst_file)])
+    run(["lp", "--instance", str(inst_file), "-o", str(sol_file)])
+    monkeypatch.setattr(cli, "derandomize_round",
+                        lambda inst, x, scheme, alpha: cc.Clustering(np.arange(inst.n)))
+    assert run(["round", "--instance", str(inst_file), "--lp-solution", str(sol_file),
+                "--scheme", "complete206", "--mode", "derand", "--alpha", "2.06",
+                "-o", str(out)]) == 70
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "1", "0.5"])
 def test_round_derand_refuses_alpha_outside_finite_ratios(alpha, tmp_path):
     inst_file, sol_file = tmp_path / "i.cc", tmp_path / "i.json"

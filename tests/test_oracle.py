@@ -153,8 +153,9 @@ def test_exact_step_cost_n2_closed_form():
     assert r["e_alg_0"] == pytest.approx(0.4)
     assert r["e_lp_0"] == pytest.approx(0.4)
     # the distinct-pivot closed forms themselves give 0.48 / 0.336
-    assert cc.edge_cost_given_pivot("+", 0.4, 0.4) == pytest.approx(0.48)
-    assert cc.edge_lp_given_pivot("+", 0.4, 0.4, 0.4) == pytest.approx(0.336)
+    cost, lp = cc.edge_terms("+", 0.4, 0.4, 0.4)
+    assert cost == pytest.approx(0.48)
+    assert lp == pytest.approx(0.336)
 
 
 @pytest.mark.parametrize(

@@ -385,6 +385,12 @@ def test_piecewise_rejects_gaps():
         )
 
 
+@pytest.mark.parametrize("x", [1.5, math.nan])
+def test_piecewise_rejects_arguments_outside_the_unit_interval(x):
+    with pytest.raises(ValueError, match="outside"):
+        cc.get_scheme("complete206").f_plus(x)
+
+
 @pytest.mark.parametrize("lo, hi, kind, params", [
     (0.0, 1.0, "linear", (0.0, math.nan)),
     (0.0, math.inf, "constant", (0.0,)),

@@ -8,13 +8,13 @@ PUBLIC = [
     "LpNumericalError", "LpSolution", "LpStats", "MonteCarloStats", "PivotTrace",
     "RoundingScheme", "SCHEMES", "SplitMix64", "bound_curves", "brute_force_opt", "certify",
     "certify_weighted_ti", "check_eligibility", "clustering_cost", "derandomize_round",
-    "edge_cost_given_pivot", "edge_lp_given_pivot", "exact_expected_total_cost",
+    "edge_terms", "exact_expected_total_cost",
     "gap_kpartite_lp_point", "gen_complete_random", "gen_gap_triangle_ineq",
     "gen_kpartite_random", "gen_planted", "gen_weighted_random", "get_scheme",
     "integrality_ratio", "lift_clustering", "lower_bound_check", "lp_objective",
     "monte_carlo_ratio", "parse_instance", "pivot_round", "pivot_round_weighted",
     "round_instance", "separate_triangle_violations", "serialize_instance", "solve_relaxation",
-    "step_cost_formula", "step_inequality_check", "triple_costs", "triple_costs_probs",
+    "step_cost_formula", "step_inequality_check", "triple_costs",
     "validate_solution", "weighted_to_unweighted",
 ]
 
