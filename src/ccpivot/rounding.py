@@ -121,40 +121,40 @@ class Piece:
             b, a = self.params
             return b + a * x
         anchor, scale, expo = self.params  # "power"
-        base = np.clip((x - anchor) / scale, 0.0, None)
+        base = np.maximum((x - anchor) / scale, 0.0)
         return base**expo
 
 
 class PiecewiseFn:
-    """Piecewise function on [0, 1], vectorized, with owned breakpoints."""
+    """Piecewise function on [0, 1], vectorized, with owned breakpoints.
+
+    The pieces tile [0, 1] exactly: the first owns 0, the last ends at 1,
+    and each starts where the one before it ends. A point belongs to the
+    last piece whose left end admits it, so a call writes the pieces in
+    order, each over the points it admits.
+    """
 
     def __init__(self, pieces: list[Piece]):
         if not pieces:
             raise ValueError("need at least one piece")
-        if abs(pieces[0].lo) > 1e-12 or abs(pieces[-1].hi - 1.0) > 1e-12:
-            raise ValueError("pieces must cover [0, 1]")
+        if not (pieces[0].lo == 0.0 and pieces[0].closed_left and pieces[-1].hi == 1.0):
+            raise ValueError("pieces must cover [0, 1], the first one closed at 0")
         for a, b in zip(pieces, pieces[1:]):
-            if abs(a.hi - b.lo) > 1e-12:
-                raise ValueError("pieces must tile [0, 1] without gaps")
+            if a.hi != b.lo:
+                raise ValueError("pieces must tile [0, 1] without gaps or overlaps")
         self.pieces = pieces
 
     def __call__(self, x):
         x = np.asarray(x, dtype=np.float64)
         scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        out = np.empty_like(x)
-        done = np.zeros(x.shape, dtype=bool)
-        for i, p in enumerate(self.pieces):
-            left_ok = x >= p.lo if p.closed_left else x > p.lo
-            last = i == len(self.pieces) - 1
-            next_owns_boundary = (not last) and self.pieces[i + 1].closed_left
-            right_ok = x < p.hi if next_owns_boundary else x <= p.hi
-            mask = left_ok & right_ok & ~done
-            if mask.any():
-                out[mask] = p(x[mask])
-                done |= mask
-        if not done.all():
+        if scalar:  # shape (1,): 0-d arithmetic yields numpy scalars, whose ** 0.5 is pow, not sqrt
+            x = x.reshape(1)
+        if not (x.min(initial=0.0) >= 0.0 and x.max(initial=1.0) <= 1.0):  # NaN fails too
             raise ValueError("argument outside [0, 1]")
+        out = self.pieces[0](x)  # closed at 0, it admits every x
+        for p in self.pieces[1:]:
+            value = p.params[0] if p.kind == "constant" else p(x)
+            np.copyto(out, value, where=x >= p.lo if p.closed_left else x > p.lo)
         return float(out[0]) if scalar else out
 
     def breakpoints(self) -> list[float]:
@@ -631,8 +631,16 @@ def pivot_sums(wp, wm, L, p) -> tuple[float, float]:
     return cost_sum, lp_sum
 
 
+def _column_terms(wp, wm, L, P):
+    """pivot_terms of every column of P at once, as two arrays; they equal
+    pivot_terms' values up to the last bits (the products associate differently)."""
+    Q = 1.0 - P
+    cost = 2.0 * (P * (wp @ Q)).sum(axis=0) + (Q * (wm @ Q)).sum(axis=0)
+    return cost, L.sum() - (P * (L @ P)).sum(axis=0)
+
+
 def _active_model(wp, wm, L, active: np.ndarray):
-    sub = np.ix_(active, active)
+    sub = active[:, None], active
     return wp[sub], wm[sub], L[sub]
 
 
@@ -645,7 +653,7 @@ def step_surplus_sum(inst: Instance, x: LpSolution, p: np.ndarray, alpha: float,
     pair is certified for the class.
     """
     act = np.arange(inst.n) if active is None else np.asarray(sorted(active))
-    cost, lp = pivot_sums(*_active_model(*pair_model(inst, x), act), p[np.ix_(act, act)])
+    cost, lp = pivot_sums(*_active_model(*pair_model(inst, x), act), p[act[:, None], act])
     return float(alpha * lp - cost)
 
 
@@ -674,7 +682,7 @@ def greedy_round_probabilities(wp, wm, L, p: np.ndarray, alpha: float,
     cd = np.diag(C)
     d = (2.0 * np.diag(wp) - np.diag(wm) - alpha * np.diag(L)
          - 2.0 * wp.sum(axis=1) + 2.0 * wm.sum(axis=1))
-    block = np.ix_(active, active)
+    block = active[:, None], active
     P = p[block]
     H = P.T @ C
     for i in range(k - 1):
@@ -706,7 +714,10 @@ def derandomize_round(
     to 0/1 (the step surplus is convex in each variable, so endpoint
     choices never decrease it; greedy_round_probabilities scores each
     pair in O(k) by its closed-form change), then take the pivot whose
-    conditional surplus is largest. Membership is then deterministic.
+    conditional surplus is largest. All pivots are scored at once, by
+    three matrix products (_column_terms); a pivot must beat the best
+    so far by 1e-15, so near-ties go to the lowest id. Membership is
+    then deterministic.
     Each step logs one DEBUG line on the ``ccpivot.rounding`` logger.
     """
     if not math.isfinite(alpha):
@@ -721,18 +732,17 @@ def derandomize_round(
     while active.size:
         p = greedy_round_probabilities(wp, wm, L, base, alpha, active)
         # p is now 0/1 with a zero diagonal, so every self-loop term p(1 - p) is exactly 0
-        model = _active_model(wp, wm, L, active)
-        best_w, best_val = -1, -math.inf
-        for w in active:
-            cost, lp = pivot_terms(*model, p[active, w])
-            val = 0.5 * (alpha * lp - cost)
+        P = p[active[:, None], active]  # column i: pivot active[i], as p is symmetric
+        cost, lp = _column_terms(*_active_model(wp, wm, L, active), P)
+        best, best_val = -1, -math.inf
+        for i, val in enumerate((0.5 * (alpha * lp - cost)).tolist()):
             if val > best_val + 1e-15:
-                best_w, best_val = int(w), float(val)
-        cluster = active[p[active, best_w] == 0.0]
+                best, best_val = i, val
+        cluster = active[P[:, best] == 0.0]
         log.debug("derand step %d: %d active, pivot %d, cluster of %d, surplus %.9g",
-                  cid, active.size, best_w, cluster.size, best_val)
+                  cid, active.size, active[best], cluster.size, best_val)
         assignment[cluster] = cid
-        active = active[p[active, best_w] != 0.0]
+        active = active[P[:, best] != 0.0]
         cid += 1
     return Clustering(assignment)
 

@@ -1,5 +1,6 @@
 """The pair-run driver's summary and its refusals, without running the benchmark."""
 
+import importlib
 import importlib.util
 import json
 from pathlib import Path
@@ -92,3 +93,62 @@ def test_refuses_checkouts_of_unequal_path_length(tmp_path, capsys):
                           "--workload", "solve", "--pairs", "1", "--seed", "1"])
     assert exc.value.code == 2
     assert "differ in length" in capsys.readouterr().err
+
+
+class FakeChild:
+    """Stands in for subprocess.run: one set-up time per call, by checkout, in call order."""
+
+    def __init__(self, times):
+        self.times, self.calls = {k: list(v) for k, v in times.items()}, []
+
+    def __call__(self, cmd, cwd, **kwargs):
+        self.calls.append((cmd, cwd))
+        return type("Done", (), {"stdout": f"{self.times[cwd.name].pop(0)}\n"})()
+
+
+def test_setup_times_alternate_perfbench_child(tmp_path, monkeypatch):
+    dirs = {side: tmp_path / side for side in ("parent", "change")}
+    fake = FakeChild({"parent": [0.14, 0.15, 0.11, 0.16], "change": [0.12, 0.16, 0.11, 0.12]})
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake)
+    entry = bench_pairs.setup_times(dirs, "solve", 4)
+    # parent first on even pairs, change first on odd ones
+    assert [cwd.name for _cmd, cwd in fake.calls] == ["parent", "change", "change", "parent"] * 2
+    run = importlib.import_module("run")
+    workloads = importlib.import_module("workloads")
+    for cmd, cwd in fake.calls:
+        assert cmd[1:4] == ["-c", run.SETUP_CHILD, str(cwd / "src")]
+        assert tuple(cmd[4:]) == workloads.SCHEMES_USED["solve"]
+    assert entry["pairs"] == 4 and entry["unit"] == "s"
+    assert entry["parent"]["values"] == [0.14, 0.15, 0.11, 0.16]
+    assert entry["parent"]["median"] == pytest.approx(0.145)
+    assert entry["change"]["median"] == pytest.approx(0.12)
+    assert entry["median_change_frac"] == pytest.approx(-0.025 / 0.145)
+    assert entry["change_lower"] == 2  # 0.12 < 0.14 and 0.12 < 0.16; 0.16 > 0.15; 0.11 ties
+
+
+def test_setup_times_of_this_checkout():
+    # the real child: perfbench's SETUP_CHILD in a fresh interpreter, no schemes for "exact"
+    entry = bench_pairs.setup_times({"parent": bench_pairs.ROOT, "change": bench_pairs.ROOT},
+                                    "exact", 1)
+    for side in ("parent", "change"):
+        (t,) = entry[side]["values"]
+        assert 0.0 < t < 60.0
+
+
+def test_main_writes_setup_pairs_only_when_asked(tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text('{"run_seconds": 1}')
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, workload, seed, seconds:
+                        result(1.0, 100.0) | {"record": record(1.0, 1.0, 5.0)})
+    asked = []
+    monkeypatch.setattr(bench_pairs, "setup_times",
+                        lambda dirs, workload, pairs: asked.append(pairs) or {"pairs": pairs})
+    base = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "solve",
+            "--pairs", "1", "--seed", "1"]
+    bench_pairs.main(base + ["--label", "none"])
+    assert "setup" not in json.loads((tmp_path / "BENCH_none.json").read_text())
+    bench_pairs.main(base + ["--label", "some", "--setup-pairs", "3"])
+    assert json.loads((tmp_path / "BENCH_some.json").read_text())["setup"] == {"pairs": 3}
+    assert asked == [3]

@@ -202,6 +202,18 @@ def test_certify_rejects_reversed_piece(tmp_path):
     assert run(["certify", path, "--alpha", "2.06", "--grid", "0.1"]) == 65
 
 
+@pytest.mark.parametrize("pieces", [
+    # f(0) would be owned by no piece, and certify would fail on it mid-sweep
+    [{"from": 0.0, "to": 1.0, "kind": "linear", "params": [0.0, 1.0], "closed_left": False}],
+    [{"from": 0.0, "to": 1.0 - 1e-13, "kind": "linear", "params": [0.0, 1.0]}],
+    [{"from": 0.0, "to": 0.5, "kind": "constant", "params": [0.0]},
+     {"from": 0.5 + 1e-13, "to": 1.0, "kind": "constant", "params": [1.0]}],
+])
+def test_certify_rejects_pieces_that_do_not_tile_the_unit_interval(tmp_path, pieces):
+    path = _acn_with_f_plus(tmp_path, *pieces)
+    assert run(["certify", path, "--alpha", "2.06", "--grid", "0.1"]) == 65
+
+
 def test_certify_refuses_out_of_range_scheme(tmp_path):
     path = _acn_with_f_plus(tmp_path, {"from": 0.0, "to": 1.0, "kind": "linear",
                                        "params": [0.0, 2.0]})

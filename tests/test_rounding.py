@@ -7,9 +7,11 @@ import pytest
 import ccpivot as cc
 from ccpivot.rounding import (
     IneligibleSchemeError,
+    Piece,
     PiecewiseFn,
     cut_probabilities,
     _active_model,
+    _column_terms,
     greedy_round_probabilities,
     pair_model,
     pivot_terms,
@@ -339,6 +341,53 @@ def test_greedy_matches_full_recompute_reference(kind):
         assert cc.clustering_cost(inst, c) <= alpha * cc.lp_objective(inst, x) + 1e-9
 
 
+def reference_derandomize(inst, x, scheme, alpha):
+    """derandomize_round with each pivot scored alone by pivot_terms."""
+    wp, wm, L = pair_model(inst, x)
+    base = cut_probabilities(inst, x, scheme)
+    active, assignment, cid = np.arange(inst.n), np.full(inst.n, -1), 0
+    while active.size:
+        p = greedy_round_probabilities(wp, wm, L, base, alpha, active)
+        model = _active_model(wp, wm, L, active)
+        best_w, best_val = -1, -math.inf
+        for w in active:
+            cost, lp = pivot_terms(*model, p[active, w])
+            val = 0.5 * (alpha * lp - cost)
+            if val > best_val + 1e-15:
+                best_w, best_val = w, val
+        assignment[active[p[active, best_w] == 0.0]] = cid
+        active, cid = active[p[active, best_w] != 0.0], cid + 1
+    return assignment
+
+
+@pytest.mark.parametrize("kind", sorted(WORKLOAD_CLASSES))
+def test_column_terms_match_pivot_terms(kind):
+    gen, _certified, scheme_name, alpha = WORKLOAD_CLASSES[kind]
+    scheme = cc.get_scheme(scheme_name)
+    rng = np.random.default_rng(23)
+    for seed in range(10):
+        inst = gen(seed)
+        n = inst.n
+        x, _ = cc.solve_relaxation(inst)
+        wp, wm, L = pair_model(inst, x)
+        base = cut_probabilities(inst, x, scheme)
+        subset = np.sort(rng.choice(n, size=rng.integers(2, n), replace=False))
+        for active in (np.arange(n), subset):
+            model = _active_model(wp, wm, L, active)
+            scale = model[2].sum()  # the LP mass each lp value is taken from
+            for p in (base, greedy_round_probabilities(wp, wm, L, base, alpha, active)):
+                P = p[np.ix_(active, active)]
+                cost, lp = _column_terms(*model, P)
+                assert cost.shape == lp.shape == (len(active),)
+                for i in range(len(active)):
+                    want_cost, want_lp = pivot_terms(*model, P[:, i])
+                    assert abs(cost[i] - want_cost) <= 1e-12 * abs(want_cost)
+                    assert abs(lp[i] - want_lp) <= 1e-12 * max(abs(want_lp), scale)
+        # the batched scores pick the pivots that scoring each one alone picks
+        c = cc.derandomize_round(inst, x, scheme, alpha)
+        assert c == cc.Clustering(reference_derandomize(inst, x, scheme, alpha))
+
+
 def test_derand_logs_one_line_per_step(caplog):
     n = 5
     inst = cc.gen_complete_random(n, 0.0, seed=1)
@@ -374,15 +423,80 @@ def test_monte_carlo_trivials():
         cc.monte_carlo_ratio(inst2, x2, s, 0, seed=1)
 
 
-def test_piecewise_rejects_gaps():
-    from ccpivot.rounding import Piece
+@pytest.mark.parametrize("pieces", [
+    [Piece(0.0, 0.4, "constant", (0.0,))],
+    [Piece(0.0, 0.3, "constant", (0.0,)), Piece(0.5, 1.0, "constant", (1.0,))],
+    # f(0) would be owned by no piece
+    [Piece(0.0, 1.0, "linear", (0.0, 1.0), closed_left=False)],
+    # ends within 1e-12 of 0 or 1 leave f(0) or f(1) unowned
+    [Piece(1e-13, 1.0, "linear", (0.0, 1.0))],
+    [Piece(0.0, 1.0 - 1e-13, "linear", (0.0, 1.0))],
+    # a gap or an overlap of 1e-13 between adjacent pieces
+    [Piece(0.0, 0.5, "constant", (0.0,)), Piece(0.5 + 1e-13, 1.0, "constant", (1.0,))],
+    [Piece(0.0, 0.5 + 1e-13, "constant", (0.0,)), Piece(0.5, 1.0, "constant", (1.0,))],
+], ids=["short", "gap", "open-at-0", "starts-past-0", "ends-before-1", "gap-1e-13", "overlap-1e-13"])
+def test_piecewise_rejects_gaps(pieces):
+    with pytest.raises(ValueError, match="pieces must"):
+        PiecewiseFn(pieces)
 
-    with pytest.raises(ValueError):
-        PiecewiseFn([Piece(0.0, 0.4, "constant", (0.0,))])
-    with pytest.raises(ValueError):
-        PiecewiseFn(
-            [Piece(0.0, 0.3, "constant", (0.0,)), Piece(0.5, 1.0, "constant", (1.0,))]
-        )
+
+def mask_evaluator(fn, x):
+    """The per-piece mask evaluator PiecewiseFn used before, kept as the reference:
+    a piece owns x when its left end admits x and its right end does not give x
+    to the next piece, and the first such piece wins."""
+    x = np.asarray(x, dtype=np.float64)
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
+    out = np.empty_like(x)
+    done = np.zeros(x.shape, dtype=bool)
+    for i, p in enumerate(fn.pieces):
+        left_ok = x >= p.lo if p.closed_left else x > p.lo
+        next_owns_boundary = i + 1 < len(fn.pieces) and fn.pieces[i + 1].closed_left
+        right_ok = x < p.hi if next_owns_boundary else x <= p.hi
+        mask = left_ok & right_ok & ~done
+        if mask.any():
+            out[mask] = p(x[mask])
+            done |= mask
+    if not done.all():
+        raise ValueError("argument outside [0, 1]")
+    return float(out[0]) if scalar else out
+
+
+SHIPPED_FNS = [
+    pytest.param(getattr(s, name), id=f"{s.name}.{name}")
+    for s in cc.SCHEMES.values()
+    for name in ("f_plus", "f_minus", "f_neutral")
+    if getattr(s, name) is not None
+]
+
+
+@pytest.mark.parametrize("fn", SHIPPED_FNS)
+def test_piecewise_matches_the_mask_evaluator_bit_for_bit(fn):
+    rng = np.random.default_rng(41)
+    edges = [0.0, 1.0]
+    for b in fn.breakpoints():
+        edges += [b, np.nextafter(b, -1.0), np.nextafter(b, 2.0)]
+    edges = np.array([v for v in edges if 0.0 <= v <= 1.0])
+    for x in (edges, rng.random((11, 11)), rng.random(10_000), np.linspace(0.0, 1.0, 1001)):
+        got, want = fn(x), mask_evaluator(fn, x)
+        assert got.shape == x.shape and got.tobytes() == want.tobytes()
+    # a 0-d argument is evaluated as a 1-element array: 0-d arithmetic yields numpy
+    # scalars, whose ** 0.5 differs from the array sqrt in the last bit of some values
+    for v in np.concatenate([edges, rng.random(2_000)]).tolist():
+        got = fn(v)
+        assert type(got) is float
+        assert got == mask_evaluator(fn, v) == fn(np.array([v]))[0] == fn(np.float64(v))
+
+
+def test_piecewise_owner_at_a_jump():
+    # closed_left decides who owns a breakpoint, on either side of the jump
+    left = PiecewiseFn([Piece(0.0, 0.5, "constant", (0.0,)),
+                        Piece(0.5, 1.0, "constant", (1.0,), closed_left=False)])
+    right = PiecewiseFn([Piece(0.0, 0.5, "constant", (0.0,)), Piece(0.5, 1.0, "constant", (1.0,))])
+    x = np.array([0.0, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 1.0])
+    assert left(x).tolist() == [0.0, 0.0, 0.0, 1.0, 1.0]
+    assert right(x).tolist() == [0.0, 0.0, 1.0, 1.0, 1.0]
+    assert left(np.empty((0, 3))).shape == (0, 3)
 
 
 @pytest.mark.parametrize("x", [1.5, math.nan])
@@ -401,8 +515,6 @@ def test_piecewise_rejects_arguments_outside_the_unit_interval(x):
     (0.6, 0.4, "constant", (0.0,)),
 ])
 def test_piece_rejects_malformed(lo, hi, kind, params):
-    from ccpivot.rounding import Piece
-
     with pytest.raises(ValueError):
         Piece(lo, hi, kind, params)
 

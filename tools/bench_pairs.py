@@ -1,6 +1,7 @@
 """Run alternating parent/change pairs of one benchmark workload and summarize them.
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload solve --pairs 10 --seed 21 --label derand
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload solve --pairs 10 --seed 21 --setup-pairs 30
 
 PARENT_DIR and CHANGE_DIR are two source checkouts. Pair i runs
 ``perfbench/run.py --trace 0`` with seed S + i in each checkout, for the
@@ -14,15 +15,25 @@ side, the medians of the run records' host factor and raw
 (uncalibrated) ``wall_s`` and ``task_p50_ms``, so a calibration shift on
 unchanged work is told apart from a change in the work.
 
+``--setup-pairs N`` adds N alternating set-up timings, parent first on
+even pairs, after the runs: each is one fresh interpreter running
+perfbench's own ``SETUP_CHILD`` (the import and the workload's schemes,
+as ``setup_s`` times them) in one checkout. A run's ``setup_s`` is the
+median of 9 such timings and swings between two modes on some hosts;
+the summary's ``setup`` entry gives the medians and quartiles of the N
+single timings per side, which tell an import change from that noise.
+
 The two checkout paths must have the same length: the path is part of
 every file name the interpreter resolves, and a longer one alone moved
 the ``certify`` workload by 12% (the process heap is laid out
-differently). Standard library only.
+differently). Standard library only, but for ``--setup-pairs``, which
+imports perfbench's run.py and workloads.py, and ccpivot with them.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import statistics
 import subprocess
@@ -44,6 +55,30 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
+def setup_times(dirs: dict, workload: str, pairs: int) -> dict:
+    """Alternating set-up timings of the two checkouts, summarized like a metric.
+
+    The child script and the workload's scheme names are perfbench's own,
+    read from this repository; each timing runs them with the checkout's
+    src/ and in the checkout, as perfbench/run.py's measure_setup does.
+    """
+    path = sys.path[:]
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    try:
+        child = importlib.import_module("run").SETUP_CHILD
+        schemes = importlib.import_module("workloads").SCHEMES_USED[workload]
+    finally:
+        sys.path[:] = path
+    times = {side: [] for side in SIDES}
+    for i in range(pairs):
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            out = subprocess.run([sys.executable, "-c", child, str(dirs[side] / "src"), *schemes],
+                                 cwd=dirs[side], capture_output=True, text=True, check=True,
+                                 timeout=120)
+            times[side].append(float(out.stdout.split()[-1]))
+    return compare(times, "s")
+
+
 def spread(values: list[float]) -> dict:
     """Median, quartiles and interquartile range; one value is its own quartiles."""
     q1, _q2, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
@@ -59,18 +94,21 @@ def summarize(pairs: list[dict]) -> dict:
     """
     names = [m for m in pairs[0]["parent"]["metrics"]
              if all(m in p[side]["metrics"] for p in pairs for side in SIDES)]
-    out = {}
-    for name in names:
-        vals = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
-        entry = {"unit": pairs[0]["parent"]["metrics"][name]["unit"]}
-        for side in SIDES:
-            entry[side] = spread(vals[side]) | {"values": vals[side]}
-        base = entry["parent"]["median"]
-        entry["median_change_frac"] = (entry["change"]["median"] - base) / base if base else None
-        entry["change_lower"] = sum(c < p for p, c in zip(vals["parent"], vals["change"]))
-        entry["pairs"] = len(pairs)
-        out[name] = entry
-    return out
+    return {name: compare({side: [p[side]["metrics"][name]["value"] for p in pairs]
+                           for side in SIDES}, pairs[0]["parent"]["metrics"][name]["unit"])
+            for name in names}
+
+
+def compare(vals: dict, unit: str) -> dict:
+    """One metric's entry from its paired values {"parent": [...], "change": [...]}."""
+    entry = {"unit": unit}
+    for side in SIDES:
+        entry[side] = spread(vals[side]) | {"values": vals[side]}
+    base = entry["parent"]["median"]
+    entry["median_change_frac"] = (entry["change"]["median"] - base) / base if base else None
+    entry["change_lower"] = sum(c < p for p, c in zip(vals["parent"], vals["change"]))
+    entry["pairs"] = len(vals["parent"])
+    return entry
 
 
 def calibration(pairs: list[dict]) -> dict:
@@ -94,12 +132,16 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", required=True, type=int)
     ap.add_argument("--seed", required=True, type=int)
     ap.add_argument("--label", help="names BENCH_<label>.json (default: the workload)")
+    ap.add_argument("--setup-pairs", type=int, default=0,
+                    help="alternating set-up timings per side after the runs (default 0: none)")
     args = ap.parse_args(argv)
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     if len(str(dirs["parent"])) != len(str(dirs["change"])):
         ap.error(f"checkout paths differ in length: {dirs['parent']} and {dirs['change']}")
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    if args.setup_pairs < 0:
+        ap.error("--setup-pairs must not be negative")
 
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     pairs = []
@@ -126,6 +168,8 @@ def main(argv=None) -> int:
         "calibration": calibration(pairs),
         "metrics": summarize(pairs),
     }
+    if args.setup_pairs:
+        doc["setup"] = setup_times(dirs, args.workload, args.setup_pairs)
     path = ROOT / f"BENCH_{label}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n")
     print(path)
