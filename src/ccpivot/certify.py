@@ -120,13 +120,16 @@ def triple_sums(types, lengths, probs):
     return alg, lp
 
 
+def _is_metric(a, b, c) -> bool:
+    """Each length is at most the sum of the other two, within 1e-12."""
+    return a <= b + c + 1e-12 and b <= a + c + 1e-12 and c <= a + b + 1e-12
+
+
 def triple_costs(types, lengths, scheme: RoundingScheme, alpha: float) -> TripleCosts:
     """ALG, LP and surplus of one metric triangle, probabilities from the scheme."""
     lengths = tuple(float(v) for v in lengths)
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        if lengths[i] > lengths[j] + lengths[k] + 1e-12:
-            raise ValueError(f"lengths {lengths} violate the triangle inequality")
+    if not _is_metric(*lengths):
+        raise ValueError(f"lengths {lengths} violate the triangle inequality")
     probs = tuple(float(scheme.fn(t)(l)) for t, l in zip(types, lengths))
     alg, lp = triple_sums(types, lengths, probs)
     return TripleCosts(float(alg), float(lp), float(alpha * lp - alg))
@@ -293,12 +296,7 @@ def _assignments(canonical: tuple[str, str, str]):
 
 def _metric_triples(s0, s1, s2) -> list:
     """Triples of s0 x s1 x s2, in product order, that satisfy the triangle inequality."""
-    return [
-        t for t in itertools.product(s0, s1, s2)
-        if t[0] <= t[1] + t[2] + 1e-12
-        and t[1] <= t[0] + t[2] + 1e-12
-        and t[2] <= t[0] + t[1] + 1e-12
-    ]
+    return [t for t in itertools.product(s0, s1, s2) if _is_metric(*t)]
 
 
 def _length_batches(values, full_grid: bool):

@@ -26,7 +26,6 @@ from .instance import (
     KPARTITE,
     WEIGHTED,
     FormatError,
-    Instance,
     clustering_cost,
     gen_complete_random,
     gen_gap_triangle_ineq,
@@ -40,6 +39,7 @@ from .lp import (
     FEAS_TOL,
     MAX_LP_N,
     LpNumericalError,
+    lp_objective,
     solution_from_json,
     solution_to_json,
     solve_relaxation,
@@ -127,14 +127,25 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _load_instance(path: str) -> Instance:
-    return parse_instance(Path(path).read_text(encoding="utf-8"))
+def _read(path: str) -> str:
+    """An input file's text; a directory, unreadable or non-UTF-8 file is a data error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise FormatError(f"cannot read {path}: {e}") from e
+
+
+def _check_size(command: str, n: int, cap: int, name: str) -> None:
+    """Refuse (exit 64) an instance past a command's size wall, before any work."""
+    if n > cap:
+        raise _UsageExit(f"{command} takes instances up to n = {cap} ({name}); got n = {n}")
 
 
 def _resolve_scheme(name: str) -> RoundingScheme:
-    if Path(name).exists():
+    if Path(name).is_file():
+        text = _read(name)
         try:
-            return RoundingScheme.from_json(Path(name).read_text(encoding="utf-8"))
+            return RoundingScheme.from_json(text)
         except (KeyError, TypeError, ValueError) as e:
             raise FormatError(f"bad scheme file {name}: {e!r}") from e
     try:
@@ -159,8 +170,7 @@ def _cmd_gen(args) -> int:
     if args.family != "gap-ti" and args.seed is None:
         raise _UsageExit(f"gen {args.family} requires an explicit --seed")
     n = {"kpartite": sum(args.parts), "gap-ti": 2 * args.n}.get(args.family, args.n)
-    if n > MAX_GEN_N:
-        raise _UsageExit(f"gen writes instances up to n = {MAX_GEN_N} (MAX_GEN_N); got n = {n}")
+    _check_size("gen", n, MAX_GEN_N, "MAX_GEN_N")
     if args.family == "complete":
         inst = gen_complete_random(args.n, args.p, args.seed)
     elif args.family == "kpartite":
@@ -178,11 +188,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_lp(args) -> int:
-    inst = _load_instance(args.instance)
-    if inst.n > MAX_LP_N:
-        raise _UsageExit(
-            f"lp solves instances up to n = {MAX_LP_N} (MAX_LP_N); this one has n = {inst.n}"
-        )
+    inst = parse_instance(_read(args.instance))
+    _check_size("lp", inst.n, MAX_LP_N, "MAX_LP_N")
     x, stats = solve_relaxation(inst, tol=args.tol)
     doc = json.loads(solution_to_json(x, stats.objective))
     doc["meta"] = _meta(
@@ -204,8 +211,8 @@ def _cmd_lp(args) -> int:
 
 
 def _cmd_round(args) -> int:
-    inst = _load_instance(args.instance)
-    x = solution_from_json(Path(args.lp_solution).read_text(encoding="utf-8"))
+    inst = parse_instance(_read(args.instance))
+    x = solution_from_json(_read(args.lp_solution))
     if x.n != inst.n:
         raise FormatError(f"LP solution has {x.n} vertices, instance has {inst.n}")
     scheme = _resolve_scheme(args.scheme)
@@ -218,8 +225,6 @@ def _cmd_round(args) -> int:
             raise _UsageExit("--alpha is required in derand mode")
         clustering = derandomize_round(inst, x, scheme, args.alpha)
     cost = clustering_cost(inst, clustering)
-    from .lp import lp_objective
-
     lp = lp_objective(inst, x)
     doc = {
         "meta": _meta(args, mode=args.mode, scheme=scheme.name),
@@ -241,22 +246,11 @@ def _cmd_round(args) -> int:
 def _cmd_certify(args) -> int:
     scheme = _resolve_scheme(args.scheme)
     if args.graph_class == WEIGHTED:
-        report = certify_weighted_ti(
-            scheme,
-            args.alpha,
-            length_grid_step=args.grid,
-            tol=args.tol,
-            jobs=args.jobs,
-        )
+        report = certify_weighted_ti(scheme, args.alpha, length_grid_step=args.grid,
+                                     tol=args.tol, jobs=args.jobs)
     else:
-        report = certify(
-            scheme,
-            args.alpha,
-            graph_class=args.graph_class,
-            grid_step=args.grid,
-            tol=args.tol,
-            allow_full_grid=not args.no_full_grid,
-        )
+        report = certify(scheme, args.alpha, graph_class=args.graph_class, grid_step=args.grid,
+                         tol=args.tol, allow_full_grid=not args.no_full_grid)
     _write(args.output, report.to_json())
     verdict = "PASS" if report.passed else "FAIL"
     worst = report.worst()
@@ -270,12 +264,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_opt(args) -> int:
-    inst = _load_instance(args.instance)
-    if inst.n > MAX_EXACT_N:
-        raise _UsageExit(
-            f"opt solves instances up to n = {MAX_EXACT_N} (MAX_EXACT_N); "
-            f"this one has n = {inst.n}"
-        )
+    inst = parse_instance(_read(args.instance))
+    _check_size("opt", inst.n, MAX_EXACT_N, "MAX_EXACT_N")
     clustering, cost = brute_force_opt(inst)
     doc = {
         "meta": _meta(args),
@@ -314,8 +304,7 @@ def _cmd_bench(args) -> int:
 
     scheme = _resolve_scheme(args.scheme)
     n = args.n if args.family == "complete" else sum(args.parts)
-    if n > MAX_LP_N:
-        raise _UsageExit(f"bench solves instances up to n = {MAX_LP_N} (MAX_LP_N); got n = {n}")
+    _check_size("bench", n, MAX_LP_N, "MAX_LP_N")
     master = SplitMix64(args.seed)
     rows = []
     for i in range(args.instances):

@@ -9,13 +9,14 @@ optimum of the box 0 <= x <= 1 alone, x_j = 1 where c_j < -SIMPLEX_TOL,
 which is dual feasible; each round appends every violated triangle not
 yet in the working set, worst first and at most n^2 of them, as new rows,
 which keeps it dual feasible, and the dual simplex restores primal
-feasibility. No primal simplex is needed. The dual prices by the
-largest infeasibility relative to the row norm and falls back to Bland's
-rule after DEGENERATE_RUN degenerate pivots in a row, so it cannot cycle.
-The loop ends when the working set is optimal and the separation scan
-is empty; the result is then checked apart from the tableau, by a dual
-bound built from the final triangle multipliers and by
-validate_solution. Both triangle scans use instance.triangle_blocks.
+feasibility. A cut is a row a.x <= b in the (cols, coefs, rhs) form that
+_triangle_rows builds. No primal simplex is needed. The dual prices by
+the largest infeasibility relative to the row norm and falls back to
+Bland's rule after DEGENERATE_RUN degenerate pivots in a row, so it
+cannot cycle. The loop ends when the working set is optimal and the
+separation scan is empty; the result is then checked apart from the
+tableau, by a dual bound built from the final cut-row multipliers and
+by validate_solution. Both triangle scans use instance.triangle_blocks.
 """
 
 from __future__ import annotations
@@ -88,8 +89,7 @@ class LpStats:
     iterations: int = 0  # dual simplex pivots
     constraints_generated: int = 0
     separation_rounds: int = 0
-    # per-round objective values and the final working triangle set; kept so
-    # monotonicity / re-solve determinism can be audited after the fact
+    # per-round objectives and the final working triangle set, to audit monotonicity and re-solves
     round_objectives: list = field(default_factory=list)
     final_constraints: list = field(default_factory=list)
     # Lagrangian lower bound on the full relaxation and objective minus it
@@ -116,9 +116,7 @@ def _objective_terms(inst: Instance) -> tuple[np.ndarray, float]:
     """Linear coefficients over pair variables plus the constant offset."""
     wp, wm = inst.pair_weights()
     iu = pair_index(inst.n)
-    coeff = wp[iu] - wm[iu]
-    const = float(wm[iu].sum())
-    return coeff, const
+    return wp[iu] - wm[iu], float(wm[iu].sum())
 
 
 def lp_objective(inst: Instance, x: LpSolution) -> float:
@@ -167,10 +165,10 @@ def validate_solution(x: LpSolution, tol: float = FEAS_TOL) -> ValidationReport:
 
 
 class _Tableau:
-    """Dense tableau for min c.x s.t. x <= 1, T x <= 0, x >= 0.
+    """Dense tableau for min c.x s.t. x <= 1, A x <= b, x >= 0.
 
     Rows 0..m-1 are the constraints: the nvar unit rows x_j <= 1, then
-    the triangle rows x_a - x_b - x_c <= 0 in the order they were added.
+    the cut rows, in the order of the (cols, coefs, rhs) blocks in rows.
     Row m holds the reduced costs and the last column the right-hand
     sides (row m: minus the objective). Column j < nvar is x_j and
     column nvar + i the slack of row i. It starts at the box optimum,
@@ -186,8 +184,7 @@ class _Tableau:
     """
 
     def __init__(self, c: np.ndarray):
-        nvar = len(c)
-        self.nvar = nvar
+        self.nvar = nvar = len(c)
         j = np.arange(nvar)
         self.t = np.zeros((nvar + 1, 2 * nvar + 1), order="F")
         self.t[j, j] = self.t[j, nvar + j] = self.t[j, -1] = 1.0
@@ -198,39 +195,38 @@ class _Tableau:
         self.t[nvar, -1] = -c[one].sum()
         self.basis = nvar + j
         self.basis[one] = one
-        self.pivots = 0
+        self.pivots, self.rows = 0, []
 
-    def add_rows(self, cuts: np.ndarray) -> None:
-        """Append x_a - x_b - x_c <= 0 for each (a, b, c) row of cuts.
+    def add_rows(self, cols: np.ndarray, coefs: np.ndarray, rhs: np.ndarray) -> None:
+        """Append sum_s coefs[i, s] x[cols[i, s]] <= rhs[i] for each row i.
 
         Each new row gets its own slack column and is reduced against the
         current basis, so the reduced costs do not change (the tableau
         stays dual feasible) and a violated row gets a negative value.
         """
         old, basis = self.t, self.basis
-        m, k = len(basis), len(cuts)
+        m, k = len(basis), len(cols)
         ncols = old.shape[1] - 1
         t = np.zeros((m + k + 1, ncols + k + 1), order="F")
-        t[:m, :ncols] = old[:m, :-1]
-        t[:m, -1] = old[:m, -1]
-        t[-1, :ncols] = old[m, :-1]
-        t[-1, -1] = old[m, -1]
+        t[:m, :ncols], t[:m, -1] = old[:m, :-1], old[:m, -1]
+        t[-1, :ncols], t[-1, -1] = old[m, :-1], old[m, -1]
         r = np.arange(k)
         rows = t[m : m + k]
         rows[r, ncols + r] = 1.0
-        signs = (1.0, -1.0, -1.0)
-        for col, s in zip(cuts.T, signs):
-            rows[r, col] = s
+        rows[:, -1] = rhs
+        for col, a in zip(cols.T, coefs.T):  # add, not assign: a zero pad may repeat a column
+            rows[r, col] += a
         pos = np.full(ncols, -1)
         pos[basis] = np.arange(m)
-        # subtract s times the row of each basic variable the cut touches;
+        # subtract a times the row of each basic variable the cut touches;
         # that row is zero on every other basic column, so the order is free
-        for col, s in zip(cuts.T, signs):
+        for col, a in zip(cols.T, coefs.T):
             p = pos[col]
             hit = p >= 0
-            rows[hit] -= s * t[p[hit]]
+            rows[hit] -= a[hit, None] * t[p[hit]]
         self.t = t
         self.basis = np.concatenate([basis, ncols + r])
+        self.rows.append((cols, coefs, rhs))
 
     def _pivot(self, row: int, col: int, norms: np.ndarray) -> None:
         """Pivot on t[row, col]; keep norms, the squared row norms, up to date."""
@@ -302,26 +298,33 @@ class _Tableau:
         return x
 
     def multipliers(self) -> np.ndarray:
-        """Triangle-row multipliers: reduced costs on their slacks, clipped at 0."""
+        """Cut-row multipliers: reduced costs on their slacks, clipped at 0."""
         return np.maximum(self.t[-1, 2 * self.nvar : -1], 0.0)
 
 
-def _cut_columns(idx: np.ndarray, triangles) -> np.ndarray:
-    """(a, b, c) variable columns of x_uw - x_uv - x_vw <= 0 per (u, v, w)."""
+def _triangle_rows(idx: np.ndarray, triangles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows x_uw - x_uv - x_vw <= 0 per (u, v, w), as (cols, coefs, rhs)."""
     u, v, w = np.asarray(triangles, dtype=np.int64).reshape(-1, 3).T
-    return np.stack([idx[u, w], idx[u, v], idx[v, w]], axis=1)
+    cols = np.stack([idx[u, w], idx[u, v], idx[v, w]], axis=1)
+    return cols, np.broadcast_to([1.0, -1.0, -1.0], cols.shape), np.zeros(len(cols))
 
 
-def _dual_bound(coeff: np.ndarray, const: float, cuts: np.ndarray, lam: np.ndarray) -> float:
-    """const + sum_j min(0, c_j + (T^T lam)_j) over the box 0 <= x <= 1.
+def _dual_bound(coeff: np.ndarray, const: float, rows: list, lam: np.ndarray) -> float:
+    """const - lam.b + sum_j min(0, c_j + (A^T lam)_j) over the box 0 <= x <= 1.
 
-    A lower bound on the full relaxation for any lam >= 0 on any subset
-    of its triangle rows: c.x >= c.x + lam.(T x) for every metric x.
+    rows: (cols, coefs, rhs) blocks of A x <= b, joined once, short rows
+    zero-padded. For any lam >= 0 it is at most c.x at every x in the box
+    with A x <= b, so any subset of the triangle rows bounds the relaxation.
     """
+    w = max((c.shape[1] for c, _a, _b in rows), default=0)
+    pad = lambda a: a if a.shape[1] == w else np.pad(a, ((0, 0), (0, w - a.shape[1])))
+    joined = [(np.zeros((0, w), np.int64), np.zeros((0, w)), np.zeros(0))]
+    joined += [(pad(c), pad(a), b) for c, a, b in rows]
+    cols, coefs, rhs = (np.concatenate(p) for p in zip(*joined))
     red = coeff.copy()
-    for col, s in zip(cuts.T, (1.0, -1.0, -1.0)):
-        red += s * np.bincount(col, weights=lam, minlength=len(coeff))
-    return const + float(np.minimum(red, 0.0).sum())
+    for col, a in zip(cols.T, coefs.T):
+        red += np.bincount(col, weights=lam * a, minlength=len(coeff))
+    return const - float(lam @ rhs) + float(np.minimum(red, 0.0).sum())
 
 
 def solve_relaxation(inst: Instance, tol: float = FEAS_TOL) -> tuple[LpSolution, LpStats]:
@@ -335,7 +338,7 @@ def solve_relaxation(inst: Instance, tol: float = FEAS_TOL) -> tuple[LpSolution,
     to the dense tableau. The loop ends when the separation scan is
     empty. The result is then checked without trusting the
     tableau: the point must validate within tol, and the dual bound from
-    the final triangle multipliers must be within GAP_TOL * max(1,
+    the final cut-row multipliers must be within GAP_TOL * max(1,
     |objective|) of the objective; either failure raises LpNumericalError.
     """
     n = inst.n
@@ -343,14 +346,12 @@ def solve_relaxation(inst: Instance, tol: float = FEAS_TOL) -> tuple[LpSolution,
     stats = LpStats()
     idx = symmetric_from_upper(n, np.arange(len(coeff)), np.int64)
     tab = _Tableau(coeff)
-    blocks, seen = [np.zeros((0, 3), dtype=np.int64)], set()
-    new: list[tuple[int, int, int]] = []
+    seen, new = set(), []
     while True:
         start = time.perf_counter()
         if new:
             seen.update(new)
-            blocks.append(_cut_columns(idx, new))
-            tab.add_rows(blocks[-1])
+            tab.add_rows(*_triangle_rows(idx, new))
         pivots = tab.dual()
         x = LpSolution(n, tab.point())
         obj = float(coeff @ x.vec) + const
@@ -372,12 +373,11 @@ def solve_relaxation(inst: Instance, tol: float = FEAS_TOL) -> tuple[LpSolution,
         if not new:
             raise LpNumericalError("separation found only working-set triangles violated")
 
-    cuts = np.concatenate(blocks)
     stats.iterations = tab.pivots
-    stats.constraints_generated = len(cuts)
+    stats.constraints_generated = len(seen)
     stats.final_constraints = sorted(seen)
     stats.objective = float(coeff @ x.vec + const)
-    stats.dual_bound = _dual_bound(coeff, const, cuts, tab.multipliers())
+    stats.dual_bound = _dual_bound(coeff, const, tab.rows, tab.multipliers())
     stats.gap = stats.objective - stats.dual_bound
     if stats.gap > GAP_TOL * max(1.0, abs(stats.objective)):
         raise LpNumericalError(

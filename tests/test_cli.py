@@ -508,3 +508,31 @@ def test_scheme_file_with_bad_piece_is_data_error(tmp_path, piece):
     scheme_file = tmp_path / "bad_piece.json"
     scheme_file.write_text(json.dumps(doc))
     assert run(["certify", str(scheme_file), "--alpha", "3", "--grid", "0.05"]) == 65
+
+
+@pytest.mark.parametrize("what", ["instance", "lp-solution"])
+def test_directory_input_is_data_error(tmp_path, what):
+    inst_file, folder = tmp_path / "i.cc", tmp_path / "folder"
+    folder.mkdir()
+    run(["gen", "complete", "--n", "4", "--p", "0.5", "--seed", "1", "-o", str(inst_file)])
+    if what == "instance":
+        assert run(["lp", "--instance", str(folder)]) == 65
+    else:
+        assert run(["round", "--instance", str(inst_file), "--lp-solution", str(folder),
+                    "--scheme", "complete206", "--seed", "1"]) == 65
+
+
+def test_non_utf8_instance_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.cc"
+    bad.write_bytes(b"cc complete 2\n0 1 +\n# caf\xe9\n")
+    assert run(["lp", "--instance", str(bad)]) == 65
+    assert "cannot read" in capsys.readouterr().err
+
+
+def test_scheme_name_beside_a_directory_of_that_name(tmp_path, monkeypatch):
+    # a directory is not a scheme file: the name still resolves to the built-in scheme
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "complete206").mkdir()
+    out = tmp_path / "report.json"
+    assert run(["certify", "complete206", "--alpha", "2.06", "--grid", "0.05", "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["meta"]["scheme"] == "complete206"

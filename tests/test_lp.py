@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -150,7 +153,7 @@ def test_round_objectives_monotone():
 
 
 def test_resolve_final_set_reproduces_objective():
-    from ccpivot.lp import _Tableau, _cut_columns, _objective_terms
+    from ccpivot.lp import _Tableau, _objective_terms, _triangle_rows
 
     inst = cc.gen_complete_random(8, 0.5, seed=13)
     _x, stats = cc.solve_relaxation(inst)
@@ -158,7 +161,7 @@ def test_resolve_final_set_reproduces_objective():
     coeff, const = _objective_terms(inst)
     tab = _Tableau(coeff)
     idx = symmetric_from_upper(inst.n, np.arange(len(coeff)), np.int64)
-    tab.add_rows(_cut_columns(idx, stats.final_constraints))
+    tab.add_rows(*_triangle_rows(idx, stats.final_constraints))
     tab.dual()
     again = float(coeff @ tab.point()) + const
     assert again == pytest.approx(stats.objective, abs=1e-9)
@@ -355,17 +358,19 @@ def test_one_debug_line_per_round(caplog):
 
 def test_dual_bound_is_independent_of_the_tableau():
     # lam = 0 gives the box bound; any lam >= 0 stays below the optimum
-    from ccpivot.lp import _cut_columns, _dual_bound, _objective_terms
+    from ccpivot.lp import _dual_bound, _objective_terms, _triangle_rows
 
     inst = cc.gen_complete_random(7, 0.5, seed=11)
     _x, stats = cc.solve_relaxation(inst)
     coeff, const = _objective_terms(inst)
-    cuts = _cut_columns(symmetric_from_upper(7, np.arange(len(coeff)), np.int64), stats.final_constraints)
-    assert _dual_bound(coeff, const, cuts, np.zeros(len(cuts))) == const + np.minimum(coeff, 0).sum()
+    rows = [_triangle_rows(symmetric_from_upper(7, np.arange(len(coeff)), np.int64),
+                           stats.final_constraints)]
+    k = len(stats.final_constraints)
+    assert _dual_bound(coeff, const, rows, np.zeros(k)) == const + np.minimum(coeff, 0).sum()
     rng = np.random.default_rng(0)
     for _ in range(20):
-        lam = rng.exponential(size=len(cuts))
-        assert _dual_bound(coeff, const, cuts, lam) <= stats.objective + 1e-9
+        lam = rng.exponential(size=k)
+        assert _dual_bound(coeff, const, rows, lam) <= stats.objective + 1e-9
 
 
 def test_bad_certificate_raises(monkeypatch):
@@ -381,3 +386,84 @@ def test_infeasible_result_raises(monkeypatch):
     monkeypatch.setattr(cc.lp, "separate_triangle_violations", lambda x, tol: [])
     with pytest.raises(cc.LpNumericalError, match="validation"):
         cc.solve_relaxation(cc.gen_complete_random(8, 0.5, seed=3))
+
+
+def _partition_rows(idx, m, tol=1e-6):
+    """Violated 2-partition rows x(T) - x(s:T) <= 1, |T| = 3, at the point m.
+
+    In distances x = 1 - y these are Groetschel and Wakabayashi's
+    y(s:T) - y(T) <= 1: six nonzeros and a right-hand side of 1, valid for
+    every clustering but not for every metric point.
+    """
+    n, cols = len(m), []
+    for s in range(n):
+        for t in itertools.combinations([v for v in range(n) if v != s], 3):
+            inner = list(itertools.combinations(t, 2))
+            if sum(m[a, b] for a, b in inner) - sum(m[s, v] for v in t) > 1 + tol:
+                cols.append([idx[a, b] for a, b in inner] + [idx[s, v] for v in t])
+    cols = np.array(cols, dtype=np.int64).reshape(-1, 6)
+    return cols, np.tile([1.0, 1.0, 1.0, -1.0, -1.0, -1.0], (len(cols), 1)), np.ones(len(cols))
+
+
+@pytest.mark.parametrize("padded", [False, True], ids=["width6", "zero-padded-width7"])
+def test_rows_with_a_right_hand_side_match_highs(padded):
+    # the metric LP of this instance is 6.5; its five violated (1, 3) partition
+    # rows lift it to 7.0, the optimum. The padded case adds a seventh slot
+    # repeating each row's first column at coefficient 0, which must change nothing.
+    from scipy.optimize import linprog
+
+    from ccpivot.lp import GAP_TOL, _Tableau, _dual_bound, _objective_terms, _triangle_rows
+
+    inst = cc.gen_complete_random(8, 0.5, seed=3)
+    _x, stats = cc.solve_relaxation(inst)
+    coeff, const = _objective_terms(inst)
+    idx = symmetric_from_upper(inst.n, np.arange(len(coeff)), np.int64)
+    tab = _Tableau(coeff)
+    tab.add_rows(*_triangle_rows(idx, stats.final_constraints))
+    tab.dual()
+    assert float(coeff @ tab.point()) + const == pytest.approx(6.5, abs=1e-9)
+    cols, coefs, rhs = _partition_rows(idx, symmetric_from_upper(inst.n, tab.point()))
+    assert len(cols) == 5
+    if padded:
+        cols, coefs = np.hstack([cols, cols[:, :1]]), np.hstack([coefs, np.zeros((5, 1))])
+    tab.add_rows(cols, coefs, rhs)
+    tab.dual()
+    obj = float(coeff @ tab.point()) + const
+
+    a_ub = np.zeros((0, len(coeff)))
+    for c, a, _b in tab.rows:
+        block = np.zeros((len(c), len(coeff)))
+        np.add.at(block, (np.arange(len(c))[:, None], c), a)
+        a_ub = np.vstack([a_ub, block])
+    b_ub = np.concatenate([b for _c, _a, b in tab.rows])
+    res = linprog(coeff, A_ub=a_ub, b_ub=b_ub, bounds=(0, 1), method="highs")
+    assert res.status == 0
+    assert obj == pytest.approx(res.fun + const, abs=1e-9)
+    assert obj == pytest.approx(cc.brute_force_opt(inst)[1], abs=1e-9)
+    bound = _dual_bound(coeff, const, tab.rows, tab.multipliers())
+    assert obj - GAP_TOL * max(1.0, abs(obj)) <= bound <= obj
+
+
+# The LP's bits at four pinned instances, recorded on x86-64 with numpy's
+# bundled OpenBLAS: sha256 of x.vec's bytes (first 16 hex digits), the
+# objective and dual bound as float.hex, and the dual pivot count. A change
+# to the tableau or its rows that moves any of them must say so.
+LP_PINS = {
+    "complete11": (lambda: cc.gen_complete_random(11, 0.5, 1000),
+                   "c4f5247fe5807e7f", "0x1.a000000000000p+3", "0x1.a000000000000p+3", 31),
+    "kpartite443": (lambda: cc.gen_kpartite_random([4, 4, 3], 0.5, 1000),
+                    "4858d5e4c28fc998", "0x1.0800000000000p+3", "0x1.0800000000000p+3", 44),
+    "weighted10": (lambda: cc.gen_weighted_random(10, 1000),
+                   "2765c46fcd13afae", "0x1.e9db68973f524p+3", "0x1.e9db68973f524p+3", 23),
+    "complete16": (lambda: cc.gen_complete_random(16, 0.5, 1000),
+                   "a30dfb6218444aec", "0x1.9000000000000p+4", "0x1.9000000000000p+4", 71),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LP_PINS))
+def test_lp_outputs_are_pinned_bit_for_bit(name):
+    make, digest, objective, dual_bound, iterations = LP_PINS[name]
+    x, stats = cc.solve_relaxation(make())
+    assert hashlib.sha256(x.vec.tobytes()).hexdigest()[:16] == digest
+    assert (stats.objective.hex(), stats.dual_bound.hex()) == (objective, dual_bound)
+    assert stats.iterations == iterations
