@@ -50,7 +50,7 @@ from .rounding import (
     RoundingScheme,
     cut_probabilities,
     pair_model,
-    pivot_sums,
+    pivot_terms,
 )
 
 COMPLETE_TYPES = [
@@ -615,14 +615,15 @@ class StepInequality:
 def step_inequality_check(
     inst: Instance, x: LpSolution, scheme: RoundingScheme, alpha: float
 ) -> StepInequality:
-    """Evaluate the first-step inequality exactly via the triple sums.
+    """Evaluate the first-step inequality exactly via the pairwise sums.
 
-    Both sides are the ordered-triple sums divided by 6n; the
-    complete-type classes include the positive self-loop terms, so the
-    left side upper-bounds the true expectation.
+    Both sides are rounding.pivot_terms' per-pivot columns, summed over
+    all pivots and divided by 2n; the complete-type classes include the
+    positive self-loop terms, so the left side upper-bounds the true
+    expectation.
     """
-    cost_sum, lp_sum = pivot_sums(*pair_model(inst, x), cut_probabilities(inst, x, scheme))
+    cost, lp = pivot_terms(*pair_model(inst, x), cut_probabilities(inst, x, scheme))
     n = max(inst.n, 1)  # n = 0: both sums are 0
-    lhs = cost_sum / (2.0 * n)
-    rhs = alpha * lp_sum / (2.0 * n)
+    lhs = cost.sum() / (2.0 * n)
+    rhs = alpha * lp.sum() / (2.0 * n)
     return StepInequality(float(lhs), float(rhs), bool(lhs <= rhs + 1e-9))

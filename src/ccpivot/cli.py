@@ -119,12 +119,16 @@ _instances = _checked(int, lambda v: 1 <= v <= _MAX_INSTANCES,
 
 
 def _write(path: str | None, text: str) -> None:
+    """Output to stdout (no path or "-") or a file; an unwritable path is a data error."""
     if path is None or path == "-":
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
-    else:
+        return
+    try:
         Path(path).write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise FormatError(f"cannot write {path}: {e}") from e
 
 
 def _read(path: str) -> str:
@@ -413,7 +417,7 @@ def main(argv=None) -> int:
     except IneligibleSchemeError as e:
         print(f"ineligible scheme: {e}", file=sys.stderr)
         return EXIT_INELIGIBLE
-    except (FormatError, FileNotFoundError, json.JSONDecodeError) as e:
+    except FormatError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except LpNumericalError as e:

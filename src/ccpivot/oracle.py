@@ -70,7 +70,7 @@ import numpy as np
 
 from .instance import Clustering, Instance
 from .lp import LpSolution, solve_relaxation
-from .rounding import RoundingScheme, cut_probabilities, pair_model, pivot_sums
+from .rounding import RoundingScheme, cut_probabilities, pair_model, pivot_terms
 
 # The DP's wall: up to (3^n - 1) / 2 candidates, all of them pushed when nothing
 # is pruned (every pair "+": 27 s at n = 20; a random complete instance: 0.9 s)
@@ -309,15 +309,16 @@ def step_cost_formula(inst: Instance, x: LpSolution, scheme: RoundingScheme) -> 
     """Exact E[violations] and E[LP removed] of the first pivot step.
 
     The pairwise closed form, O(n^3) on every class with no size cap:
-    pivot_sums without self-loops, over 2n. Weighted instances plug in
-    the coin-averaged cut probabilities, which is exact because every
-    term is multilinear in the independent per-pair values.
+    rounding.pivot_terms without self-loops, summed over all pivots and
+    divided by 2n. Weighted instances plug in the coin-averaged cut
+    probabilities, which is exact because every term is multilinear in
+    the independent per-pair values.
     """
     wp, wm, L = pair_model(inst, x)
     np.fill_diagonal(wp, 0.0)  # a real step has no self-loops
-    e_alg, e_lp = pivot_sums(wp, wm, L, cut_probabilities(inst, x, scheme))
+    cost, lp = pivot_terms(wp, wm, L, cut_probabilities(inst, x, scheme))
     n = max(inst.n, 1)  # n = 0: no pivot step, both sums are 0
-    return {"e_alg_0": float(0.5 * e_alg / n), "e_lp_0": float(0.5 * e_lp / n)}
+    return {"e_alg_0": float(0.5 * cost.sum() / n), "e_lp_0": float(0.5 * lp.sum() / n)}
 
 
 def exact_expected_total_cost(

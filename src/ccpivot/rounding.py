@@ -323,6 +323,13 @@ def get_scheme(name: str) -> RoundingScheme:
 # ---------------------------------------------------------------------------
 
 
+def _lengths(inst: Instance, x: LpSolution) -> np.ndarray:
+    """x's edge lengths clipped to [0, 1]; ValueError unless x has inst's vertex count."""
+    if x.n != inst.n:
+        raise ValueError(f"LP point has {x.n} vertices, instance has {inst.n}")
+    return np.clip(x.matrix, 0.0, 1.0)
+
+
 def pair_candidates(inst: Instance, x: LpSolution, scheme: RoundingScheme):
     """(f_plus, f_minus, lam_plus): the coin table, three n x n matrices.
 
@@ -333,7 +340,7 @@ def pair_candidates(inst: Instance, x: LpSolution, scheme: RoundingScheme):
     f_neutral on both sides. This is the only place that builds cut
     probabilities per graph class.
     """
-    xm = np.clip(x.matrix, 0.0, 1.0)
+    xm = _lengths(inst, x)
     fp, fm = scheme.f_plus(xm), scheme.f_minus(xm)
     if inst.kind == WEIGHTED:
         return fp, fm, inst.lam_plus
@@ -594,7 +601,7 @@ def pair_model(inst: Instance, x: LpSolution):
     the step-surplus sums rely on; the k-partite diagonal stays neutral.
     """
     wp, wm = inst.pair_weights()
-    xm = np.clip(x.matrix, 0.0, 1.0)
+    xm = _lengths(inst, x)
     L = wp * xm + wm * (1.0 - xm)
     np.fill_diagonal(L, 0.0)
     if inst.kind in (COMPLETE, WEIGHTED):
@@ -603,37 +610,14 @@ def pair_model(inst: Instance, x: LpSolution):
     return wp, wm, L
 
 
-def pivot_terms(wp, wm, L, pw) -> tuple[float, float]:
-    """Expected violated mass and LP mass removed by one pivot, over ordered pairs.
+def pivot_terms(wp, wm, L, P):
+    """(cost, lp): expected violated and removed LP mass per pivot (column of P).
 
-    wp, wm, L: the pair model on the active vertices; pw: their cut
-    probabilities to the pivot. Each unordered pair counts twice and a
-    diagonal in wp adds self-loop terms; with a zero diagonal the step's
-    own expectations are exactly 0.5 * cost and 0.5 * lp.
+    wp, wm, L: the pair model on the active vertices; P[:, w]: their cut
+    probabilities to pivot w. Sums run over ordered pairs and a diagonal
+    in wp adds self-loop terms. Over 2n, the column sums are the first
+    step's expectations: exact with a zero diagonal, a bound with self-loops.
     """
-    q = 1.0 - pw
-    cost = 2.0 * (pw @ wp @ q) + q @ wm @ q
-    lp = L.sum() - pw @ L @ pw
-    return cost, lp
-
-
-def pivot_sums(wp, wm, L, p) -> tuple[float, float]:
-    """(cost, lp): pivot_terms summed over the pivots w in order, on columns p[:, w].
-
-    Over 2n they are the first step's expected violated and removed LP
-    mass: exact when wp has a zero diagonal, a bound with self-loops.
-    """
-    cost_sum = lp_sum = 0.0
-    for w in range(p.shape[1]):
-        cost, lp = pivot_terms(wp, wm, L, p[:, w])
-        cost_sum += cost
-        lp_sum += lp
-    return cost_sum, lp_sum
-
-
-def _column_terms(wp, wm, L, P):
-    """pivot_terms of every column of P at once, as two arrays; they equal
-    pivot_terms' values up to the last bits (the products associate differently)."""
     Q = 1.0 - P
     cost = 2.0 * (P * (wp @ Q)).sum(axis=0) + (Q * (wm @ Q)).sum(axis=0)
     return cost, L.sum() - (P * (L @ P)).sum(axis=0)
@@ -646,25 +630,25 @@ def _active_model(wp, wm, L, active: np.ndarray):
 
 def step_surplus_sum(inst: Instance, x: LpSolution, p: np.ndarray, alpha: float,
                      active=None) -> float:
-    """Sum over active pivots of the per-pivot surplus (ordered-pair form).
+    """Sum over active pivots of the per-pivot surplus alpha * lp - cost (pivot_terms).
 
     This is the quantity the greedy 0/1 rounding must never decrease:
     nonnegative at the scheme's probabilities whenever the scheme/alpha
     pair is certified for the class.
     """
     act = np.arange(inst.n) if active is None else np.asarray(sorted(active))
-    cost, lp = pivot_sums(*_active_model(*pair_model(inst, x), act), p[act[:, None], act])
-    return float(alpha * lp - cost)
+    cost, lp = pivot_terms(*_active_model(*pair_model(inst, x), act), p[act[:, None], act])
+    return float(alpha * lp.sum() - cost.sum())
 
 
-def greedy_round_probabilities(wp, wm, L, p: np.ndarray, alpha: float,
-                               active: np.ndarray) -> np.ndarray:
-    """Round each p_uv to 0 or 1, never decreasing the step surplus.
+def greedy_round_probabilities(wp, wm, L, P: np.ndarray, alpha: float) -> np.ndarray:
+    """Round each off-diagonal P_uv to 0 or 1, never decreasing the step surplus.
 
+    All four are blocks on the active vertices; returns a rounded copy of P.
     Pairs are visited in ascending lexicographic order, and a pair goes
     to 1 only when that strictly raises the surplus, so ties go to 0.
     Only the two pivot terms touching (u, v) depend on p_uv, and each is
-    quadratic in it. For pivot w with column c = p[active, w], let c0 be
+    quadratic in it. For pivot w with column c = P[:, w], let c0 be
     c with entry i set to 0; moving entry i from 0 to 1 changes that
     pivot's alpha * lp - cost by the closed form
 
@@ -675,15 +659,12 @@ def greedy_round_probabilities(wp, wm, L, p: np.ndarray, alpha: float,
     columns, and H follows by one row update each, so a pair is scored
     in O(k) rather than by re-evaluating its two quadratic forms.
     """
-    p = p.copy()
-    k = len(active)
-    wp, wm, L = _active_model(wp, wm, L, active)
+    P = P.copy()
+    k = len(P)
     C = 4.0 * wp - 2.0 * wm - 2.0 * alpha * L
     cd = np.diag(C)
     d = (2.0 * np.diag(wp) - np.diag(wm) - alpha * np.diag(L)
          - 2.0 * wp.sum(axis=1) + 2.0 * wm.sum(axis=1))
-    block = active[:, None], active
-    P = p[block]
     H = P.T @ C
     for i in range(k - 1):
         rest = slice(i + 1, k)
@@ -701,8 +682,7 @@ def greedy_round_probabilities(wp, wm, L, p: np.ndarray, alpha: float,
             new.append(best)
         H[rest] += np.outer(new - P[i, rest], C[i])
         P[i, rest] = P[rest, i] = new
-    p[block] = P
-    return p
+    return P
 
 
 def derandomize_round(
@@ -710,30 +690,28 @@ def derandomize_round(
 ) -> Clustering:
     """Deterministic pivot rounding with cost at most alpha * LP(x).
 
-    Per step: set probabilities from the scheme, greedily round them all
-    to 0/1 (the step surplus is convex in each variable, so endpoint
-    choices never decrease it; greedy_round_probabilities scores each
-    pair in O(k) by its closed-form change), then take the pivot whose
-    conditional surplus is largest. All pivots are scored at once, by
-    three matrix products (_column_terms); a pivot must beat the best
-    so far by 1e-15, so near-ties go to the lowest id. Membership is
-    then deterministic.
+    Per step, on one pair model of the active block: greedily round the
+    scheme's probabilities to 0/1 (the step surplus is convex in each
+    variable, so endpoint choices never decrease it;
+    greedy_round_probabilities scores each pair in O(k) by its
+    closed-form change), then take the pivot whose conditional surplus
+    is largest, all scored at once by pivot_terms, the kernel of the
+    first-step sums. A pivot must beat the best so far by 1e-15, so
+    near-ties go to the lowest id. Membership is then deterministic.
     Each step logs one DEBUG line on the ``ccpivot.rounding`` logger.
     """
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
-    n = inst.n
     base = cut_probabilities(inst, x, scheme)
     wp, wm, L = pair_model(inst, x)
-
-    active = np.arange(n)
-    assignment = np.full(n, -1, dtype=np.int64)
+    active = np.arange(inst.n)
+    assignment = np.full(inst.n, -1, dtype=np.int64)
     cid = 0
     while active.size:
-        p = greedy_round_probabilities(wp, wm, L, base, alpha, active)
-        # p is now 0/1 with a zero diagonal, so every self-loop term p(1 - p) is exactly 0
-        P = p[active[:, None], active]  # column i: pivot active[i], as p is symmetric
-        cost, lp = _column_terms(*_active_model(wp, wm, L, active), P)
+        model = _active_model(wp, wm, L, active)
+        P = greedy_round_probabilities(*model, base[active[:, None], active], alpha)
+        # P is now 0/1 with a zero diagonal, so every self-loop term p(1 - p) is exactly 0
+        cost, lp = pivot_terms(*model, P)
         best, best_val = -1, -math.inf
         for i, val in enumerate((0.5 * (alpha * lp - cost)).tolist()):
             if val > best_val + 1e-15:

@@ -522,6 +522,18 @@ def test_directory_input_is_data_error(tmp_path, what):
                     "--scheme", "complete206", "--seed", "1"]) == 65
 
 
+@pytest.mark.parametrize("command", ["gen", "lp", "certify"])
+def test_directory_output_is_data_error(tmp_path, capsys, command):
+    # an output path that cannot be written exits 65, not 1 (certification FAIL) with a traceback
+    inst_file = tmp_path / "i.cc"
+    run(["gen", "complete", "--n", "4", "--p", "0.5", "--seed", "1", "-o", str(inst_file)])
+    args = {"gen": ["gen", "complete", "--n", "4", "--seed", "1"],
+            "lp": ["lp", "--instance", str(inst_file)],
+            "certify": ["certify", "complete206", "--alpha", "2.06", "--grid", "0.05"]}[command]
+    assert run(args + ["-o", str(tmp_path)]) == 65
+    assert "cannot write" in capsys.readouterr().err
+
+
 def test_non_utf8_instance_is_data_error(tmp_path, capsys):
     bad = tmp_path / "latin1.cc"
     bad.write_bytes(b"cc complete 2\n0 1 +\n# caf\xe9\n")

@@ -11,7 +11,6 @@ from ccpivot.rounding import (
     PiecewiseFn,
     cut_probabilities,
     _active_model,
-    _column_terms,
     greedy_round_probabilities,
     pair_model,
     pivot_terms,
@@ -254,7 +253,6 @@ def test_greedy_rounding_never_decreases_surplus():
     p = cut_probabilities(inst, x, s)
     alpha = 2.06
     wp, wm, L = pair_model(inst, x)
-    active = np.arange(6)
     before = step_surplus_sum(inst, x, p, alpha)
     assert before >= -1e-9  # certified pair: nonnegative at the scheme's values
 
@@ -273,13 +271,27 @@ def test_greedy_rounding_never_decreases_surplus():
             assert best_val >= prev - 1e-9
             current, prev = best_p, best_val
 
-    rounded = greedy_round_probabilities(wp, wm, L, p.copy(), alpha, active)
+    rounded = greedy_round_probabilities(wp, wm, L, p.copy(), alpha)
     after = step_surplus_sum(inst, x, rounded, alpha)
     assert after >= before - 1e-9
     off = ~np.eye(6, dtype=bool)
     assert set(np.unique(rounded[off])) <= {0.0, 1.0}
     # the replay and the library greedy make the same choices
     assert np.array_equal(rounded, current)
+
+
+def scalar_pivot_terms(wp, wm, L, pw):
+    """One pivot's (cost, lp) from its column pw alone: the reference for pivot_terms."""
+    q = 1.0 - pw
+    return 2.0 * (pw @ wp @ q) + q @ wm @ q, L.sum() - pw @ L @ pw
+
+
+def greedy_on(wp, wm, L, p, alpha, active):
+    """p with its active block rounded by greedy_round_probabilities."""
+    block = np.ix_(active, active)
+    got = p.copy()
+    got[block] = greedy_round_probabilities(*_active_model(wp, wm, L, active), p[block], alpha)
+    return got
 
 
 def reference_greedy(wp, wm, L, p, alpha, active, follow):
@@ -290,7 +302,7 @@ def reference_greedy(wp, wm, L, p, alpha, active, follow):
     model = _active_model(wp, wm, L, active)
 
     def surplus(w):
-        cost, lp = pivot_terms(*model, p[active, w])
+        cost, lp = scalar_pivot_terms(*model, p[active, w])
         return alpha * lp - cost
 
     for ui, u in enumerate(active):
@@ -326,7 +338,7 @@ def test_greedy_matches_full_recompute_reference(kind):
         subset = np.sort(rng.choice(n, size=rng.integers(2, n), replace=False))
         for p in (cut_probabilities(inst, x, scheme), upper + upper.T):
             for active in (np.arange(n), subset):
-                got = greedy_round_probabilities(wp, wm, L, p, alpha, active)
+                got = greedy_on(wp, wm, L, p, alpha, active)
                 for u, v, (s0, s1) in reference_greedy(wp, wm, L, p, alpha, active, got):
                     if abs(s1 - s0) > 1e-12 * max(1.0, abs(s0)):
                         assert got[u, v] == (1.0 if s1 > s0 else 0.0), (seed, u, v)
@@ -342,16 +354,16 @@ def test_greedy_matches_full_recompute_reference(kind):
 
 
 def reference_derandomize(inst, x, scheme, alpha):
-    """derandomize_round with each pivot scored alone by pivot_terms."""
+    """derandomize_round with each pivot scored alone by scalar_pivot_terms."""
     wp, wm, L = pair_model(inst, x)
     base = cut_probabilities(inst, x, scheme)
     active, assignment, cid = np.arange(inst.n), np.full(inst.n, -1), 0
     while active.size:
-        p = greedy_round_probabilities(wp, wm, L, base, alpha, active)
+        p = greedy_on(wp, wm, L, base, alpha, active)
         model = _active_model(wp, wm, L, active)
         best_w, best_val = -1, -math.inf
         for w in active:
-            cost, lp = pivot_terms(*model, p[active, w])
+            cost, lp = scalar_pivot_terms(*model, p[active, w])
             val = 0.5 * (alpha * lp - cost)
             if val > best_val + 1e-15:
                 best_w, best_val = w, val
@@ -361,7 +373,7 @@ def reference_derandomize(inst, x, scheme, alpha):
 
 
 @pytest.mark.parametrize("kind", sorted(WORKLOAD_CLASSES))
-def test_column_terms_match_pivot_terms(kind):
+def test_pivot_terms_match_scalar_reference(kind):
     gen, _certified, scheme_name, alpha = WORKLOAD_CLASSES[kind]
     scheme = cc.get_scheme(scheme_name)
     rng = np.random.default_rng(23)
@@ -375,12 +387,12 @@ def test_column_terms_match_pivot_terms(kind):
         for active in (np.arange(n), subset):
             model = _active_model(wp, wm, L, active)
             scale = model[2].sum()  # the LP mass each lp value is taken from
-            for p in (base, greedy_round_probabilities(wp, wm, L, base, alpha, active)):
+            for p in (base, greedy_on(wp, wm, L, base, alpha, active)):
                 P = p[np.ix_(active, active)]
-                cost, lp = _column_terms(*model, P)
+                cost, lp = pivot_terms(*model, P)
                 assert cost.shape == lp.shape == (len(active),)
                 for i in range(len(active)):
-                    want_cost, want_lp = pivot_terms(*model, P[:, i])
+                    want_cost, want_lp = scalar_pivot_terms(*model, P[:, i])
                     assert abs(cost[i] - want_cost) <= 1e-12 * abs(want_cost)
                     assert abs(lp[i] - want_lp) <= 1e-12 * max(abs(want_lp), scale)
         # the batched scores pick the pivots that scoring each one alone picks
@@ -548,3 +560,25 @@ def test_derand_weighted_metric_within_150(inst):
             cut = c.assignment[u] != c.assignment[v]
             cost += lplus if cut else 1.0 - lplus
     assert cost <= 1.5 * lp + 1e-9
+
+
+C206, W150 = cc.get_scheme("complete206"), cc.get_scheme("weighted_ti_150")
+WRONG_SIZE_CALLS = {  # each entry point that meets an LP point, on (labeled, weighted, x)
+    "pivot_round": lambda inst, winst, x: cc.pivot_round(inst, x, C206, 1),
+    "pivot_round_weighted": lambda inst, winst, x: cc.pivot_round_weighted(winst, x, W150, 1),
+    "derandomize_round": lambda inst, winst, x: cc.derandomize_round(inst, x, C206, 2.06),
+    "step_inequality_check": lambda inst, winst, x: cc.step_inequality_check(inst, x, C206, 2.06),
+    "step_cost_formula": lambda inst, winst, x: cc.step_cost_formula(inst, x, C206),
+    "exact_expected_total_cost": lambda inst, winst, x: cc.exact_expected_total_cost(inst, x, C206),
+    "monte_carlo_ratio": lambda inst, winst, x: cc.monte_carlo_ratio(inst, x, C206, 20, 1),
+}
+
+
+@pytest.mark.parametrize("call", sorted(WRONG_SIZE_CALLS))
+@pytest.mark.parametrize("m", [1, 7])
+def test_lp_point_of_another_size_is_refused(call, m):
+    # a 1 x 1 point used to broadcast as the constant 0 and round without complaint
+    inst, winst = cc.gen_complete_random(5, 0.5, 1), cc.gen_weighted_random(5, 1)
+    x = cc.LpSolution(1, []) if m == 1 else cc.LpSolution.constant(m, 0.4)
+    with pytest.raises(ValueError, match=f"LP point has {m} vertices, instance has 5"):
+        WRONG_SIZE_CALLS[call](inst, winst, x)

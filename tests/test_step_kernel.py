@@ -3,7 +3,12 @@
 derandomize_round, step_inequality_check and validate_solution must
 reproduce these values bit for bit. The LP points are fixed
 shortest-path metrics, so the tests do not depend on the LP solver.
+The pinned first-step values are also checked against an exact
+evaluation of the same sums in Fractions.
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ import pytest
 import ccpivot as cc
 from ccpivot.instance import symmetric_from_upper, worst_triangle
 from ccpivot.rng import SplitMix64, unit_floats
+from ccpivot.rounding import cut_probabilities, pair_model
 
 
 def metric_point(n: int, seed: int) -> cc.LpSolution:
@@ -28,12 +34,12 @@ CASES = {
 }
 
 PINNED = [
-    ("complete", 1, [0, 0, 1, 0, 0, 0, 0, 0], 12.166979744571892, 21.79529933304233),
-    ("complete", 2, [0, 0, 0, 0, 0, 0, 0, 1], 12.44705682129945, 22.021556400072523),
-    ("complete", 3, [0, 0, 0, 0, 0, 1, 0, 0], 11.700085681703273, 19.68414201878508),
-    ("kpartite", 1, [0, 0, 0, 0, 1, 1, 0, 0], 6.816239162316988, 22.55682651869034),
-    ("kpartite", 2, [0, 0, 0, 1, 1, 1, 1, 1], 7.922413962030879, 19.64113867593632),
-    ("kpartite", 3, [0, 0, 0, 0, 0, 1, 0, 0], 7.401046494072318, 19.426927760554342),
+    ("complete", 1, [0, 0, 1, 0, 0, 0, 0, 0], 12.16697974457189, 21.79529933304233),
+    ("complete", 2, [0, 0, 0, 0, 0, 0, 0, 1], 12.447056821299451, 22.021556400072523),
+    ("complete", 3, [0, 0, 0, 0, 0, 1, 0, 0], 11.700085681703271, 19.684142018785085),
+    ("kpartite", 1, [0, 0, 0, 0, 1, 1, 0, 0], 6.816239162316988, 22.556826518690343),
+    ("kpartite", 2, [0, 0, 0, 1, 1, 1, 1, 1], 7.92241396203088, 19.64113867593632),
+    ("kpartite", 3, [0, 0, 0, 0, 0, 1, 0, 0], 7.401046494072317, 19.426927760554342),
     ("weighted", 1, [0, 0, 0, 0, 1, 0, 0], 10.04648058107939, 13.162638493946135),
     ("weighted", 2, [0, 1, 0, 1, 0, 2, 0], 8.585270209361255, 11.551734437730572),
     ("weighted", 3, [0, 0, 0, 0, 1, 0, 0], 9.760276430192802, 13.611186854345947),
@@ -50,6 +56,50 @@ def test_pinned_derandomize_and_step_inequality(name, seed, assignment, lhs, rhs
     si = cc.step_inequality_check(inst, x, scheme, alpha)
     assert (si.lhs, si.rhs) == (lhs, rhs)
     assert si.holds
+
+
+def exact_first_step(wp, wm, L, p):
+    """(cost, lp) of the per-pivot closed form summed over all pivots w, in
+    exact Fractions of the float inputs: column w of p holds the cut
+    probabilities to w, cost = 2 p_w' W+ q_w + q_w' W- q_w and
+    lp = sum(L) - p_w' L p_w, with q_w = 1 - p_w."""
+    wp, wm, L, p = ([[Fraction(v) for v in row] for row in m.tolist()] for m in (wp, wm, L, p))
+    n = len(p)
+    total_L = sum(map(sum, L))
+    cost = lp = Fraction(0)
+    for w in range(n):
+        pw = [p[u][w] for u in range(n)]
+        qw = [1 - v for v in pw]
+        lp += total_L
+        for u in range(n):
+            cost += 2 * pw[u] * sum(a * b for a, b in zip(wp[u], qw))
+            cost += qw[u] * sum(a * b for a, b in zip(wm[u], qw))
+            lp -= pw[u] * sum(a * b for a, b in zip(L[u], pw))
+    return cost, lp
+
+
+def assert_within_ulps(got: float, want: Fraction, ulps: int = 4):
+    assert abs(Fraction(got) - want) <= ulps * Fraction(math.ulp(float(want))), (got, float(want))
+
+
+@pytest.mark.parametrize("name,seed", [case[:2] for case in PINNED])
+def test_first_step_sums_match_exact_reference(name, seed):
+    gen, scheme_name, alpha = CASES[name]
+    inst = gen(seed)
+    x = metric_point(inst.n, 100 + seed)
+    scheme = cc.get_scheme(scheme_name)
+    wp, wm, L = pair_model(inst, x)
+    p = cut_probabilities(inst, x, scheme)
+    two_n = 2 * inst.n
+    cost, lp = exact_first_step(wp, wm, L, p)
+    si = cc.step_inequality_check(inst, x, scheme, alpha)
+    assert_within_ulps(si.lhs, cost / two_n)
+    assert_within_ulps(si.rhs, Fraction(alpha) * lp / two_n)
+    np.fill_diagonal(wp, 0.0)  # step_cost_formula's sums have no self-loops
+    cost0, _ = exact_first_step(wp, wm, L, p)
+    formula = cc.step_cost_formula(inst, x, scheme)
+    assert_within_ulps(formula["e_alg_0"], cost0 / two_n)
+    assert_within_ulps(formula["e_lp_0"], lp / two_n)
 
 
 def _tied_matrix():
