@@ -169,6 +169,19 @@ class Instance:
         return wp, wm
 
 
+@functools.lru_cache(maxsize=16)
+def _invalid_entries(rows: int, n: int) -> np.ndarray:
+    """Read-only mask of w <= u, v = u or v = w, one per block shape (rows, n, n).
+
+    Entry [i, a, b] is (u0 + i, a - s, b - s) with s = n - 1 - u0: the conditions
+    depend on v - u0 and w - u0 alone, so block u0 reads [:, s:s + n, s:s + n].
+    """
+    i, a, b = np.ogrid[:rows, :2 * n - 1, :2 * n - 1]
+    mask = (b <= i + n - 1) | (a == i + n - 1) | (a == b)
+    mask.flags.writeable = False
+    return mask
+
+
 def triangle_blocks(d: np.ndarray):
     """(u0, g) per block of rows u = u0 + i of the n x n x n gap tensor of a symmetric d.
 
@@ -177,15 +190,13 @@ def triangle_blocks(d: np.ndarray):
     """
     n = d.shape[0]
     rows = max(1, _SCAN_BLOCK // max(1, n * n))
-    idx = np.arange(n)
     for u0 in range(0, n, rows):
         du = d[u0:u0 + rows]
         with np.errstate(invalid="ignore"):  # inf - inf gives a NaN gap
             g = du[:, None, :] - du[:, :, None]
             g -= d
-        for u, slab in enumerate(g, u0):
-            slab[:, :u + 1] = slab[u] = -math.inf  # w <= u, v = u
-        g[:, idx, idx] = -math.inf  # v = w
+        s = n - 1 - u0
+        np.copyto(g, -math.inf, where=_invalid_entries(len(g), n)[:, s:s + n, s:s + n])
         yield u0, g
 
 

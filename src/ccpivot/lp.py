@@ -38,7 +38,7 @@ GAP_TOL = 1e-6           # largest primal-dual gap accepted, relative to max(1, 
 DEGENERATE_RUN = 50      # degenerate pivots in a row before pricing falls back to Bland
 MAX_PIVOTS = 200_000     # dual simplex pivots over one solve
 MAX_ROUNDS = 500
-MAX_LP_N = 40            # largest n `ccpivot lp` accepts: about 10 s and 370 MB at n = 40
+MAX_LP_N = 40            # largest n `ccpivot lp` accepts: about 4 s and 300 MB at n = 40
 
 log = logging.getLogger(__name__)
 
@@ -126,13 +126,8 @@ def lp_objective(inst: Instance, x: LpSolution) -> float:
     return float(coeff @ x.vec + const)
 
 
-def separate_triangle_violations(x: LpSolution, tol: float = FEAS_TOL):
-    """All triples with x_uw - x_uv - x_vw > tol, worst first, ties in (u, v, w) order.
-
-    Returned as (u, v, w, violation) with v the middle vertex of the
-    violated constraint x_uv + x_vw >= x_uw. A hit's flat index into the
-    n x n x n tensor of triangle_blocks is its (u, v, w) rank.
-    """
+def _violations(x: LpSolution, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(flat, gap) of every gap > tol, worst first, ties by flat, the (u, v, w) rank."""
     n = x.n
     flats, gaps = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     for u0, g in triangle_blocks(x.matrix):
@@ -141,8 +136,19 @@ def separate_triangle_violations(x: LpSolution, tol: float = FEAS_TOL):
         gaps.append(g.ravel()[i])
     flat, gap = np.concatenate(flats), np.concatenate(gaps)
     order = np.lexsort((flat, -gap))
-    u, v, w = np.unravel_index(flat[order], (n, n, n))
-    return list(zip(u.tolist(), v.tolist(), w.tolist(), gap[order].tolist()))
+    return flat[order], gap[order]
+
+
+def separate_triangle_violations(x: LpSolution, tol: float = FEAS_TOL):
+    """All triples with x_uw - x_uv - x_vw > tol, worst first, ties in (u, v, w) order.
+
+    Returned as (u, v, w, violation) with v the middle vertex of the
+    violated constraint x_uv + x_vw >= x_uw. A hit's flat index into the
+    n x n x n tensor of triangle_blocks is its (u, v, w) rank.
+    """
+    flat, gap = _violations(x, tol)
+    u, v, w = np.unravel_index(flat, (x.n,) * 3)
+    return list(zip(u.tolist(), v.tolist(), w.tolist(), gap.tolist()))
 
 
 def validate_solution(x: LpSolution, tol: float = FEAS_TOL) -> ValidationReport:
@@ -207,13 +213,11 @@ class _Tableau:
         old, basis = self.t, self.basis
         m, k = len(basis), len(cols)
         ncols = old.shape[1] - 1
-        t = np.zeros((m + k + 1, ncols + k + 1), order="F")
-        t[:m, :ncols], t[:m, -1] = old[:m, :-1], old[:m, -1]
-        t[-1, :ncols], t[-1, -1] = old[m, :-1], old[m, -1]
-        r = np.arange(k)
-        rows = t[m : m + k]
-        rows[r, ncols + r] = 1.0
+        # the new rows over the old columns and the right-hand side, reduced
+        # row-major; old rows are zero on the new slack columns
+        rows = np.zeros((k, ncols + 1))
         rows[:, -1] = rhs
+        r = np.arange(k)
         for col, a in zip(cols.T, coefs.T):  # add, not assign: a zero pad may repeat a column
             rows[r, col] += a
         pos = np.full(ncols, -1)
@@ -223,31 +227,35 @@ class _Tableau:
         for col, a in zip(cols.T, coefs.T):
             p = pos[col]
             hit = p >= 0
-            rows[hit] -= a[hit, None] * t[p[hit]]
+            rows[hit] -= a[hit, None] * old[p[hit]]
+        t = np.zeros((m + k + 1, ncols + k + 1), order="F")
+        t[:m, :ncols], t[:m, -1] = old[:m, :-1], old[:m, -1]
+        t[m:-1, :ncols], t[m:-1, -1] = rows[:, :-1], rows[:, -1]
+        t[-1, :ncols], t[-1, -1] = old[m, :-1], old[m, -1]
+        t[m + r, ncols + r] = 1.0
         self.t = t
         self.basis = np.concatenate([basis, ncols + r])
         self.rows.append((cols, coefs, rhs))
 
     def _pivot(self, row: int, col: int, norms: np.ndarray) -> None:
         """Pivot on t[row, col]; keep norms, the squared row norms, up to date."""
-        # column-major storage: the update touches only the columns where
-        # the pivot row is nonzero, and each of them is contiguous
-        t = self.t
+        # column-major storage: the update touches only the columns where the pivot
+        # row is nonzero, each contiguous: rows of the row-major view t.T
+        t, tt = self.t, self.t.T
         r = t[row] / t[row, col]
         cols = r.nonzero()[0]
         prow = r[cols]
-        f = t[:, col].copy()
-        f[row] = 0.0
-        block = t[:, cols]
+        f = tt[col]  # a view, read before the write-back; f[row] only reaches entries reset below
+        block = tt.take(cols, axis=0)
         # |r - f p|^2 = |r|^2 - 2 f (r.p) + f^2 |p|^2, from r before the update;
         # each constraint row holds its basic variable's 1, so stays >= 1
         pp = prow @ prow
-        norms += f * (f * pp - 2.0 * (block @ prow))
+        norms += f * (f * pp - 2.0 * (prow @ block))
         norms[row] = pp
         np.maximum(norms, 1.0, out=norms)
-        block -= f[:, None] * prow
-        block[row] = prow  # f[row] = 0 kept the undivided row
-        t[:, cols] = block
+        block -= prow[:, None] * f
+        block[:, row] = prow
+        tt[cols] = block
         self.basis[row] = col
         self.pivots += 1
         if self.pivots > MAX_PIVOTS:
@@ -268,25 +276,27 @@ class _Tableau:
             return 0
         start, run = self.pivots, 0
         norms = np.einsum("ij,ij->i", t, t)
-        rhs, cost = t[:m, -1], t[m, :-1]  # views; _pivot writes t in place
+        rhs, row_norms = t[:m, -1], norms[:m]  # views; _pivot writes t and norms in place
+        pick = np.array([[0], [m]])  # the leaving row and the reduced costs
         while True:
             # infeasible rows score rhs^2 / norm > 0, the others -1
-            score = np.where(rhs < -SIMPLEX_TOL, rhs * rhs / norms[:m], -1.0)
+            score = np.where(rhs < -SIMPLEX_TOL, rhs * rhs / row_norms, -1.0)
             leave = score.argmax()
             if score[leave] < 0.0:
                 break
             bland = run >= DEGENERATE_RUN
             if bland:  # lowest basic index among the infeasible rows
                 leave = np.where(score < 0.0, t.shape[1], self.basis).argmin()
-            a = t[leave, :-1]
-            cols = (a < -SIMPLEX_TOL).nonzero()[0]
+            cols = (t[leave, :-1] < -SIMPLEX_TOL).nonzero()[0]
             if len(cols) == 0:
                 raise LpNumericalError("infeasible working relaxation (tableau breakdown)")
-            a = a[cols]
-            ratio = np.maximum(cost[cols], 0.0) / -a
-            best = ratio.min()
-            tie = ratio <= best + SIMPLEX_TOL
-            enter = cols[tie.argmax() if bland else np.where(tie, a, np.inf).argmin()]
+            # a few candidates: the ratio test in Python floats, the same IEEE operations
+            pick[0] = leave
+            a, c = t[pick, cols].tolist()
+            ratio = [(0.0 if cj < 0.0 else cj) / -aj for aj, cj in zip(a, c)]
+            best = min(ratio)
+            tie = [j for j, rj in enumerate(ratio) if rj <= best + SIMPLEX_TOL]
+            enter = cols[tie[0] if bland else min(tie, key=a.__getitem__)]
             run = run + 1 if best <= SIMPLEX_TOL else 0
             self._pivot(leave, enter, norms)
         return self.pivots - start
@@ -341,22 +351,24 @@ def solve_relaxation(inst: Instance, tol: float = FEAS_TOL) -> tuple[LpSolution,
     the final cut-row multipliers must be within GAP_TOL * max(1,
     |objective|) of the objective; either failure raises LpNumericalError.
     """
+    if not 0.0 < tol <= FEAS_TOL:  # a looser tol would let the closing validation pass a violated point
+        raise ValueError(f"tol must be in (0, {FEAS_TOL:g}], got {tol!r}")
     n = inst.n
     coeff, const = _objective_terms(inst)
     stats = LpStats()
     idx = symmetric_from_upper(n, np.arange(len(coeff)), np.int64)
     tab = _Tableau(coeff)
-    seen, new = set(), []
+    seen, new = np.zeros(n ** 3, dtype=bool), []  # the working set by (u, v, w) rank
     while True:
         start = time.perf_counter()
-        if new:
-            seen.update(new)
-            tab.add_rows(*_triangle_rows(idx, new))
+        if len(new):
+            seen[new] = True
+            tab.add_rows(*_triangle_rows(idx, np.transpose(np.unravel_index(new, (n, n, n)))))
         pivots = tab.dual()
         x = LpSolution(n, tab.point())
         obj = float(coeff @ x.vec) + const
         scan = time.perf_counter()
-        viols = separate_triangle_violations(x, tol)
+        flat, _gap = _violations(x, tol)
         end = time.perf_counter()
         seconds, scan_seconds = end - start, end - scan
         stats.separation_rounds += 1
@@ -365,17 +377,18 @@ def solve_relaxation(inst: Instance, tol: float = FEAS_TOL) -> tuple[LpSolution,
                              "scan_seconds": scan_seconds})
         log.debug("round %d: objective %.9g, %d cuts, %d dual pivots, %.3f s (scan %.3f s)",
                   stats.separation_rounds, obj, len(new), pivots, seconds, scan_seconds)
-        if not viols:
+        if not len(flat):
             break
         if stats.separation_rounds >= MAX_ROUNDS:
             raise LpNumericalError(f"separation exceeded {MAX_ROUNDS} rounds")
-        new = [(u, v, w) for u, v, w, _g in viols if (u, v, w) not in seen][: n * n]
-        if not new:
+        new = flat[~seen[flat]][: n * n]
+        if not len(new):
             raise LpNumericalError("separation found only working-set triangles violated")
 
     stats.iterations = tab.pivots
-    stats.constraints_generated = len(seen)
-    stats.final_constraints = sorted(seen)
+    final = np.unravel_index(seen.nonzero()[0], (n, n, n))
+    stats.final_constraints = list(zip(*(a.tolist() for a in final)))
+    stats.constraints_generated = len(stats.final_constraints)
     stats.objective = float(coeff @ x.vec + const)
     stats.dual_bound = _dual_bound(coeff, const, tab.rows, tab.multipliers())
     stats.gap = stats.objective - stats.dual_bound

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import ccpivot as cc
-from ccpivot.instance import _SCAN_BLOCK, symmetric_from_upper, worst_triangle
+from ccpivot.instance import (_SCAN_BLOCK, _invalid_entries, symmetric_from_upper, triangle_blocks,
+                              worst_triangle)
 from ccpivot.rng import SplitMix64
-from exhaustive import slab_separation, slab_worst_triangle
+from exhaustive import slab_separation, slab_worst_triangle, triangle_slabs
 
 
 def k3(labels_ut):
@@ -348,6 +349,62 @@ def test_scan_matches_the_slab_reference():
     assert cases == 126
 
 
+@pytest.mark.parametrize("n", range(31))
+def test_triangle_blocks_match_the_per_vertex_slabs(n):
+    # one block up to n = 25, several from n = 26 on; NaN and +-inf entries included
+    rng = np.random.default_rng(100 + n)
+    a = np.round(4 * rng.random((n, n))) / 4
+    if n >= 2:
+        a[rng.integers(0, n, 4), rng.integers(0, n, 4)] = [np.nan, np.inf, -np.inf, np.nan]
+    d = np.triu(a, 1) + np.triu(a, 1).T
+    blocks = list(triangle_blocks(d))
+    rows = [(u0 + i, slab) for u0, g in blocks for i, slab in enumerate(g)]
+    assert [u for u, _s in rows] == list(range(n))
+    assert all(s.tobytes() == r.tobytes() for (_u, s), (_v, r) in zip(rows, triangle_slabs(d)))
+    assert (len(blocks) > 1) == (n >= 26)
+    x = cc.LpSolution(n, d[np.triu_indices(n, 1)])
+    assert worst_triangle(d) == slab_worst_triangle(d)
+    for tol in (-np.inf, 0.0, 0.25):
+        assert cc.separate_triangle_violations(x, tol) == slab_separation(x.matrix, tol)
+    if n:
+        mask = _invalid_entries(len(blocks[-1][1]), n)
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0, 0, 0] = not mask[0, 0, 0]
+
+
+def _one_cut_tableau(a, c):
+    """Box tableau for reduced costs c plus one row a.x <= -1, violated at x = 0."""
+    from ccpivot.lp import _Tableau
+
+    tab = _Tableau(np.asarray(c, dtype=float))
+    k = len(a)
+    tab.add_rows(np.arange(k)[None, :], np.asarray([a], dtype=float), np.array([-1.0]))
+    return tab
+
+
+@pytest.mark.parametrize("a, c, enter, bland_enter", [
+    ([-1.0, -4.0, -2.0], [1.0, 4.0, 2.0], 1, 0),          # a tie goes to the most negative element
+    ([-3.0, -2.0, -2.0], [6.0, 2.0, 2.0], 1, 1),          # equal elements: the lowest column
+    ([-1.0, -2.0, -4.0], [3.0, 2.0, 4.0], 2, 1),          # Bland: the first tied column
+    ([-1.0, -2.0], [1.0, 2.0 * (1.0 + 5e-9)], 1, 0),     # within SIMPLEX_TOL of the best is a tie
+    ([-1.0, -2.0], [-0.9e-8, 1e-8], 1, 0),               # a reduced cost below 0 prices at 0
+], ids=["most-negative", "lowest-column", "bland-first-tied", "tol-tie", "clamped-cost"])
+def test_entering_column_rule(monkeypatch, a, c, enter, bland_enter):
+    from ccpivot.lp import _Tableau
+
+    pivots = []
+    step = _Tableau._pivot
+    monkeypatch.setattr(_Tableau, "_pivot", lambda self, row, col, norms: (
+        pivots.append((row, col)), step(self, row, col, norms)))
+    for run, want in ((50, enter), (0, bland_enter)):
+        monkeypatch.setattr(cc.lp, "DEGENERATE_RUN", run)
+        pivots.clear()
+        tab = _one_cut_tableau(a, c)
+        tab.dual()
+        assert pivots[0] == (len(a), want)
+
+
 def test_one_debug_line_per_round(caplog):
     inst = cc.gen_complete_random(8, 0.5, seed=2)
     with caplog.at_level("DEBUG", logger="ccpivot.lp"):
@@ -373,6 +430,15 @@ def test_dual_bound_is_independent_of_the_tableau():
         assert _dual_bound(coeff, const, rows, lam) <= stats.objective + 1e-9
 
 
+@pytest.mark.parametrize("tol", [0.5, 2e-6, 0.0, -1e-6, np.nan, np.inf])
+def test_solve_refuses_a_tol_outside_feas_tol(tol):
+    # at tol = 0.5 the closing validation would pass triangle (0, 6, 2), violated by 0.5
+    inst = cc.gen_complete_random(9, 0.5, 13)
+    with pytest.raises(ValueError, match="tol"):
+        cc.solve_relaxation(inst, tol=tol)
+    assert cc.solve_relaxation(inst, tol=cc.lp.FEAS_TOL)[1].objective == pytest.approx(9.75, abs=1e-9)
+
+
 def test_bad_certificate_raises(monkeypatch):
     # a tableau whose multipliers prove nothing must not pass as optimal
     monkeypatch.setattr(cc.lp._Tableau, "multipliers", lambda self: np.zeros(len(self.basis) - self.nvar))
@@ -383,7 +449,7 @@ def test_bad_certificate_raises(monkeypatch):
 def test_infeasible_result_raises(monkeypatch):
     # a scan that finds nothing ends the loop at the box optimum, whose
     # dual bound is exact; only the closing validation can refuse it
-    monkeypatch.setattr(cc.lp, "separate_triangle_violations", lambda x, tol: [])
+    monkeypatch.setattr(cc.lp, "_violations", lambda x, tol: (np.zeros(0, np.int64), np.zeros(0)))
     with pytest.raises(cc.LpNumericalError, match="validation"):
         cc.solve_relaxation(cc.gen_complete_random(8, 0.5, seed=3))
 
