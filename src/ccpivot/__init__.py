@@ -2,7 +2,7 @@
 
 Build labeled or weighted instances, solve the metric relaxation with
 lazy triangle separation, round with function-driven pivot algorithms
-(randomized, weighted coin-flip, or derandomized), and numerically
+(randomized, on every class alike, or derandomized), and numerically
 certify the approximation factor of a rounding scheme by minimizing the
 per-triangle surplus over tight triangles and corner cases.
 """

@@ -141,6 +141,8 @@ class Instance:
                 raise ValueError("lam_plus must be finite")
             if not np.array_equal(w, w.T):
                 raise ValueError("weight matrix must be symmetric")
+            if np.any(np.diag(w) != 0):
+                raise ValueError("lam_plus diagonal must be zero")
             if np.any(w < -WEIGHT_SUM_TOL) or np.any(w > 1 + WEIGHT_SUM_TOL):
                 raise ValueError("lam_plus outside [0, 1]")
             if self.ti:

@@ -392,7 +392,7 @@ def solve_relaxation(inst: Instance, tol: float = FEAS_TOL) -> tuple[LpSolution,
     stats.objective = float(coeff @ x.vec + const)
     stats.dual_bound = _dual_bound(coeff, const, tab.rows, tab.multipliers())
     stats.gap = stats.objective - stats.dual_bound
-    if stats.gap > GAP_TOL * max(1.0, abs(stats.objective)):
+    if not stats.gap <= GAP_TOL * max(1.0, abs(stats.objective)):  # a NaN gap fails too
         raise LpNumericalError(
             f"primal-dual gap {stats.gap:.3g} at objective {stats.objective:.9g}")
     report = validate_solution(x, tol)

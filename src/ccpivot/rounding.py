@@ -6,34 +6,36 @@ Every cut probability is read off one coin table, ``pair_candidates``:
 each pair is cut with f_plus(x) when its label coin lands "+"
 (probability lam_plus) and with f_minus(x) otherwise. A labeled pair is
 a weighted pair whose coin is certain, and a k-partite neutral pair
-reads f_neutral on both sides. The randomized pivot algorithm
-repeatedly picks a uniform pivot among active vertices and keeps each
-active u with probability 1 - p_uw; the weighted variant first flips
-the pair coins to fix p_uv; the derandomized variant rounds every p_uv
-to 0/1 greedily against the step surplus and then picks the best pivot,
-which turns the expected guarantee into a deterministic one.
+reads f_neutral on both sides. A pair's coin is read at most once, so
+every algorithm reads the coin mixture, ``cut_probabilities``, in place
+of the coins. The randomized pivot algorithm repeatedly picks a uniform
+pivot among active vertices and keeps each active u with probability
+1 - p_uw; the derandomized variant rounds every p_uv to 0/1 greedily
+against the step surplus and then picks the best pivot, which turns the
+expected guarantee into a deterministic one.
 
-Every randomized run reads its seed's splitmix64 stream in a fixed
-order. A weighted run first draws one coin per pair, in ``pair_iter``
-order. Then each pivot step draws one ``randint`` over the active
-vertices and one uniform per active vertex, in ascending id order.
-Trial t of ``monte_carlo_ratio`` runs on the stream seeded by word t of
-the master stream. The words are computed in blocks (``rng.block_rows``)
-and every decision is the one the scalar draws would make, so outputs
-at a given seed do not depend on how the stream is computed.
+Every randomized run, labeled or weighted, reads its seed's splitmix64
+stream in one order: each pivot step draws one ``randint`` over the
+active vertices and one uniform per active vertex, in ascending id
+order, so a run reads at most n + n(n+1)/2 words unless a randint
+rejects. Trial t of ``monte_carlo_ratio`` runs on the stream seeded by
+word t of the master stream. The words are computed in blocks
+(``rng.block_rows``) and every decision is the one the scalar draws
+would make, so outputs at a given seed do not depend on how the stream
+is computed.
 
 Single runs (``pivot_round``, ``pivot_round_weighted``) use the scalar
 kernel. Monte-Carlo trials run in lockstep chunks: each pass of
 ``_pivot_batch`` makes one pivot step in every run of the chunk on
-vertex-major (n, runs) arrays. Keep tables (1 - p) are read as built,
-(n, n) for labeled runs and (n, n, T) for T weighted runs with their own
-coins, untransposed as p is symmetric. One small matrix product ranks every
-active vertex and points it at its uniform, so a step makes a handful of
-numpy calls: the randint from per-k tables, the pivot by one comparison
-and sum, the keep values and uniforms by two gathers, then the joins. A
-run whose randint would reject a word is redone alone by the scalar
-kernel. Any trial can still be replayed alone from seed word t, and its
-cost has the same bits alone or in a batch (``assignment_cost``).
+vertex-major (n, runs) arrays. The runs share one (n, n) keep table,
+1 - p, read as built, untransposed as p is symmetric. One small matrix
+product ranks every active vertex and points it at its uniform, so a
+step makes a handful of numpy calls: the randint from per-k tables, the
+pivot by one comparison and sum, the keep values and uniforms by two
+gathers, then the joins. A run whose randint would reject a word is
+redone alone by the scalar kernel. Any trial can still be replayed
+alone from seed word t, and its cost has the same bits alone or in a
+batch (``assignment_cost``).
 """
 
 from __future__ import annotations
@@ -53,8 +55,6 @@ from .instance import (
     Clustering,
     Instance,
     assignment_cost,
-    pair_index,
-    symmetric_from_upper,
 )
 from .lp import LpSolution, lp_objective
 from .rng import CHUNK_WORDS, SplitMix64, block_rows, rejection_bound, unit_floats
@@ -352,39 +352,18 @@ def pair_candidates(inst: Instance, x: LpSolution, scheme: RoundingScheme):
 
 
 def cut_probabilities(inst: Instance, x: LpSolution, scheme: RoundingScheme) -> np.ndarray:
-    """Expected cut probability of every pair, zero diagonal: the coin
-    mixture lam_plus f_plus + (1 - lam_plus) f_minus of the coin table
-    (the scheme's value itself on labeled pairs). It is exact in the
-    step expectations and in the expected total cost alike: a pair's
-    coin is read at most once, when one endpoint pivots while the other
-    is active, so both are multilinear in the independent coins.
+    """Cut probability of every pair, zero diagonal: the coin mixture
+    lam_plus f_plus + (1 - lam_plus) f_minus of the coin table (the
+    scheme's value itself on labeled pairs). Every pivot path reads it in
+    place of the coins: a pair's coin is read at most once, when one
+    endpoint pivots while the other is active, so pivoting on the mixture
+    has the law of flipping every coin first, and the step expectations
+    and the expected total cost, multilinear in the coins, are exact on it.
     """
     fp, fm, lam = pair_candidates(inst, x, scheme)
     p = lam * fp + (1.0 - lam) * fm
     np.fill_diagonal(p, 0.0)
     return p
-
-
-def _coin_values(n: int, table, unif: np.ndarray) -> np.ndarray:
-    """Cut probabilities per pair from coin uniforms of shape (..., n(n-1)/2).
-
-    The upper triangle of the coin table is read in pair_iter order: a
-    pair takes its f_plus value when its uniform is below lam_plus, else
-    its f_minus value; leading axes of unif are separate runs.
-    """
-    iu = pair_index(n)
-    fp, fm, lam = (m[iu] for m in table)
-    return np.where(unif < lam, fp, fm)
-
-
-def _coin_keep(n: int, table, unif: np.ndarray) -> np.ndarray:
-    """Keep tables (n, n, T), 1 - p, of T runs from (T, n(n-1)/2) coin uniforms; diagonal 1."""
-    coins = n * (n - 1) // 2
-    pairs = np.ones((coins + 1, len(unif)))
-    np.subtract(1.0, _coin_values(n, table, unif).T, out=pairs[:coins])
-    slots = symmetric_from_upper(n, np.arange(coins), dtype=np.intp)
-    np.fill_diagonal(slots, coins)
-    return pairs.take(slots, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -444,16 +423,15 @@ def _pivot_kernel(keep: list, raw: list, unif: list, rng: SplitMix64) -> list:
     return steps
 
 
-def _pivot_batch(keep: np.ndarray, words: np.ndarray, unif: np.ndarray, start: int = 0):
+def _pivot_batch(keep: np.ndarray, words: np.ndarray, unif: np.ndarray):
     """Runs of _pivot_kernel in lockstep, one pivot step of every run per pass.
 
-    keep is (n, n), shared by all runs, or (n, n, T), one per run, with
-    keep[u, w(, t)] = 1 - p[u, w]; p is symmetric, so column w (or w * T + t)
-    of keep.reshape(n, ...) serves pivot w. Run t reads row t of words and
-    unif, both (T, width), from column start on: n + n(n+1)/2 words or more.
-    Returns the (T, n) cluster ids, numbered in pivot order, and a (T,)
-    mask of the runs whose randint would reject a word: those go on with
-    the rejected word, inside their rows, and the caller redoes them with
+    keep (n, n), keep[u, w] = 1 - p[u, w], is shared by all runs; p is
+    symmetric, so column w serves pivot w. Run t reads row t of words and
+    unif, both (T, width): n + n(n+1)/2 words or more. Returns the (T, n)
+    cluster ids, numbered in pivot order, and a (T,) mask of the runs
+    whose randint would reject a word: those go on with the rejected
+    word, inside their rows, and the caller redoes them with
     _pivot_kernel, which reads past the block.
 
     A step works on (n, T) arrays. Rows 0..n-1 of state hold the active
@@ -470,7 +448,7 @@ def _pivot_batch(keep: np.ndarray, words: np.ndarray, unif: np.ndarray, start: i
     (T, width), n = words.shape, keep.shape[0]
     words, unif = words.reshape(-1), unif.reshape(-1)
     state = np.ones((n + 1, T))
-    state[n] = np.arange(T) * width + start
+    state[n] = np.arange(T) * width
     active = state[:n]
     lift = np.tri(n + 1)  # row u < n sums rows 0..u and n of state; row n copies row n
     lift[:, n] = 1.0
@@ -479,10 +457,6 @@ def _pivot_batch(keep: np.ndarray, words: np.ndarray, unif: np.ndarray, start: i
     tops = np.array([rejection_bound(m) - 1 for m in mods], dtype=np.uint64)
     mods = np.array(mods, dtype=np.uint64)
     lowest_top = tops.min()
-    if keep.ndim == 2:
-        cols, runs = keep, None
-    else:  # cols[u, w * T + t] = keep[u, w, t]
-        cols, runs = keep.reshape(n, n * T), np.arange(T)
     ids = np.zeros((n, T))
     rejected = np.zeros(T, dtype=bool)
     for _ in range(n):
@@ -496,59 +470,41 @@ def _pivot_batch(keep: np.ndarray, words: np.ndarray, unif: np.ndarray, start: i
         last = ptr + (raw % mods.take(k)).view(np.int64)
         idx = idx[:n]
         pivot = (idx <= last).sum(axis=0)  # n on finished runs, clipped below
-        col = cols.take(pivot if runs is None else pivot * T + runs, axis=1, mode="clip")
+        col = keep.take(pivot, axis=1, mode="clip")
         np.greater(active, unif.take(idx) < col, out=active)
         ids += active
         np.add(idx[n - 1], 1, out=state[n])
     return ids.T.astype(np.int64, order="C"), rejected
 
 
-def _stream_layout(n: int, weighted: bool) -> tuple[int, int]:
-    """(coins, width): a run reads `coins` coin words, then pivots on the
-    rest of its first `width` words unless a randint rejects."""
-    coins = n * (n - 1) // 2 if weighted else 0
-    return coins, coins + n + n * (n + 1) // 2
+def _run_width(n: int) -> int:
+    """Stream words a run reads unless a randint rejects: at most n steps,
+    each one randint and one uniform per active vertex."""
+    return n + n * (n + 1) // 2
 
 
-def _pivot_run(seed: int, n: int, keep=None, candidates=None) -> list:
-    """The pivot steps of one run on the stream of seed.
-
-    A labeled run reads keep (n, n); a weighted run passes its coin
-    table instead and first flips its pair coins on its own stream.
-    """
-    coins, width = _stream_layout(n, candidates is not None)
+def _pivot_run(seed: int, keep: np.ndarray) -> list:
+    """The pivot steps of one run on the stream of seed; keep (n, n) = 1 - p."""
     rng = SplitMix64(seed)
-    words = rng.block(width)
-    unif = unit_floats(words)
-    if candidates is not None:
-        keep = _coin_keep(n, candidates, unif[None, :coins])[:, :, 0]
-    return _pivot_kernel(keep.tolist(), words[coins:].tolist(), unif[coins:].tolist(), rng)
+    words = rng.block(_run_width(len(keep)))
+    return _pivot_kernel(keep.tolist(), words.tolist(), unit_floats(words).tolist(), rng)
 
 
-def _pivot_chunk(seeds: np.ndarray, n: int, keep=None, candidates=None,
-                 redone: list | None = None) -> np.ndarray:
-    """Cluster ids (len(seeds), n) of one run per seed, run in lockstep.
+def _pivot_chunk(seeds: np.ndarray, keep: np.ndarray, redone: list | None = None) -> np.ndarray:
+    """Cluster ids (len(seeds), n) of one run per seed on keep, run in lockstep.
 
-    keep and candidates are as in _pivot_run. A run whose randint rejects
-    a word is redone alone by _pivot_run, which reads past the block; the
-    number of such runs is appended to redone when it is given.
+    A run whose randint rejects a word is redone alone by _pivot_run,
+    which reads past the block; the number of such runs is appended to
+    redone when it is given.
     """
-    coins, width = _stream_layout(n, candidates is not None)
-    words = block_rows(seeds, width)
-    unif = unit_floats(words)
-    batch_keep = keep if candidates is None else _coin_keep(n, candidates, unif[:, :coins])
-    ids, rejected = _pivot_batch(batch_keep, words, unif, coins)
+    n = len(keep)
+    words = block_rows(seeds, _run_width(n))
+    ids, rejected = _pivot_batch(keep, words, unit_floats(words))
     for t in np.flatnonzero(rejected):
-        ids[t] = _assignment(n, _pivot_run(int(seeds[t]), n, keep, candidates))
+        ids[t] = _assignment(n, _pivot_run(int(seeds[t]), keep))
     if redone is not None:
         redone.append(int(rejected.sum()))
     return ids
-
-
-def _labeled_keep(inst: Instance, x: LpSolution, scheme: RoundingScheme) -> np.ndarray:
-    if inst.kind == WEIGHTED:
-        raise ValueError("weighted instances flip label coins; see pivot_round_weighted")
-    return 1.0 - cut_probabilities(inst, x, scheme)
 
 
 def _assignment(n: int, steps: list) -> list:
@@ -564,27 +520,30 @@ def pivot_round(
     inst: Instance, x: LpSolution, scheme: RoundingScheme, seed: int
 ) -> tuple[Clustering, PivotTrace]:
     """One run of the randomized pivot algorithm on a labeled instance."""
-    steps = _pivot_run(seed, inst.n, keep=_labeled_keep(inst, x, scheme))
+    if inst.kind == WEIGHTED:
+        raise ValueError("weighted instances round by pivot_round_weighted")
+    steps = _pivot_run(seed, 1.0 - cut_probabilities(inst, x, scheme))
     return Clustering(_assignment(inst.n, steps)), PivotTrace(steps)
 
 
 def pivot_round_weighted(
     inst: Instance, x: LpSolution, scheme: RoundingScheme, seed: int
 ) -> Clustering:
-    """Coin-flip variant for weighted instances (one label coin per pair)."""
+    """One randomized pivot run on a weighted instance: pivot_round's stream
+    read on the coin mixture (cut_probabilities), with the law of the
+    paper's rounding, which first flips one label coin per pair.
+    """
     if inst.kind != WEIGHTED:
-        raise ValueError("only weighted instances flip label coins")
-    steps = _pivot_run(seed, inst.n, candidates=pair_candidates(inst, x, scheme))
-    return Clustering(_assignment(inst.n, steps))
+        raise ValueError("pivot_round_weighted takes weighted instances; see pivot_round")
+    return round_instance(inst, x, scheme, seed)
 
 
 def round_instance(
     inst: Instance, x: LpSolution, scheme: RoundingScheme, seed: int
 ) -> Clustering:
-    """Dispatch on instance class: labeled pivot or weighted coin-flip."""
-    if inst.kind == WEIGHTED:
-        return pivot_round_weighted(inst, x, scheme, seed)
-    return pivot_round(inst, x, scheme, seed)[0]
+    """One randomized pivot run on any class: pivot_round's or pivot_round_weighted's."""
+    steps = _pivot_run(seed, 1.0 - cut_probabilities(inst, x, scheme))
+    return Clustering(_assignment(inst.n, steps))
 
 
 # ---------------------------------------------------------------------------
@@ -752,29 +711,25 @@ def monte_carlo_ratio(
 
     Per-trial seeds come from the master stream, so any single trial can
     be replayed in isolation: trial t equals round_instance with seed
-    word t. The probability matrix (or the weighted coin table) and
-    the pair weights are computed once per run; the trials run in
-    lockstep chunks of about CHUNK_WORDS stream words, each drawing its
-    seeds as the master stream's next words. Logs one DEBUG line on the
-    ``ccpivot.rounding`` logger: trials, chunks, runs redone by the
-    scalar kernel and seconds.
+    word t. The keep table (1 - cut_probabilities) and the pair weights
+    are computed once per run; the trials run in lockstep chunks of about
+    CHUNK_WORDS stream words, each drawing its seeds as the master
+    stream's next words. Logs one DEBUG line on the ``ccpivot.rounding``
+    logger: trials, chunks, runs redone by the scalar kernel and seconds.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     t0 = time.perf_counter()
     n = inst.n
-    if inst.kind == WEIGHTED:
-        keep, candidates = None, pair_candidates(inst, x, scheme)
-    else:
-        keep, candidates = _labeled_keep(inst, x, scheme), None
+    keep = 1.0 - cut_probabilities(inst, x, scheme)
     # an empty instance's runs read no words; count one word each
-    per_chunk = max(1, CHUNK_WORDS // max(1, _stream_layout(n, candidates is not None)[1]))
+    per_chunk = max(1, CHUNK_WORDS // max(1, _run_width(n)))
     master = SplitMix64(seed)
     wp, wm = inst.pair_weights()
     costs = np.empty(trials)
     redone: list[int] = []
     for lo in range(0, trials, per_chunk):
-        ids = _pivot_chunk(master.block(min(per_chunk, trials - lo)), n, keep, candidates, redone)
+        ids = _pivot_chunk(master.block(min(per_chunk, trials - lo)), keep, redone)
         costs[lo:lo + len(ids)] = assignment_cost(ids, wp, wm)
     log.debug("monte_carlo_ratio: n=%d, %d trials in %d chunks, %d redone by the scalar "
               "kernel, %.6f s", n, trials, len(redone), sum(redone), time.perf_counter() - t0)

@@ -14,9 +14,8 @@ import pytest
 
 import ccpivot as cc
 from ccpivot import rounding
-from ccpivot.instance import (COMPLETE, KPARTITE, WEIGHTED, clustering_cost, pair_iter,
-                              symmetric_from_upper)
-from ccpivot.rng import SplitMix64, unit_floats
+from ccpivot.instance import COMPLETE, KPARTITE, WEIGHTED, clustering_cost, pair_iter
+from ccpivot.rng import SplitMix64
 from test_rng import _MASK, _seed_with_first_word
 
 _GAMMA = 0x9E3779B97F4A7C15
@@ -48,24 +47,22 @@ def ref_pivot_loop(p, rng):
     return cc.Clustering(assignment), steps
 
 
-def ref_weighted_probability_matrix(inst, x, scheme, rng):
+def ref_weighted_probability_matrix(inst, x, scheme):
+    """Each pair's cut probability over its label coin, one pair at a time."""
     n = inst.n
     xm = np.clip(x.matrix, 0.0, 1.0)
     p = np.zeros((n, n))
     for u in range(n):
         for v in range(u + 1, n):
-            f = scheme.f_plus if rng.uniform() < inst.lam_plus[u, v] else scheme.f_minus
-            p[u, v] = p[v, u] = float(f(xm[u, v]))
+            lam = float(inst.lam_plus[u, v])
+            fp = float(scheme.f_plus(xm[u, v]))
+            fm = float(scheme.f_minus(xm[u, v]))
+            p[u, v] = p[v, u] = lam * fp + (1.0 - lam) * fm
     return p
 
 
 def ref_round(inst, x, scheme, seed):
-    rng = SplitMix64(seed)
-    if inst.kind == WEIGHTED:
-        p = ref_weighted_probability_matrix(inst, x, scheme, rng)
-    else:
-        p = rounding.cut_probabilities(inst, x, scheme)
-    return ref_pivot_loop(p, rng)
+    return ref_pivot_loop(rounding.cut_probabilities(inst, x, scheme), SplitMix64(seed))
 
 
 def ref_monte_carlo_ratio(inst, x, scheme, trials, seed):
@@ -203,13 +200,12 @@ def test_weighted_probability_matrix_matches_reference(seed):
     inst = cc.gen_weighted_random(1 + seed % 9, seed)
     x = lengths(inst.n, seed)
     scheme = cc.get_scheme("weighted_ti_150")
-    a, b = SplitMix64(seed), SplitMix64(seed)
-    pairs = inst.n * (inst.n - 1) // 2
-    got = symmetric_from_upper(inst.n, rounding._coin_values(
-        inst.n, rounding.pair_candidates(inst, x, scheme), unit_floats(a.block(pairs))))
-    want = ref_weighted_probability_matrix(inst, x, scheme, b)
-    assert np.array_equal(got, want)
-    assert a.next_u64() == b.next_u64()  # same number of coins drawn
+    want = ref_weighted_probability_matrix(inst, x, scheme)
+    assert np.array_equal(rounding.cut_probabilities(inst, x, scheme), want)
+    # a weighted run pivots on the mixture and draws no coin words
+    for run_seed in (seed, (1 << 64) - 1 - seed):
+        got = cc.pivot_round_weighted(inst, x, scheme, run_seed)
+        assert got == ref_pivot_loop(want, SplitMix64(run_seed))[0]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -235,11 +231,7 @@ def test_pivot_chunk_partitions_match_reference(seed):
     seeds = SplitMix64(seed).block(30)
     for inst, scheme in instances(seed):
         x = lengths(inst.n, seed)
-        if inst.kind == WEIGHTED:
-            keep, cands = None, rounding.pair_candidates(inst, x, scheme)
-        else:
-            keep, cands = rounding._labeled_keep(inst, x, scheme), None
-        ids = rounding._pivot_chunk(seeds, inst.n, keep, cands)
+        ids = rounding._pivot_chunk(seeds, 1.0 - rounding.cut_probabilities(inst, x, scheme))
         for row, s in zip(ids, seeds.tolist()):
             assert cc.Clustering(row) == ref_round(inst, x, scheme, s)[0]
 

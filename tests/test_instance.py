@@ -40,6 +40,20 @@ def test_weighted_pair_cost_is_lambda():
     assert cc.clustering_cost(inst, cc.Clustering([0, 0])) == pytest.approx(0.3)
 
 
+@pytest.mark.parametrize("diag", [1e-12, 0.5, 1.0])
+def test_weighted_refuses_a_nonzero_diagonal(diag):
+    # as labeled classes refuse a non-neutral diagonal; a serialize/parse
+    # round trip would otherwise zero it without a word
+    w = np.full((3, 3), 0.5)
+    with pytest.raises(ValueError, match="diagonal"):
+        cc.Instance.weighted(w)
+    np.fill_diagonal(w, 0.0)
+    cc.Instance.weighted(w)
+    w[1, 1] = diag
+    with pytest.raises(ValueError, match="diagonal"):
+        cc.Instance.weighted(w)
+
+
 def test_cost_invariant_under_relabeling():
     inst = cc.gen_complete_random(7, 0.4, seed=5)
     rng = SplitMix64(17)

@@ -14,26 +14,23 @@ import pytest
 
 import ccpivot as cc
 from ccpivot import rounding
-from ccpivot.instance import WEIGHTED
 from ccpivot.rng import SplitMix64, block_rows, rejection_bound, unit_floats
 from test_block_equivalence import _seed_with_word, ref_monte_carlo_ratio, ref_round
 from test_rng import _MASK
 
 
 def _tables(inst, x, scheme):
-    """(keep, candidates) as monte_carlo_ratio hands them to _pivot_chunk."""
-    if inst.kind == WEIGHTED:
-        return None, rounding.pair_candidates(inst, x, scheme)
-    return rounding._labeled_keep(inst, x, scheme), None
+    """The keep table 1 - p as monte_carlo_ratio hands it to _pivot_chunk."""
+    return 1.0 - rounding.cut_probabilities(inst, x, scheme)
 
 
 # n = 4 at x = 1: every pair is cut whatever its coin, so each step keeps
 # only its pivot and the randints run over k = 4, 3, 2, 1 active vertices.
-# The k = 3 draw is stream word 5 of a labeled run (word 0 and four
-# uniforms come first) and word 11 of a weighted one (six coins before).
+# The k = 3 draw is stream word 5 of a run on either class: word 0 and
+# four uniforms come first.
 LATER_STEP = [
     (cc.gen_complete_random(4, 0.5, 1), cc.get_scheme("complete206"), 5),
-    (cc.gen_weighted_random(4, 1), cc.get_scheme("weighted_ti_150"), 11),
+    (cc.gen_weighted_random(4, 1), cc.get_scheme("weighted_ti_150"), 5),
 ]
 
 
@@ -48,16 +45,15 @@ def test_rejection_on_a_later_step(monkeypatch, inst, scheme, word):
     # the run is the middle one of five, with runs before and after it
     seeds = SplitMix64(7).block(5)
     seeds[2] = run_seed
-    keep, cands = _tables(inst, x, scheme)
+    keep = _tables(inst, x, scheme)
     redone = []
-    ids = rounding._pivot_chunk(seeds, 4, keep, cands, redone)
+    ids = rounding._pivot_chunk(seeds, keep, redone)
     assert redone == [1]
     for row, s in zip(ids, seeds.tolist()):
         assert cc.Clustering(row) == ref_round(inst, x, scheme, s)[0]
-    if cands is None:
-        words = block_rows(seeds, 14)
-        _ids, rejected = rounding._pivot_batch(keep, words, unit_floats(words))
-        assert rejected.tolist() == [False, False, True, False, False]
+    words = block_rows(seeds, 14)
+    _ids, rejected = rounding._pivot_batch(keep, words, unit_floats(words))
+    assert rejected.tolist() == [False, False, True, False, False]
     # the same five runs as trials 0..4 of one Monte-Carlo chunk
     monkeypatch.setattr("ccpivot.rounding.CHUNK_WORDS", 100)
     master = _seed_with_word(run_seed, 2)
@@ -75,9 +71,9 @@ def test_largest_accepted_words_are_not_redone(inst, scheme, word):
     seeds = SplitMix64(5).block(4)
     seeds[1] = _seed_with_word(_MASK, first)
     seeds[2] = _seed_with_word(_MASK - 1, word)
-    keep, cands = _tables(inst, x, scheme)
+    keep = _tables(inst, x, scheme)
     redone = []
-    ids = rounding._pivot_chunk(seeds, 4, keep, cands, redone)
+    ids = rounding._pivot_chunk(seeds, keep, redone)
     assert redone == [0]
     for row, s in zip(ids, seeds.tolist()):
         assert cc.Clustering(row) == ref_round(inst, x, scheme, s)[0]
@@ -95,9 +91,9 @@ def test_uniform_equal_to_keep_does_not_join(inst, scheme, word):
             break
     pivot, members = ref_round(inst, x, scheme, seed)[1][0]
     assert pivot != vertex and members == [pivot]
-    keep, cands = _tables(inst, x, scheme)
+    keep = _tables(inst, x, scheme)
     seeds = np.array([seed, 12345], dtype=np.uint64)
-    ids = rounding._pivot_chunk(seeds, 4, keep, cands)
+    ids = rounding._pivot_chunk(seeds, keep)
     for row, s in zip(ids, seeds.tolist()):
         assert cc.Clustering(row) == ref_round(inst, x, scheme, s)[0]
 
@@ -114,8 +110,8 @@ def test_runs_finishing_at_different_steps(inst, scheme):
     # done early draw dummy words while the others go on
     x = cc.LpSolution.constant(6, 0.5)
     seeds = SplitMix64(11).block(40)
-    keep, cands = _tables(inst, x, scheme)
-    ids = rounding._pivot_chunk(seeds, 6, keep, cands)
+    keep = _tables(inst, x, scheme)
+    ids = rounding._pivot_chunk(seeds, keep)
     clusters = ids.max(axis=1) + 1
     assert clusters.min() < clusters.max()
     for row, s in zip(ids, seeds.tolist()):

@@ -446,6 +446,14 @@ def test_bad_certificate_raises(monkeypatch):
         cc.solve_relaxation(cc.gen_complete_random(8, 0.5, seed=3))
 
 
+def test_nan_certificate_raises(monkeypatch):
+    # a NaN dual bound gives a NaN gap, which no comparison with GAP_TOL may accept
+    monkeypatch.setattr(cc.lp._Tableau, "multipliers",
+                        lambda self: np.full(len(self.basis) - self.nvar, np.nan))
+    with pytest.raises(cc.LpNumericalError, match="gap nan"):
+        cc.solve_relaxation(cc.gen_complete_random(8, 0.5, seed=3))
+
+
 def test_infeasible_result_raises(monkeypatch):
     # a scan that finds nothing ends the loop at the box optimum, whose
     # dual bound is exact; only the closing validation can refuse it

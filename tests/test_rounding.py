@@ -17,6 +17,7 @@ from ccpivot.rounding import (
     step_surplus_sum,
 )
 from ccpivot.rng import SplitMix64
+from test_step_kernel import metric_point
 
 
 def k3(labels_ut):
@@ -210,6 +211,30 @@ def test_weighted_empirical_mean_matches_enumeration():
     )
     sem = costs.std(ddof=1) / math.sqrt(len(costs))
     assert abs(costs.mean() - exact) <= 3.0 * sem + 1e-12
+
+
+# A weighted run pivots on the coin mixture and reads its stream as a labeled
+# run does; these literals show any change to that stream as a diff. Per seed:
+# the pivot_round_weighted assignment at that seed, then the mean, stddev, min
+# and max of 200 Monte-Carlo trials at it, on gen_weighted_random(7, seed) at
+# the metric point of test_step_kernel.
+WEIGHTED_PINNED = [
+    (1, [0, 1, 0, 1, 2, 1, 1],
+     (10.553617360661999, 1.0734973221617743, 7.930676679382746, 13.183927750383944)),
+    (2, [0, 0, 1, 2, 2, 0, 1],
+     (9.796764520860357, 0.9844226590841767, 7.97283642382909, 12.703999211412377)),
+    (3, [0, 1, 2, 2, 3, 2, 3],
+     (10.218847682083775, 1.0013818155083003, 7.625777492800959, 12.890792644203094)),
+]
+
+
+@pytest.mark.parametrize("seed,assignment,stats", WEIGHTED_PINNED)
+def test_pinned_weighted_random_outputs(seed, assignment, stats):
+    inst, x = cc.gen_weighted_random(7, seed), metric_point(7, 100 + seed)
+    scheme = cc.get_scheme("weighted_ti_150")
+    assert cc.pivot_round_weighted(inst, x, scheme, seed).assignment.tolist() == assignment
+    mc = cc.monte_carlo_ratio(inst, x, scheme, 200, seed)
+    assert (mc.mean, mc.stddev, mc.min, mc.max) == stats
 
 
 # -- derandomization -----------------------------------------------------------
