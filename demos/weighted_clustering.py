@@ -1,4 +1,4 @@
-"""The weighted variant: coin-flip rounding, certification, reduction.
+"""The weighted variant: pivot rounding, certification, reduction.
 
 Weighted pairs carry (lam_plus, lam_minus) with lam_plus + lam_minus = 1.
 When lam_minus is a metric, a square-root negative rule with a quadratic
@@ -23,8 +23,8 @@ inst = cc.gen_weighted_random(4, seed=5)
 x, stats = cc.solve_relaxation(inst)
 scheme = cc.get_scheme("weighted_ti_150")
 print(f"random weighted instance n = 4: LP = {stats.objective:.4f}")
-c = cc.pivot_round_weighted(inst, x, scheme, seed=9)
-print(f"coin-flip rounding cost: {cc.clustering_cost(inst, c):.4f}")
+c, _trace = cc.pivot_round(inst, x, scheme, seed=9)  # on the mixture over each pair's label coin
+print(f"randomized pivot rounding cost: {cc.clustering_cost(inst, c):.4f}")
 d = cc.derandomize_round(inst, x, scheme, alpha=1.5)
 print(f"derandomized cost: {cc.clustering_cost(inst, d):.4f} "
       f"<= 1.5 * LP = {1.5 * stats.objective:.4f}")

@@ -45,7 +45,6 @@ from .rounding import (
     monte_carlo_ratio,
     pivot_round,
     pivot_round_weighted,
-    round_instance,
 )
 from .certify import (
     CertificateReport,

@@ -43,6 +43,7 @@ from .lp import (
     solution_from_json,
     solution_to_json,
     solve_relaxation,
+    validate_solution,
 )
 from .oracle import MAX_EXACT_N, brute_force_opt
 from .rounding import (
@@ -51,7 +52,7 @@ from .rounding import (
     derandomize_round,
     get_scheme,
     monte_carlo_ratio,
-    round_instance,
+    pivot_round,
 )
 
 EXIT_OK = 0
@@ -219,11 +220,14 @@ def _cmd_round(args) -> int:
     x = solution_from_json(_read(args.lp_solution))
     if x.n != inst.n:
         raise FormatError(f"LP solution has {x.n} vertices, instance has {inst.n}")
+    report = validate_solution(x)  # the rounding analysis covers metric points in the box only
+    if not report.feasible():
+        raise FormatError(f"LP solution is not a metric in [0, 1] within {FEAS_TOL:g}: {report}")
     scheme = _resolve_scheme(args.scheme)
     if args.mode == "random":
         if args.seed is None:
             raise _UsageExit("--seed is required in random mode")
-        clustering = round_instance(inst, x, scheme, args.seed)
+        clustering = pivot_round(inst, x, scheme, args.seed)[0]
     else:
         if args.alpha is None:
             raise _UsageExit("--alpha is required in derand mode")

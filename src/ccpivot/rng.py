@@ -31,12 +31,14 @@ _S11, _S27, _S30, _S31 = _U64(11), _U64(27), _U64(30), _U64(31)
 # runs a chunk's trials in lockstep: a chunk takes up to n steps of a
 # fixed set of numpy calls whatever its size, so larger chunks spread
 # that cost over more runs, and its words and uniforms take 16 bytes per
-# word. Traced sample-workload runs of the vertex-major kernel (2-core
-# host, medians of 4) spent 3.75, 3.82 and 3.23 us per labeled trial and
-# 6.28, 6.47 and 5.12 us per weighted trial at 1 << 14, 15 and 16 words.
-# 1 << 16 holds 1,000 runs at n = 10 in one chunk; a call then peaks at
-# 1.5 MB (traced), against 0.4 MB at 1 << 14, and its arrays, above
-# glibc's 128 KB mmap threshold, are page-faulted afresh more often.
+# word. Untraced monte_carlo_ratio at the sample workload's sizes (8 LP
+# points each, 2-core host, medians of 7) spent 3.18, 2.47 and 2.74 us
+# per labeled trial (n = 10) and 2.52, 1.92 and 2.02 us per weighted
+# trial (n = 9) at 1 << 14, 15 and 16 words; the last two are within the
+# host's noise. 1 << 16 holds 1,000 runs at n = 10 in one chunk; a call
+# then peaks at 1.5 MB (traced), against 0.4 MB at 1 << 14, and its
+# arrays, above glibc's 128 KB mmap threshold, are page-faulted afresh
+# more often.
 CHUNK_WORDS = 1 << 16
 
 
@@ -71,8 +73,9 @@ def block_rows(states: np.ndarray, k: int) -> np.ndarray:
 
 
 def unit_floats(words: np.ndarray) -> np.ndarray:
-    """Floats in [0, 1) from words, element-wise equal to ``uniform``."""
-    return (words >> _S11).astype(np.float64) * 2.0**-53
+    """Floats in [0, 1) from words, element-wise equal to ``uniform``; a word
+    shifted right by 11 reads the same as an int64, converted exactly."""
+    return (words >> _S11).view(np.int64).astype(np.float64) * 2.0**-53
 
 
 def rejection_bound(n: int) -> int:

@@ -2,17 +2,16 @@
 
 A scheme is a named triple of piecewise functions (f_plus, f_minus,
 f_neutral) mapping an LP edge length in [0, 1] to a cut probability.
-Every cut probability is read off one coin table, ``pair_candidates``:
-each pair is cut with f_plus(x) when its label coin lands "+"
-(probability lam_plus) and with f_minus(x) otherwise. A labeled pair is
-a weighted pair whose coin is certain, and a k-partite neutral pair
-reads f_neutral on both sides. A pair's coin is read at most once, so
-every algorithm reads the coin mixture, ``cut_probabilities``, in place
-of the coins. The randomized pivot algorithm repeatedly picks a uniform
-pivot among active vertices and keeps each active u with probability
-1 - p_uw; the derandomized variant rounds every p_uv to 0/1 greedily
-against the step surplus and then picks the best pivot, which turns the
-expected guarantee into a deterministic one.
+Every class reads one formula, ``cut_probabilities``: a pair of
+positive mass lam (W+ of ``Instance.pair_weights``) is cut with probability
+lam f_plus(x) + (1 - lam) f_minus(x), and a k-partite neutral pair with
+f_neutral(x). On a weighted pair this is the mixture over its label
+coin, which a pivot run reads at most once, so the mixture has the law
+of the paper's coin flips. The randomized pivot algorithm repeatedly
+picks a uniform pivot among active vertices and keeps each active u
+with probability 1 - p_uw; the derandomized variant rounds every p_uv
+to 0/1 greedily against the step surplus and then picks the best pivot,
+which turns the expected guarantee into a deterministic one.
 
 Every randomized run, labeled or weighted, reads its seed's splitmix64
 stream in one order: each pivot step draws one ``randint`` over the
@@ -24,15 +23,14 @@ word t of the master stream. The words are computed in blocks
 would make, so outputs at a given seed do not depend on how the stream
 is computed.
 
-Single runs (``pivot_round``, ``pivot_round_weighted``) use the scalar
-kernel. Monte-Carlo trials run in lockstep chunks: each pass of
-``_pivot_batch`` makes one pivot step in every run of the chunk on
-vertex-major (n, runs) arrays. The runs share one (n, n) keep table,
-1 - p, read as built, untransposed as p is symmetric. One small matrix
-product ranks every active vertex and points it at its uniform, so a
-step makes a handful of numpy calls: the randint from per-k tables, the
-pivot by one comparison and sum, the keep values and uniforms by two
-gathers, then the joins. A run whose randint would reject a word is
+Single runs (``pivot_round``) use the scalar kernel. Monte-Carlo trials
+run in lockstep chunks: each pass of ``_pivot_batch`` makes one pivot
+step in every run of the chunk on vertex-major (n, runs) arrays. The
+runs share one (n, n) keep table, 1 - p, read as built, untransposed as
+p is symmetric. One small matrix product ranks every active vertex and
+points it at its uniform, so a step makes a handful of numpy calls: the
+randint from per-k tables, the pivot by one comparison and sum, the keep
+values and uniforms by two gathers, then the joins. A run whose randint would reject a word is
 redone alone by the scalar kernel. Any trial can still be replayed
 alone from seed word t, and its cost has the same bits alone or in a
 batch (``assignment_cost``).
@@ -319,7 +317,7 @@ def get_scheme(name: str) -> RoundingScheme:
 
 
 # ---------------------------------------------------------------------------
-# the coin table
+# cut probabilities
 # ---------------------------------------------------------------------------
 
 
@@ -330,38 +328,22 @@ def _lengths(inst: Instance, x: LpSolution) -> np.ndarray:
     return np.clip(x.matrix, 0.0, 1.0)
 
 
-def pair_candidates(inst: Instance, x: LpSolution, scheme: RoundingScheme):
-    """(f_plus, f_minus, lam_plus): the coin table, three n x n matrices.
+def cut_probabilities(inst: Instance, x: LpSolution, scheme: RoundingScheme) -> np.ndarray:
+    """Cut probability of every pair, zero diagonal: lam f_plus + (1 - lam) f_minus
+    with lam = W+ of pair_weights, and f_neutral on k-partite neutral pairs.
 
-    Each pair flips a label coin: with probability lam_plus it is cut
-    with its f_plus value, otherwise with its f_minus value. A weighted
-    instance supplies its own lam_plus; a labeled pair's coin is certain
-    (1 on "+" pairs, 0 elsewhere), and a k-partite neutral pair reads
-    f_neutral on both sides. This is the only place that builds cut
-    probabilities per graph class.
+    lam is 1 on "+" pairs and 0 on "-" pairs, so a labeled pair reads its
+    own function. A weighted pair's label coin is read at most once, when
+    one endpoint pivots while the other is active, so pivoting on this
+    mixture has the law of flipping every coin first, and the step
+    expectations and the expected total cost, multilinear in the coins,
+    are exact on it.
     """
     xm = _lengths(inst, x)
-    fp, fm = scheme.f_plus(xm), scheme.f_minus(xm)
-    if inst.kind == WEIGHTED:
-        return fp, fm, inst.lam_plus
+    lam = inst.pair_weights()[0]
+    p = lam * scheme.f_plus(xm) + (1.0 - lam) * scheme.f_minus(xm)
     if inst.kind == KPARTITE:
-        neutral = inst.labels == 0
-        f0 = scheme.fn(EDGE_NEUTRAL)(xm)
-        fp, fm = np.where(neutral, f0, fp), np.where(neutral, f0, fm)
-    return fp, fm, (inst.labels == 1).astype(np.float64)
-
-
-def cut_probabilities(inst: Instance, x: LpSolution, scheme: RoundingScheme) -> np.ndarray:
-    """Cut probability of every pair, zero diagonal: the coin mixture
-    lam_plus f_plus + (1 - lam_plus) f_minus of the coin table (the
-    scheme's value itself on labeled pairs). Every pivot path reads it in
-    place of the coins: a pair's coin is read at most once, when one
-    endpoint pivots while the other is active, so pivoting on the mixture
-    has the law of flipping every coin first, and the step expectations
-    and the expected total cost, multilinear in the coins, are exact on it.
-    """
-    fp, fm, lam = pair_candidates(inst, x, scheme)
-    p = lam * fp + (1.0 - lam) * fm
+        np.copyto(p, scheme.fn(EDGE_NEUTRAL)(xm), where=inst.labels == 0)
     np.fill_diagonal(p, 0.0)
     return p
 
@@ -519,9 +501,7 @@ def _assignment(n: int, steps: list) -> list:
 def pivot_round(
     inst: Instance, x: LpSolution, scheme: RoundingScheme, seed: int
 ) -> tuple[Clustering, PivotTrace]:
-    """One run of the randomized pivot algorithm on a labeled instance."""
-    if inst.kind == WEIGHTED:
-        raise ValueError("weighted instances round by pivot_round_weighted")
+    """One run of the randomized pivot algorithm on any class, with its trace."""
     steps = _pivot_run(seed, 1.0 - cut_probabilities(inst, x, scheme))
     return Clustering(_assignment(inst.n, steps)), PivotTrace(steps)
 
@@ -529,21 +509,8 @@ def pivot_round(
 def pivot_round_weighted(
     inst: Instance, x: LpSolution, scheme: RoundingScheme, seed: int
 ) -> Clustering:
-    """One randomized pivot run on a weighted instance: pivot_round's stream
-    read on the coin mixture (cut_probabilities), with the law of the
-    paper's rounding, which first flips one label coin per pair.
-    """
-    if inst.kind != WEIGHTED:
-        raise ValueError("pivot_round_weighted takes weighted instances; see pivot_round")
-    return round_instance(inst, x, scheme, seed)
-
-
-def round_instance(
-    inst: Instance, x: LpSolution, scheme: RoundingScheme, seed: int
-) -> Clustering:
-    """One randomized pivot run on any class: pivot_round's or pivot_round_weighted's."""
-    steps = _pivot_run(seed, 1.0 - cut_probabilities(inst, x, scheme))
-    return Clustering(_assignment(inst.n, steps))
+    """pivot_round's clustering alone; kept as a name for existing callers."""
+    return pivot_round(inst, x, scheme, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -585,19 +552,6 @@ def pivot_terms(wp, wm, L, P):
 def _active_model(wp, wm, L, active: np.ndarray):
     sub = active[:, None], active
     return wp[sub], wm[sub], L[sub]
-
-
-def step_surplus_sum(inst: Instance, x: LpSolution, p: np.ndarray, alpha: float,
-                     active=None) -> float:
-    """Sum over active pivots of the per-pivot surplus alpha * lp - cost (pivot_terms).
-
-    This is the quantity the greedy 0/1 rounding must never decrease:
-    nonnegative at the scheme's probabilities whenever the scheme/alpha
-    pair is certified for the class.
-    """
-    act = np.arange(inst.n) if active is None else np.asarray(sorted(active))
-    cost, lp = pivot_terms(*_active_model(*pair_model(inst, x), act), p[act[:, None], act])
-    return float(alpha * lp.sum() - cost.sum())
 
 
 def greedy_round_probabilities(wp, wm, L, P: np.ndarray, alpha: float) -> np.ndarray:
@@ -710,7 +664,7 @@ def monte_carlo_ratio(
     """Empirical cost of repeated randomized rounding against the LP value.
 
     Per-trial seeds come from the master stream, so any single trial can
-    be replayed in isolation: trial t equals round_instance with seed
+    be replayed in isolation: trial t equals pivot_round with seed
     word t. The keep table (1 - cut_probabilities) and the pair weights
     are computed once per run; the trials run in lockstep chunks of about
     CHUNK_WORDS stream words, each drawing its seeds as the master

@@ -3,11 +3,12 @@
 ``partitions`` enumerates every set partition (the reference for the
 subset DP's optimum). ``expected_step`` and ``expected_total`` price the
 randomized pivot algorithm the long way: they flip every uncertain label
-coin of ``rounding.pair_candidates`` (0 < lam_plus < 1), and for each
-coin outcome enumerate the pivots and all membership outcomes. They
-never read the coin mixture ``cut_probabilities``, so they check the
-oracle's claim that the mixture is exact. Exponential in the coins too:
-weighted instances stop at n = 4 (total) and n = 5 (step).
+coin (0 < lam_plus < 1), with the cut probabilities built here from the
+instance's own labels or lam_plus, and for each coin outcome enumerate
+the pivots and all membership outcomes. They never read the coin
+mixture ``cut_probabilities``, so they check the oracle's claim that the
+mixture is exact. Exponential in the coins too: weighted instances stop
+at n = 4 (total) and n = 5 (step).
 
 ``slab_separation`` and ``slab_worst_triangle`` scan the triangle gaps
 one n x n slab per vertex u with a Python sort, the reference for the
@@ -18,8 +19,8 @@ import math
 
 import numpy as np
 
-from ccpivot.instance import pair_iter
-from ccpivot.rounding import pair_candidates, pair_model
+from ccpivot.instance import KPARTITE, pair_iter
+from ccpivot.rounding import pair_model
 
 
 def partitions(n: int):
@@ -68,11 +69,21 @@ def join_outcomes(p: np.ndarray, verts: list, w: int):
 def coin_outcomes(inst, x, scheme):
     """(probability, cut-probability matrix) of each outcome of the label coins.
 
-    Only the pairs with 0 < lam_plus < 1 flip, in pair_iter order; every
-    other coin is certain, so a labeled instance has a single outcome of
-    probability 1.
+    A weighted pair's coin lands "+" with probability lam_plus and the
+    pair is then cut with f_plus(x), else with f_minus(x); a labeled
+    pair's coin is certain, and a k-partite neutral pair reads f_neutral
+    either way. Only the pairs with 0 < lam_plus < 1 flip, in pair_iter
+    order, so a labeled instance has a single outcome of probability 1.
     """
-    fp, fm, lam = pair_candidates(inst, x, scheme)
+    xm = np.clip(x.matrix, 0.0, 1.0)
+    fp, fm = scheme.f_plus(xm), scheme.f_minus(xm)
+    if inst.lam_plus is not None:
+        lam = inst.lam_plus
+    else:
+        lam = (inst.labels == 1).astype(np.float64)
+        if inst.kind == KPARTITE:
+            neutral, f0 = inst.labels == 0, scheme.fn("0")(xm)
+            fp, fm = np.where(neutral, f0, fp), np.where(neutral, f0, fm)
     coins = [(u, v) for u, v in pair_iter(inst.n) if 0.0 < lam[u, v] < 1.0]
     plus = lam == 1.0
     for bits in range(1 << len(coins)):

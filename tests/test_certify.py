@@ -319,6 +319,8 @@ def test_admissible_type_counts():
     assert len(admissible_types("kpartite")) == 7
     for t in admissible_types("kpartite"):
         assert t.count("0") <= 1  # two neutral edges force the third neutral
+    with pytest.raises(ValueError, match="no labeled triangle types"):
+        admissible_types("weighted")
 
 
 # -- bound curves ---------------------------------------------------------------

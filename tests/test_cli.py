@@ -437,6 +437,21 @@ def test_round_refuses_solution_of_another_size(tmp_path):
     assert run(base + ["--mode", "derand", "--alpha", "2.06"]) == 65
 
 
+@pytest.mark.parametrize("x", [
+    [5.0] * 6,  # outside the box: rounding would read it clipped, the reported lp raw
+    [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],  # x_01 = 1, x_02 = x_12 = 0: a triangle violated by 1
+], ids=["box", "triangle"])
+def test_round_refuses_a_point_outside_the_metric_polytope(tmp_path, x):
+    inst_file, sol_file, out = tmp_path / "i.cc", tmp_path / "x.json", tmp_path / "r.json"
+    run(["gen", "complete", "--n", "4", "--p", "0.5", "--seed", "1", "-o", str(inst_file)])
+    sol_file.write_text(json.dumps({"n": 4, "x": x}))
+    base = ["round", "--instance", str(inst_file), "--lp-solution", str(sol_file),
+            "--scheme", "complete206", "-o", str(out)]
+    assert run(base + ["--seed", "1"]) == 65
+    assert run(base + ["--mode", "derand", "--alpha", "2.06"]) == 65
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "doc",
     [

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -599,6 +600,7 @@ READER_REFUSALS = {
                                 "lam_minus violates triangle inequality by 1"),
     "kpartite part count": ("cc kpartite 3 0 1\n0 1 +\n0 2 -\n1 2 +\n",
                             "k-partite instance needs 3 part ids, got 2"),
+    "no vertices": ("cc complete 0\n", "vertex count must be >= 1"),
     "bad weight": ("cc weighted 2\n0 1 heavy\n", "bad weight 'heavy'"),
     "bad vertex id": ("cc complete 2\n0 x +\n", "bad vertex id in '0 x \\+'"),
     "malformed JSON": ('{"class": "complete", "n": 2,', "bad JSON"),
@@ -614,3 +616,74 @@ def test_reader_refusals(text, message, tmp_path):
     path = tmp_path / "bad.cc"
     path.write_text(text)
     assert main(["lp", "--instance", str(path)]) == 65
+
+
+# -- refusals of the constructors and generators ---------------------------------
+
+_PAIR = np.array([[0, 1], [1, 0]], dtype=np.int8)
+INSTANCE_REFUSALS = {
+    "unknown class": (lambda: cc.Instance("sparse", 2, labels=_PAIR), "unknown graph class"),
+    "labels not n x n": (lambda: cc.Instance.complete(np.zeros((2, 3))), "label matrix"),
+    "labels of another n": (lambda: cc.Instance("complete", 3, labels=_PAIR), "label matrix"),
+    "asymmetric labels": (lambda: cc.Instance.complete([[0, 1], [-1, 0]]), "must be symmetric"),
+    "labeled diagonal": (lambda: cc.Instance.complete([[1, 1], [1, 0]]), "diagonal must be neutral"),
+    "k-partite without parts": (lambda: cc.Instance("kpartite", 2, labels=_PAIR),
+                                "needs a part assignment"),
+    "weights not n x n": (lambda: cc.Instance.weighted(np.zeros((2, 3))), "weight matrix"),
+    "asymmetric weights": (lambda: cc.Instance.weighted([[0, 0.2], [0.3, 0]]), "must be symmetric"),
+}
+
+
+@pytest.mark.parametrize("make, message", INSTANCE_REFUSALS.values(), ids=INSTANCE_REFUSALS.keys())
+def test_instance_refuses_malformed_matrices(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+GENERATOR_REFUSALS = {
+    "complete n = 0": lambda: cc.gen_complete_random(0, 0.5, 1),
+    "kpartite no parts": lambda: cc.gen_kpartite_random([], 0.5, 1),
+    "kpartite empty part": lambda: cc.gen_kpartite_random([2, 0], 0.5, 1),
+    "planted k = 0": lambda: cc.gen_planted(4, 0, 0.1, 1),
+    "planted k > n": lambda: cc.gen_planted(4, 5, 0.1, 1),
+    "planted corruption > 1": lambda: cc.gen_planted(4, 2, 1.5, 1),
+    "weighted n = 0": lambda: cc.gen_weighted_random(0, 1),
+    "gap-ti n = 0": lambda: cc.gen_gap_triangle_ineq(0),
+    "gap point empty left side": lambda: cc.gap_kpartite_lp_point(0, 2, []),
+    "gap point empty right side": lambda: cc.gap_kpartite_lp_point(2, 0, []),
+}
+
+
+@pytest.mark.parametrize("call", GENERATOR_REFUSALS.values(), ids=GENERATOR_REFUSALS.keys())
+def test_generators_refuse_bad_arguments(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_blowup_refusals():
+    with pytest.raises(ValueError, match="weighted instance"):
+        cc.weighted_to_unweighted(k3((1, 1, 1)), 2, seed=1)
+    w = cc.gen_weighted_random(2, seed=1)
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        cc.weighted_to_unweighted(w, 0, seed=1)
+    # one vertex past the cap, refused before the (total, total) label matrix exists
+    N = cc.instance.MAX_BLOWUP_VERTICES // 2 + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="vertices"):
+            cc.weighted_to_unweighted(w, N, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_lift_serialize_and_clustering_refusals():
+    w = cc.gen_weighted_random(3, seed=2)
+    _blown, vmap = cc.weighted_to_unweighted(w, N=2, seed=3)
+    with pytest.raises(ValueError, match="does not cover"):
+        cc.lift_clustering(cc.Clustering.single_cluster(5), vmap, seed=4)
+    with pytest.raises(ValueError, match="unknown format"):
+        cc.serialize_instance(w, fmt="xml")
+    with pytest.raises(ValueError, match="flat vector"):
+        cc.Clustering([[0, 1], [1, 0]])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ccpivot as cc
+from ccpivot.cli import main
 from ccpivot.instance import (_SCAN_BLOCK, _invalid_entries, symmetric_from_upper, triangle_blocks,
                               worst_triangle)
 from ccpivot.rng import SplitMix64
@@ -129,6 +130,13 @@ def test_lp_objective_trivials():
     pair_minus = cc.Instance.complete(np.array([[0, -1], [-1, 0]], dtype=np.int8))
     half = cc.LpSolution.constant(2, 0.5)
     assert cc.lp_objective(pair_plus, half) + cc.lp_objective(pair_minus, half) == 1.0
+
+
+def test_solution_and_objective_refuse_mismatched_shapes():
+    with pytest.raises(ValueError, match="square"):
+        cc.LpSolution.from_matrix(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="size mismatch"):
+        cc.lp_objective(cc.gen_complete_random(4, 0.5, seed=1), cc.LpSolution.constant(3, 0.5))
 
 
 def test_validate_reports_box_violation():
@@ -460,6 +468,18 @@ def test_infeasible_result_raises(monkeypatch):
     monkeypatch.setattr(cc.lp, "_violations", lambda x, tol: (np.zeros(0, np.int64), np.zeros(0)))
     with pytest.raises(cc.LpNumericalError, match="validation"):
         cc.solve_relaxation(cc.gen_complete_random(8, 0.5, seed=3))
+
+
+@pytest.mark.parametrize("cap, message", [("MAX_PIVOTS", "pivots"), ("MAX_ROUNDS", "rounds")])
+def test_iteration_caps_raise(monkeypatch, tmp_path, cap, message):
+    # 5 vertices need cuts, so a cap of 1 pivot or 1 round is hit
+    monkeypatch.setattr(cc.lp, cap, 1)
+    inst = cc.gen_complete_random(5, 0.5, seed=3)
+    with pytest.raises(cc.LpNumericalError, match=f"exceeded 1 {message}"):
+        cc.solve_relaxation(inst)
+    path = tmp_path / "i.cc"
+    path.write_text(cc.serialize_instance(inst))
+    assert main(["lp", "--instance", str(path)]) == 70
 
 
 def _partition_rows(idx, m, tol=1e-6):

@@ -56,6 +56,15 @@ def test_block_equals_scalar_stream(seed):
         (w >> 11) * 2.0**-53 for w in words[:500].tolist()]
 
 
+def test_unit_floats_at_the_edge_words():
+    # the smallest and largest words, the sign bit alone, and the largest word below 2**64
+    # whose low 11 bits are zero: each maps to the float uniform() makes of it
+    edges = [0, 1, 1 << 11, 1 << 63, (1 << 63) - 1, ((1 << 53) - 1) << 11, (1 << 64) - 1]
+    got = unit_floats(np.array(edges, dtype=np.uint64)).tolist()
+    assert got == [(w >> 11) * 2.0**-53 for w in edges]
+    assert got[0] == 0.0 and got[3] == 0.5 and got[-1] == 1.0 - 2.0**-53
+
+
 @pytest.mark.parametrize("seed", BLOCK_SEEDS)
 def test_stream_continues_after_block(seed):
     a, b = SplitMix64(seed), SplitMix64(seed)

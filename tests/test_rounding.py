@@ -14,7 +14,6 @@ from ccpivot.rounding import (
     greedy_round_probabilities,
     pair_model,
     pivot_terms,
-    step_surplus_sum,
 )
 from ccpivot.rng import SplitMix64
 from test_step_kernel import metric_point
@@ -66,6 +65,13 @@ def test_all_schemes_start_at_zero_and_stay_in_range():
 def test_neutral_requires_f_neutral():
     with pytest.raises(IneligibleSchemeError):
         cc.get_scheme("complete206").fn("0")(0.5)
+
+
+def test_scheme_refuses_an_unknown_edge_type_and_no_pieces():
+    with pytest.raises(ValueError, match="unknown edge type 'x'"):
+        cc.get_scheme("kpartite3").fn("x")
+    with pytest.raises(ValueError, match="at least one piece"):
+        PiecewiseFn([])
 
 
 def test_scheme_json_roundtrip():
@@ -174,15 +180,8 @@ def test_weighted_lambda_one_matches_labeled_distribution():
     )
 
 
-def test_pivot_paths_refuse_the_other_class():
-    # both pivot paths read one coin table, so each must refuse what it cannot read
+def test_pivot_round_refuses_kpartite_without_f_neutral():
     x = cc.LpSolution.constant(4, 0.5)
-    weighted = cc.gen_weighted_random(4, seed=3)
-    with pytest.raises(ValueError):
-        cc.pivot_round(weighted, x, cc.get_scheme("weighted_ti_150"), 1)
-    labeled = cc.gen_complete_random(4, 0.5, seed=3)
-    with pytest.raises(ValueError):
-        cc.pivot_round_weighted(labeled, x, cc.get_scheme("weighted_ti_150"), 1)
     kpartite = cc.gen_kpartite_random([2, 2], 0.5, seed=3)
     with pytest.raises(IneligibleSchemeError):
         cc.pivot_round(kpartite, x, cc.get_scheme("acn_linear"), 1)
@@ -238,6 +237,18 @@ def test_pinned_weighted_random_outputs(seed, assignment, stats):
 
 
 # -- derandomization -----------------------------------------------------------
+
+
+def step_surplus_sum(inst, x, p, alpha, active=None) -> float:
+    """Sum over active pivots of the per-pivot surplus alpha * lp - cost (pivot_terms).
+
+    This is the quantity the greedy 0/1 rounding must never decrease:
+    nonnegative at the scheme's probabilities whenever the scheme/alpha
+    pair is certified for the class.
+    """
+    act = np.arange(inst.n) if active is None else np.asarray(sorted(active))
+    cost, lp = pivot_terms(*_active_model(*pair_model(inst, x), act), p[act[:, None], act])
+    return float(alpha * lp.sum() - cost.sum())
 
 
 def test_derand_trivial_all_plus():

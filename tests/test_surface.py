@@ -13,7 +13,7 @@ PUBLIC = [
     "gen_kpartite_random", "gen_planted", "gen_weighted_random", "get_scheme",
     "integrality_ratio", "lift_clustering", "lower_bound_check", "lp_objective",
     "monte_carlo_ratio", "parse_instance", "pivot_round", "pivot_round_weighted",
-    "round_instance", "separate_triangle_violations", "serialize_instance", "solve_relaxation",
+    "separate_triangle_violations", "serialize_instance", "solve_relaxation",
     "step_cost_formula", "step_inequality_check", "triple_costs",
     "validate_solution", "weighted_to_unweighted",
 ]
