@@ -14,7 +14,6 @@ from .instance import (
     FormatError,
     Instance,
     clustering_cost,
-    gap_kpartite_lp_point,
     gen_complete_random,
     gen_gap_triangle_ineq,
     gen_kpartite_random,
@@ -29,6 +28,7 @@ from .lp import (
     LpNumericalError,
     LpSolution,
     LpStats,
+    gap_kpartite_lp_point,
     lp_objective,
     separate_triangle_violations,
     solve_relaxation,
@@ -45,6 +45,8 @@ from .rounding import (
     monte_carlo_ratio,
     pivot_round,
     pivot_round_weighted,
+    step_cost_formula,
+    step_inequality_check,
 )
 from .certify import (
     CertificateReport,
@@ -54,13 +56,11 @@ from .certify import (
     check_eligibility,
     edge_terms,
     lower_bound_check,
-    step_inequality_check,
     triple_costs,
 )
 from .oracle import (
     brute_force_opt,
     exact_expected_total_cost,
     integrality_ratio,
-    step_cost_formula,
 )
 from .rng import SplitMix64

@@ -29,6 +29,7 @@ sweep order, and a NaN counts as -inf, so it can only fail a sweep.
 The labeled corners stay ordered triples, as each is a row of the
 report, and the corners of every type assignment form one batch;
 full-grid batches and weighted mixture blocks are sized by ``_MIX_BLOCK``.
+The module reads schemes alone; the first step's sums over an instance are in rounding.
 """
 
 from __future__ import annotations
@@ -40,18 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import COMPLETE, KPARTITE, WEIGHTED, Instance
-from .lp import LpSolution
-from .rounding import (
-    EDGE_MINUS,
-    EDGE_NEUTRAL,
-    EDGE_PLUS,
-    IneligibleSchemeError,
-    RoundingScheme,
-    cut_probabilities,
-    pair_model,
-    pivot_terms,
-)
+from .instance import COMPLETE, KPARTITE, WEIGHTED
+from .rounding import EDGE_MINUS, EDGE_NEUTRAL, EDGE_PLUS, IneligibleSchemeError, RoundingScheme
 
 COMPLETE_TYPES = [
     ("+", "+", "+"),
@@ -598,32 +589,3 @@ def certify_weighted_ti(
         results=[TypeResult("weighted-mixture", best[0], best[1], math.inf, [])],
         sweep={"lam_grid_step": lam_grid_step, "surplus_points": L * len(lam_rows)},
     )
-
-
-# ---------------------------------------------------------------------------
-# per-instance step inequality (exact, no sampling)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class StepInequality:
-    lhs: float  # triple-sum bound on the expected step-0 violation count
-    rhs: float  # alpha times the expected step-0 LP mass removed
-    holds: bool
-
-
-def step_inequality_check(
-    inst: Instance, x: LpSolution, scheme: RoundingScheme, alpha: float
-) -> StepInequality:
-    """Evaluate the first-step inequality exactly via the pairwise sums.
-
-    Both sides are rounding.pivot_terms' per-pivot columns, summed over
-    all pivots and divided by 2n; the complete-type classes include the
-    positive self-loop terms, so the left side upper-bounds the true
-    expectation.
-    """
-    cost, lp = pivot_terms(*pair_model(inst, x), cut_probabilities(inst, x, scheme))
-    n = max(inst.n, 1)  # n = 0: both sums are 0
-    lhs = cost.sum() / (2.0 * n)
-    rhs = alpha * lp.sum() / (2.0 * n)
-    return StepInequality(float(lhs), float(rhs), bool(lhs <= rhs + 1e-9))

@@ -46,6 +46,7 @@ from .lp import (
     validate_solution,
 )
 from .oracle import MAX_EXACT_N, brute_force_opt
+from .rng import SplitMix64
 from .rounding import (
     IneligibleSchemeError,
     RoundingScheme,
@@ -151,7 +152,7 @@ def _resolve_scheme(name: str) -> RoundingScheme:
         text = _read(name)
         try:
             return RoundingScheme.from_json(text)
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as e:
             raise FormatError(f"bad scheme file {name}: {e!r}") from e
     try:
         return get_scheme(name)
@@ -308,8 +309,6 @@ def _bench_one(args, scheme: RoundingScheme, i: int, inst_seed: int, mc_seed: in
 
 
 def _cmd_bench(args) -> int:
-    from .rng import SplitMix64
-
     scheme = _resolve_scheme(args.scheme)
     n = args.n if args.family == "complete" else sum(args.parts)
     _check_size("bench", n, MAX_LP_N, "MAX_LP_N")

@@ -383,42 +383,6 @@ def gen_gap_triangle_ineq(n: int) -> Instance:
     return Instance.weighted(lam_plus, ti=True)
 
 
-def gap_kpartite_lp_point(n1: int, n2: int, edges):
-    """Bipartite-graph gap construction and its fractional solution.
-
-    The caller supplies a bipartite graph (edges as (i, j) with i < n1,
-    j < n2). Cross pairs that are edges become "+", cross non-edges "-",
-    within-side pairs neutral. The returned fractional point is 1/3 on
-    "+", 1 on "-", 2/3 on neutral pairs; its objective is |E|/3 and it is
-    verified feasible before returning.
-
-    Returns (Instance, LpSolution).
-    """
-    from .lp import LpSolution, validate_solution
-
-    if n1 < 1 or n2 < 1:
-        raise ValueError("both sides must be nonempty")
-    n = n1 + n2
-    adj = np.zeros((n1, n2), dtype=bool)
-    for i, j in edges:
-        if not (0 <= i < n1 and 0 <= j < n2):
-            raise ValueError(f"edge ({i}, {j}) out of range")
-        if adj[i, j]:
-            raise ValueError(f"duplicate edge ({i}, {j})")
-        adj[i, j] = True
-
-    parts = np.concatenate([np.zeros(n1, dtype=np.int64), np.ones(n2, dtype=np.int64)])
-    iu, ju = pair_index(n)
-    plus = np.pad(adj, ((0, n2), (n1, 0)))[iu, ju]  # adj as the cross block of an n x n matrix
-    sign = np.where(plus, 1, np.where(parts[iu] == parts[ju], 0, -1))
-    inst = Instance.kpartite(symmetric_from_upper(n, sign, np.int8), parts)
-    sol = LpSolution(n, (2.0 - sign) / 3.0)  # 1/3 on "+", 1 on "-", 2/3 on neutral pairs
-    report = validate_solution(sol)
-    if not report.feasible(1e-9):
-        raise ValueError(f"constructed point infeasible: {report}")
-    return inst, sol
-
-
 def weighted_to_unweighted(inst: Instance, N: int, seed: int):
     """Blow each vertex up into N copies and sample labels from the weights.
 
@@ -624,8 +588,8 @@ def _from_edgelist(text: str) -> Instance:
 
 
 def _json_typed(value, types, what: str):
-    """value if it has one of the given types, else FormatError; a bool is not a number."""
-    if isinstance(value, types) and not isinstance(value, bool):
+    """value if it has one of the given types, else FormatError; a bool passes only as bool."""
+    if isinstance(value, types) and (types is bool or not isinstance(value, bool)):
         return value
     raise FormatError(f"bad {what} {value!r}")
 

@@ -21,6 +21,7 @@ by validate_solution. Both triangle scans use instance.triangle_blocks.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -401,6 +402,40 @@ def solve_relaxation(inst: Instance, tol: float = FEAS_TOL) -> tuple[LpSolution,
     return x, stats
 
 
+def gap_kpartite_lp_point(n1: int, n2: int, edges):
+    """Bipartite-graph gap construction and its fractional solution.
+
+    The caller supplies a bipartite graph (edges as (i, j) with i < n1,
+    j < n2). Cross pairs that are edges become "+", cross non-edges "-",
+    within-side pairs neutral. The returned fractional point is 1/3 on
+    "+", 1 on "-", 2/3 on neutral pairs; its objective is |E|/3 and it is
+    verified feasible before returning.
+
+    Returns (Instance, LpSolution).
+    """
+    if n1 < 1 or n2 < 1:
+        raise ValueError("both sides must be nonempty")
+    n = n1 + n2
+    adj = np.zeros((n1, n2), dtype=bool)
+    for i, j in edges:
+        if not (0 <= i < n1 and 0 <= j < n2):
+            raise ValueError(f"edge ({i}, {j}) out of range")
+        if adj[i, j]:
+            raise ValueError(f"duplicate edge ({i}, {j})")
+        adj[i, j] = True
+
+    parts = np.concatenate([np.zeros(n1, dtype=np.int64), np.ones(n2, dtype=np.int64)])
+    iu, ju = pair_index(n)
+    plus = np.pad(adj, ((0, n2), (n1, 0)))[iu, ju]  # adj as the cross block of an n x n matrix
+    sign = np.where(plus, 1, np.where(parts[iu] == parts[ju], 0, -1))
+    inst = Instance.kpartite(symmetric_from_upper(n, sign, np.int8), parts)
+    sol = LpSolution(n, (2.0 - sign) / 3.0)  # 1/3 on "+", 1 on "-", 2/3 on neutral pairs
+    report = validate_solution(sol)
+    if not report.feasible(1e-9):
+        raise ValueError(f"constructed point infeasible: {report}")
+    return inst, sol
+
+
 # ---------------------------------------------------------------------------
 # JSON dump / load
 # ---------------------------------------------------------------------------
@@ -417,16 +452,21 @@ def solution_from_json(text: str) -> LpSolution:
     """Inverse of solution_to_json ("x" may also be the upper-triangle vector).
 
     FormatError on bad JSON, a missing key, an "n" that is not an integer
-    >= 1 or disagrees with x, a non-finite entry, or a matrix x that is
-    not symmetric within 1e-12 or has a nonzero diagonal.
+    >= 1 or disagrees with x, an entry that is not a finite JSON number,
+    or a matrix x that is not symmetric within 1e-12 or has a nonzero
+    diagonal.
     """
     try:
         doc = json.loads(text)
         n, raw = doc["n"], np.asarray(doc["x"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as e:
         raise FormatError(f"bad LP solution: {e!r}") from e
     if _json_typed(n, int, "n") < 1:
         raise FormatError(f"LP solution needs n >= 1, got {n}")
+    # np.asarray reads "0.5" and true as numbers; as in the instance reader, neither is one
+    rows = doc["x"] if raw.ndim == 2 else [doc["x"]] if raw.ndim == 1 else []
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
+        raise FormatError("LP solution has an entry that is not a JSON number")
     if not np.isfinite(raw).all():
         raise FormatError("LP solution has a non-finite entry")
     try:

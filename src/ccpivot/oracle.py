@@ -57,7 +57,7 @@ and E[ALG] = base + F[V]. The DP serves every class up to
 ``MAX_EXPECT_N``: it reads n 3^(n-1) (pivot, cluster) terms, about 0.5 s
 at n = 14 on a 2-core host, and holds the two membership products as
 n x 2^n tables (about 4 MB at n = 14). The first step alone needs no
-DP: ``step_cost_formula`` is its pairwise closed form, O(n^3) at any n.
+DP: ``rounding.step_cost_formula`` is its closed form, O(n^3) at any n.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ import numpy as np
 
 from .instance import Clustering, Instance
 from .lp import LpSolution, solve_relaxation
-from .rounding import RoundingScheme, cut_probabilities, pair_model, pivot_terms
+from .rounding import RoundingScheme, cut_probabilities
 
 # The DP's wall: up to (3^n - 1) / 2 candidates, all of them pushed when nothing
 # is pruned (every pair "+": 27 s at n = 20; a random complete instance: 0.9 s)
@@ -303,22 +303,6 @@ def _first_clusters(masks: np.ndarray, k: int, stay: np.ndarray,
                                       * cut[row_of_w + rests.reshape(shape)[held]])
     prob /= k
     return blocks, rests, prob
-
-
-def step_cost_formula(inst: Instance, x: LpSolution, scheme: RoundingScheme) -> dict:
-    """Exact E[violations] and E[LP removed] of the first pivot step.
-
-    The pairwise closed form, O(n^3) on every class with no size cap:
-    rounding.pivot_terms without self-loops, summed over all pivots and
-    divided by 2n. Weighted instances plug in the coin-averaged cut
-    probabilities, which is exact because every term is multilinear in
-    the independent per-pair values.
-    """
-    wp, wm, L = pair_model(inst, x)
-    np.fill_diagonal(wp, 0.0)  # a real step has no self-loops
-    cost, lp = pivot_terms(wp, wm, L, cut_probabilities(inst, x, scheme))
-    n = max(inst.n, 1)  # n = 0: no pivot step, both sums are 0
-    return {"e_alg_0": float(0.5 * cost.sum() / n), "e_lp_0": float(0.5 * lp.sum() / n)}
 
 
 def exact_expected_total_cost(

@@ -11,7 +11,9 @@ of the paper's coin flips. The randomized pivot algorithm repeatedly
 picks a uniform pivot among active vertices and keeps each active u
 with probability 1 - p_uw; the derandomized variant rounds every p_uv
 to 0/1 greedily against the step surplus and then picks the best pivot,
-which turns the expected guarantee into a deterministic one.
+which turns the expected guarantee into a deterministic one. Both read
+one step kernel, ``pivot_terms``; its columns summed over all pivots are
+the first step's expectations (``step_inequality_check``, ``step_cost_formula``).
 
 Every randomized run, labeled or weighted, reads its seed's splitmix64
 stream in one order: each pivot step draws one ``randint`` over the
@@ -52,6 +54,7 @@ from .instance import (
     WEIGHTED,
     Clustering,
     Instance,
+    _json_typed,
     assignment_cost,
 )
 from .lp import LpSolution, lp_objective
@@ -171,16 +174,19 @@ class PiecewiseFn:
         pieces = []
         for e in obj:
             kind = e["kind"]
-            params = tuple(float(v) for v in e.get("params", ()))
+            params = tuple(_json_number(v, "param") for v in e.get("params", ()))
             if kind == "quadratic":  # ((x-anchor)/scale)^2 shorthand
                 kind, params = "power", (*params, 2.0)
             elif kind == "sqrt":
                 kind, params = "power", (0.0, 1.0, 0.5)
-            pieces.append(
-                Piece(float(e["from"]), float(e["to"]), kind, params,
-                      bool(e.get("closed_left", True)))
-            )
+            pieces.append(Piece(_json_number(e["from"], "from"), _json_number(e["to"], "to"),
+                                kind, params,
+                                _json_typed(e.get("closed_left", True), bool, "closed_left")))
         return PiecewiseFn(pieces)
+
+
+def _json_number(value, what: str) -> float:
+    return float(_json_typed(value, (int, float), what))
 
 
 def identity_fn() -> PiecewiseFn:
@@ -236,14 +242,11 @@ class RoundingScheme:
     def from_json(text: str) -> "RoundingScheme":
         doc = json.loads(text)
         return RoundingScheme(
-            name=doc["name"],
+            name=_json_typed(doc["name"], str, "name"),
             f_plus=PiecewiseFn.from_json_obj(doc["f_plus"]),
             f_minus=PiecewiseFn.from_json_obj(doc["f_minus"]),
-            f_neutral=(
-                PiecewiseFn.from_json_obj(doc["f_neutral"])
-                if doc.get("f_neutral")
-                else None
-            ),
+            f_neutral=(PiecewiseFn.from_json_obj(doc["f_neutral"]) if doc.get("f_neutral")
+                       else None),
         )
 
 
@@ -547,6 +550,44 @@ def pivot_terms(wp, wm, L, P):
     Q = 1.0 - P
     cost = 2.0 * (P * (wp @ Q)).sum(axis=0) + (Q * (wm @ Q)).sum(axis=0)
     return cost, L.sum() - (P * (L @ P)).sum(axis=0)
+
+
+def _first_step(inst: Instance, x: LpSolution, scheme: RoundingScheme, alpha: float,
+                self_loops: bool) -> tuple[float, float]:
+    """pivot_terms' columns summed over all pivots, over 2n: the first step's expected
+    violated mass and alpha times its removed LP mass. With self_loops the class's
+    self-loops (pair_model) stay in and the first is a bound; without, both are exact.
+    """
+    wp, wm, L = pair_model(inst, x)
+    if not self_loops:
+        np.fill_diagonal(wp, 0.0)  # a real step has no self-loops
+    cost, lp = pivot_terms(wp, wm, L, cut_probabilities(inst, x, scheme))
+    two_n = 2.0 * max(inst.n, 1)  # n = 0: no pivot step, both sums are 0
+    return float(cost.sum() / two_n), float(alpha * lp.sum() / two_n)
+
+
+@dataclass
+class StepInequality:
+    lhs: float  # triple-sum bound on the expected step-0 violation count
+    rhs: float  # alpha times the expected step-0 LP mass removed
+    holds: bool
+
+
+def step_inequality_check(
+    inst: Instance, x: LpSolution, scheme: RoundingScheme, alpha: float
+) -> StepInequality:
+    """Evaluate the first-step inequality exactly via the pairwise sums; the
+    complete-type classes keep their self-loops, so lhs bounds the expectation."""
+    lhs, rhs = _first_step(inst, x, scheme, alpha, self_loops=True)
+    return StepInequality(lhs, rhs, lhs <= rhs + 1e-9)
+
+
+def step_cost_formula(inst: Instance, x: LpSolution, scheme: RoundingScheme) -> dict:
+    """Exact E[violations] and E[LP removed] of the first pivot step, O(n^3) at any n.
+    On weighted instances the coin mixture is exact: every term is multilinear in the coins.
+    """
+    e_alg, e_lp = _first_step(inst, x, scheme, 1.0, self_loops=False)
+    return {"e_alg_0": e_alg, "e_lp_0": e_lp}
 
 
 def _active_model(wp, wm, L, active: np.ndarray):

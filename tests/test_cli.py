@@ -466,6 +466,11 @@ def test_round_refuses_a_point_outside_the_metric_polytope(tmp_path, x):
         {"n": "2", "x": [0.5]},
         {"n": True, "x": []},
         {"n": -1, "x": [0.5]},  # "n" below 1
+        # entries that np.asarray would read as numbers but JSON types as a string or boolean
+        {"n": 3, "x": ["0.5", 0.5, 0.5]},
+        {"n": 3, "x": [0.5, True, 0.5]},
+        {"n": 2, "x": [[0.0, "0.5"], ["0.5", 0.0]]},
+        {"n": 2, "x": [[False, 1.0], [1.0, False]]},
     ],
 )
 def test_solution_from_json_format_errors(tmp_path, doc):
@@ -476,6 +481,11 @@ def test_solution_from_json_format_errors(tmp_path, doc):
     sol_file.write_text(json.dumps(doc))
     assert run(["round", "--instance", str(inst_file), "--lp-solution", str(sol_file),
                 "--scheme", "complete206", "--seed", "1"]) == 65
+
+
+def test_solution_from_json_nested_past_the_recursion_limit_is_a_format_error():
+    with pytest.raises(cc.FormatError):
+        cc.lp.solution_from_json('{"n": 2, "x": ' + "[" * 100_000 + "]" * 100_000 + "}")
 
 
 def test_scheme_file_missing_key_is_data_error(tmp_path):
@@ -516,12 +526,42 @@ def test_round_refuses_non_finite_solution(tmp_path, x):
     {"from": 0.0, "to": 1.0, "kind": "linear", "params": [0.0]},  # too few params
     {"from": 0.0, "to": 1.0, "kind": "quadratic", "params": [0.0]},  # shorthand too short
     {"from": 0.0, "to": 1.0, "kind": "linear", "params": ["a", "b"]},  # not numbers
+    # JSON strings and booleans are not numbers, and closed_left must be a JSON boolean
+    {"from": "0", "to": 1.0, "kind": "linear", "params": [0.0, 1.0]},
+    {"from": 0.0, "to": 1.0, "kind": "linear", "params": ["0", "1"]},
+    {"from": 0.0, "to": 1.0, "kind": "constant", "params": [True]},
+    {"from": 0.0, "to": 1.0, "kind": "linear", "params": [0.0, 1.0], "closed_left": "false"},
+    {"from": 0.0, "to": 1.0, "kind": "linear", "params": [0.0, 1.0], "closed_left": 1},
+    {"from": 0.0, "to": 1.0, "kind": "linear", "params": [0.0, 10**400]},  # no float holds it
 ])
 def test_scheme_file_with_bad_piece_is_data_error(tmp_path, piece):
     doc = json.loads(cc.get_scheme("acn_linear").to_json())
     doc["f_minus"] = [piece]
     scheme_file = tmp_path / "bad_piece.json"
     scheme_file.write_text(json.dumps(doc))
+    assert run(["certify", str(scheme_file), "--alpha", "3", "--grid", "0.05"]) == 65
+
+
+def test_scheme_file_closed_left_string_is_data_error(tmp_path):
+    # "false" would read as True and close kpartite3's f_plus at 1/3, flipping f_plus(1/3) to 1
+    doc = json.loads(cc.get_scheme("kpartite3").to_json())
+    doc["f_plus"][1]["closed_left"] = False
+    scheme_file = tmp_path / "open.json"
+    scheme_file.write_text(json.dumps(doc))
+    assert cc.RoundingScheme.from_json(scheme_file.read_text()).f_plus(1 / 3) == 0.0
+    assert run(["certify", str(scheme_file), "--class", "kpartite", "--alpha", "3"]) == 0
+    doc["f_plus"][1]["closed_left"] = "false"
+    scheme_file.write_text(json.dumps(doc))
+    assert run(["certify", str(scheme_file), "--class", "kpartite", "--alpha", "3"]) == 65
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({**json.loads(cc.get_scheme("acn_linear").to_json()), "name": 7}),
+    "[" * 100_000 + "]" * 100_000,  # nested past the JSON decoder's recursion limit
+], ids=["name not a string", "nested too deep"])
+def test_scheme_file_with_bad_document_is_data_error(tmp_path, text):
+    scheme_file = tmp_path / "bad_doc.json"
+    scheme_file.write_text(text)
     assert run(["certify", str(scheme_file), "--alpha", "3", "--grid", "0.05"]) == 65
 
 

@@ -4,9 +4,12 @@ derandomize_round, step_inequality_check and validate_solution must
 reproduce these values bit for bit. The LP points are fixed
 shortest-path metrics, so the tests do not depend on the LP solver.
 The pinned first-step values are also checked against an exact
-evaluation of the same sums in Fractions.
+evaluation of the same sums in Fractions, and the instance-level
+kernel rounding.pivot_terms against the per-triangle kernel
+certify.edge_terms.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,7 +19,7 @@ import pytest
 import ccpivot as cc
 from ccpivot.instance import symmetric_from_upper, worst_triangle
 from ccpivot.rng import SplitMix64, unit_floats
-from ccpivot.rounding import cut_probabilities, pair_model
+from ccpivot.rounding import cut_probabilities, pair_model, pivot_terms
 
 
 def metric_point(n: int, seed: int) -> cc.LpSolution:
@@ -146,3 +149,43 @@ def test_worst_triangle_small_and_nan():
     gap, triple = worst_triangle(d)
     assert gap == 1.0 and triple == (0, 1, 4)
     assert cc.validate_solution(cc.LpSolution(6, d[np.triu_indices(6, 1)])).worst_triple == triple
+
+
+def _pair_surplus(wp, wm, x, alpha, p_u, p_v):
+    """alpha * lp - cost of one pair at a pivot, from certify.edge_terms on both labels."""
+    s = 0.0
+    for weight, label in ((wp, "+"), (wm, "-")):
+        cost, lp = cc.edge_terms(label, x, p_u, p_v)
+        s += weight * (alpha * lp - cost)
+    return s
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_pivot_terms_sum_to_the_triangle_kernel(name, seed):
+    # sum_w (alpha lp_w - cost_w) over the active set S is 2 sum over triangles of S
+    # (each edge at its opposite pivot) + 4 sum over pairs of S (at an endpoint pivot)
+    gen, scheme_name, alpha = CASES[name]
+    inst = gen(seed)
+    x = metric_point(inst.n, 100 + seed)
+    wp, wm, L = pair_model(inst, x)
+    np.fill_diagonal(wp, 0.0)
+    p = cut_probabilities(inst, x, cc.get_scheme(scheme_name))
+    xm = np.clip(x.matrix, 0.0, 1.0)
+    rng = np.random.default_rng(seed)
+    subsets = [np.arange(inst.n)] + [np.sort(rng.choice(inst.n, size=k, replace=False))
+                                     for k in rng.integers(1, inst.n + 1, size=9)]
+    for S in subsets:
+        block = np.ix_(S, S)
+        cost, lp = pivot_terms(wp[block], wm[block], L[block], p[block])
+        lhs = float((alpha * lp - cost).sum())
+
+        def term(u, v, w):
+            pu, pv = (0.0 if w == u else p[u, w]), (0.0 if w == v else p[v, w])
+            return _pair_surplus(wp[u, v], wm[u, v], xm[u, v], alpha, pu, pv)
+
+        triangles = sum(term(b, c, a) + term(a, c, b) + term(a, b, c)
+                        for a, b, c in itertools.combinations(S.tolist(), 3))
+        pairs = sum(term(u, v, u) for u, v in itertools.combinations(S.tolist(), 2))
+        rhs = 2.0 * triangles + 4.0 * pairs
+        assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), abs(rhs), 1.0), (S, lhs, rhs)
