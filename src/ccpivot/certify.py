@@ -42,7 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .instance import COMPLETE, KPARTITE, WEIGHTED
-from .rounding import EDGE_MINUS, EDGE_NEUTRAL, EDGE_PLUS, IneligibleSchemeError, RoundingScheme
+from .rounding import (EDGE_MINUS, EDGE_NEUTRAL, EDGE_PLUS, IneligibleSchemeError, RoundingScheme,
+                       _finite)
 
 COMPLETE_TYPES = [
     ("+", "+", "+"),
@@ -277,6 +278,8 @@ _MIX_BLOCK = 6144
 
 
 def _grid(step: float) -> np.ndarray:
+    if not 0.0 < step <= 1.0:  # NaN fails too
+        raise ValueError(f"grid step must be in (0, 1], got {step!r}")
     k = int(round(1.0 / step))
     return np.linspace(0.0, 1.0, k + 1)
 
@@ -356,8 +359,7 @@ def certify(
     minimum surplus stays above -tol. A scheme whose values leave
     [0, 1] is refused, fallback or not.
     """
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha!r}")
+    _finite("alpha", alpha)
     elig = check_eligibility(scheme)
     if not elig.in_range:
         raise IneligibleSchemeError(
@@ -448,6 +450,7 @@ class BoundCurves:
 
 
 def bound_curves(alpha: float) -> BoundCurves:
+    _finite("alpha", alpha)
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
     return BoundCurves(alpha)
@@ -476,6 +479,8 @@ def lower_bound_check(alpha: float, x: float) -> LowerBoundResult:
     that domain the leading coefficient A = 2 - rad is at least 1, so
     the quadratic is convex and its feasible set is the root interval.
     """
+    _finite("alpha", alpha)
+    _finite("x", x)
     rad = 1.0 - alpha * (1.0 - 2.0 * x)
     cap_rad = 1.0 - alpha * x
     cap = 1.0 - math.sqrt(cap_rad) if cap_rad >= 0 else 1.0
@@ -556,8 +561,7 @@ def certify_weighted_ti(
     accepted and ignored. It stays because the benchmark passes
     ``jobs=1``; both go together at the next change to the benchmark.
     """
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha!r}")
+    _finite("alpha", alpha)
     elig = check_eligibility(scheme)
     if not elig.eligible:
         raise IneligibleSchemeError(

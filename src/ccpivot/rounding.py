@@ -49,9 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .instance import (
-    COMPLETE,
     KPARTITE,
-    WEIGHTED,
     Clustering,
     Instance,
     _json_typed,
@@ -69,6 +67,12 @@ log = logging.getLogger(__name__)
 
 class IneligibleSchemeError(ValueError):
     """Scheme lacks the shape a routine requires (e.g. no f_neutral)."""
+
+
+def _finite(what: str, value: float) -> None:
+    """ValueError unless value is a finite number (NaN and +-inf are refused)."""
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -522,53 +526,39 @@ def pivot_round_weighted(
 
 
 def pair_model(inst: Instance, x: LpSolution):
-    """(W+, W-, L) with self-loops where the class calls for them.
-
-    W+/W- are per-pair positive/negative mass, L the per-pair objective
-    cost of removal (W+ x + W- (1-x)). Complete-type classes get a unit
-    positive self-loop on the diagonal of W+ (its L entry is 0), which
-    the step-surplus sums rely on; the k-partite diagonal stays neutral.
+    """(W+, W-, L): per-pair positive and negative mass (``Instance.pair_weights``)
+    and the per-pair objective cost of removal, W+ x + W- (1 - x); all three have a
+    zero diagonal on every class.
     """
     wp, wm = inst.pair_weights()
     xm = _lengths(inst, x)
-    L = wp * xm + wm * (1.0 - xm)
-    np.fill_diagonal(L, 0.0)
-    if inst.kind in (COMPLETE, WEIGHTED):
-        wp = wp.copy()
-        np.fill_diagonal(wp, 1.0)
-    return wp, wm, L
+    return wp, wm, wp * xm + wm * (1.0 - xm)
 
 
 def pivot_terms(wp, wm, L, P):
     """(cost, lp): expected violated and removed LP mass per pivot (column of P).
 
     wp, wm, L: the pair model on the active vertices; P[:, w]: their cut
-    probabilities to pivot w. Sums run over ordered pairs and a diagonal
-    in wp adds self-loop terms. Over 2n, the column sums are the first
-    step's expectations: exact with a zero diagonal, a bound with self-loops.
+    probabilities to pivot w. Sums run over ordered pairs; over 2n, the
+    column sums are the first step's exact expectations.
     """
     Q = 1.0 - P
     cost = 2.0 * (P * (wp @ Q)).sum(axis=0) + (Q * (wm @ Q)).sum(axis=0)
     return cost, L.sum() - (P * (L @ P)).sum(axis=0)
 
 
-def _first_step(inst: Instance, x: LpSolution, scheme: RoundingScheme, alpha: float,
-                self_loops: bool) -> tuple[float, float]:
-    """pivot_terms' columns summed over all pivots, over 2n: the first step's expected
-    violated mass and alpha times its removed LP mass. With self_loops the class's
-    self-loops (pair_model) stay in and the first is a bound; without, both are exact.
-    """
-    wp, wm, L = pair_model(inst, x)
-    if not self_loops:
-        np.fill_diagonal(wp, 0.0)  # a real step has no self-loops
-    cost, lp = pivot_terms(wp, wm, L, cut_probabilities(inst, x, scheme))
-    two_n = 2.0 * max(inst.n, 1)  # n = 0: no pivot step, both sums are 0
-    return float(cost.sum() / two_n), float(alpha * lp.sum() / two_n)
+def _first_step(inst: Instance, x: LpSolution, scheme: RoundingScheme):
+    """(cost, lp, P, 2n): pivot_terms' columns summed over all pivots on the cut
+    probabilities P; over 2n they are the first step's exact expected violated and
+    removed LP mass."""
+    P = cut_probabilities(inst, x, scheme)
+    cost, lp = pivot_terms(*pair_model(inst, x), P)
+    return cost.sum(), lp.sum(), P, 2.0 * max(inst.n, 1)  # n = 0: no step, both sums 0
 
 
 @dataclass
 class StepInequality:
-    lhs: float  # triple-sum bound on the expected step-0 violation count
+    lhs: float  # bound on the expected step-0 violation count: exact value plus self-loops
     rhs: float  # alpha times the expected step-0 LP mass removed
     holds: bool
 
@@ -576,9 +566,15 @@ class StepInequality:
 def step_inequality_check(
     inst: Instance, x: LpSolution, scheme: RoundingScheme, alpha: float
 ) -> StepInequality:
-    """Evaluate the first-step inequality exactly via the pairwise sums; the
-    complete-type classes keep their self-loops, so lhs bounds the expectation."""
-    lhs, rhs = _first_step(inst, x, scheme, alpha, self_loops=True)
+    """Evaluate the first-step inequality via the pairwise sums. On complete and
+    weighted instances lhs adds a unit positive self-loop per vertex, as the
+    triangle charging does: pivot w violates the loop of u with probability
+    p_uw (1 - p_uw), so the exact cost gains sum_{u != w} p_uw (1 - p_uw) / n."""
+    _finite("alpha", alpha)
+    cost, lp, P, two_n = _first_step(inst, x, scheme)
+    if inst.kind != KPARTITE:
+        cost += 2.0 * (P * (1.0 - P)).sum()
+    lhs, rhs = float(cost / two_n), float(alpha * lp / two_n)
     return StepInequality(lhs, rhs, lhs <= rhs + 1e-9)
 
 
@@ -586,8 +582,8 @@ def step_cost_formula(inst: Instance, x: LpSolution, scheme: RoundingScheme) -> 
     """Exact E[violations] and E[LP removed] of the first pivot step, O(n^3) at any n.
     On weighted instances the coin mixture is exact: every term is multilinear in the coins.
     """
-    e_alg, e_lp = _first_step(inst, x, scheme, 1.0, self_loops=False)
-    return {"e_alg_0": e_alg, "e_lp_0": e_lp}
+    cost, lp, _P, two_n = _first_step(inst, x, scheme)
+    return {"e_alg_0": float(cost / two_n), "e_lp_0": float(lp / two_n)}
 
 
 def _active_model(wp, wm, L, active: np.ndarray):
@@ -606,27 +602,25 @@ def greedy_round_probabilities(wp, wm, L, P: np.ndarray, alpha: float) -> np.nda
     c with entry i set to 0; moving entry i from 0 to 1 changes that
     pivot's alpha * lp - cost by the closed form
 
-        (C c0)_i + d_i,   C = 4 W+ - 2 W- - 2 alpha L,
-        d_i = 2 W+_ii - W-_ii - alpha L_ii - 2 (W+ 1)_i + 2 (W- 1)_i.
+        (C c0)_i + d_i,   C = 4 W+ - 2 W- - 2 alpha L,   d_i = 2 (W- 1)_i - 2 (W+ 1)_i,
 
-    Row w of H holds C c for pivot w. A rounding changes one entry of two
-    columns, and H follows by one row update each, so a pair is scored
-    in O(k) rather than by re-evaluating its two quadratic forms.
+    where the pair model's zero diagonals (pair_model) make C's diagonal 0,
+    so (C c0)_i = (C c)_i. Row w of H holds C c for pivot w. A rounding
+    changes one entry of two columns, and H follows by one row update
+    each, so a pair is scored in O(k) rather than by re-evaluating its
+    two quadratic forms.
     """
     P = P.copy()
     k = len(P)
     C = 4.0 * wp - 2.0 * wm - 2.0 * alpha * L
-    cd = np.diag(C)
-    d = (2.0 * np.diag(wp) - np.diag(wm) - alpha * np.diag(L)
-         - 2.0 * wp.sum(axis=1) + 2.0 * wm.sum(axis=1))
+    d = 2.0 * wm.sum(axis=1) - 2.0 * wp.sum(axis=1)
     H = P.T @ C
     for i in range(k - 1):
         rest = slice(i + 1, k)
         # pair (i, j): column j's gain at entry i, plus column i's gain at
         # entry j less its (C c)_j, which h = H[i] tracks through this row;
         # column j changes only at entry i here, so rows j > i follow after it
-        fixed = (H[rest, i] - cd[i] * P[i, rest] + d[i]
-                 + d[rest] - cd[rest] * P[rest, i]).tolist()
+        fixed = (H[rest, i] + d[i] + d[rest]).tolist()
         h = H[i]
         new = []
         for j, g in enumerate(fixed, start=i + 1):
@@ -654,8 +648,7 @@ def derandomize_round(
     near-ties go to the lowest id. Membership is then deterministic.
     Each step logs one DEBUG line on the ``ccpivot.rounding`` logger.
     """
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha!r}")
+    _finite("alpha", alpha)
     base = cut_probabilities(inst, x, scheme)
     wp, wm, L = pair_model(inst, x)
     active = np.arange(inst.n)
@@ -664,7 +657,6 @@ def derandomize_round(
     while active.size:
         model = _active_model(wp, wm, L, active)
         P = greedy_round_probabilities(*model, base[active[:, None], active], alpha)
-        # P is now 0/1 with a zero diagonal, so every self-loop term p(1 - p) is exactly 0
         cost, lp = pivot_terms(*model, P)
         best, best_val = -1, -math.inf
         for i, val in enumerate((0.5 * (alpha * lp - cost)).tolist()):

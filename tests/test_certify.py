@@ -180,6 +180,35 @@ def test_certifiers_refuse_non_finite_alpha(alpha):
     x, _stats = cc.solve_relaxation(inst)
     with pytest.raises(ValueError, match="finite"):
         cc.derandomize_round(inst, x, S206, alpha)
+    with pytest.raises(ValueError, match="finite"):
+        cc.step_inequality_check(inst, x, S206, alpha)
+    with pytest.raises(ValueError, match="finite"):
+        cc.bound_curves(alpha)
+    with pytest.raises(ValueError, match="finite"):
+        cc.lower_bound_check(alpha, 0.3)
+    with pytest.raises(ValueError, match="finite"):
+        cc.lower_bound_check(2.06, alpha)
+
+
+W150 = cc.get_scheme("weighted_ti_150")
+
+
+@pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf, 1.5, 2.0])
+@pytest.mark.parametrize("sweep", [
+    lambda step: cc.certify(S206, 2.06, "complete", grid_step=step),
+    lambda step: cc.certify(KP3, 3.0, "kpartite", grid_step=step),
+    lambda step: cc.certify_weighted_ti(W150, 1.5, length_grid_step=step),
+    lambda step: cc.certify_weighted_ti(W150, 1.5, length_grid_step=0.1, lam_grid_step=step),
+], ids=["certify", "certify-kpartite", "weighted-length", "weighted-lam"])
+def test_sweeps_refuse_a_grid_step_outside_the_unit_interval(sweep, step):
+    # a step above 1/2 would round to the one-point grid [0.0] and pass on the corners alone
+    with pytest.raises(ValueError, match="grid step"):
+        sweep(step)
+
+
+def test_a_grid_step_of_one_is_accepted():
+    assert cc.certify(S206, 2.06, "complete", grid_step=1.0).passed
+    assert cc.certify_weighted_ti(W150, 1.5, length_grid_step=1.0, lam_grid_step=1.0).passed
 
 
 def test_certify_kpartite3_passes_all_seven_types():

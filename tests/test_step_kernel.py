@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import ccpivot as cc
-from ccpivot.instance import symmetric_from_upper, worst_triangle
+from ccpivot.instance import KPARTITE, symmetric_from_upper, worst_triangle
 from ccpivot.rng import SplitMix64, unit_floats
 from ccpivot.rounding import cut_probabilities, pair_model, pivot_terms
 
@@ -44,7 +44,7 @@ PINNED = [
     ("kpartite", 2, [0, 0, 0, 1, 1, 1, 1, 1], 7.92241396203088, 19.64113867593632),
     ("kpartite", 3, [0, 0, 0, 0, 0, 1, 0, 0], 7.401046494072317, 19.426927760554342),
     ("weighted", 1, [0, 0, 0, 0, 1, 0, 0], 10.04648058107939, 13.162638493946135),
-    ("weighted", 2, [0, 1, 0, 1, 0, 2, 0], 8.585270209361255, 11.551734437730572),
+    ("weighted", 2, [0, 1, 0, 1, 0, 2, 0], 8.585270209361257, 11.551734437730572),
     ("weighted", 3, [0, 0, 0, 0, 1, 0, 0], 9.760276430192802, 13.611186854345947),
 ]
 
@@ -94,15 +94,37 @@ def test_first_step_sums_match_exact_reference(name, seed):
     wp, wm, L = pair_model(inst, x)
     p = cut_probabilities(inst, x, scheme)
     two_n = 2 * inst.n
-    cost, lp = exact_first_step(wp, wm, L, p)
+    loops = wp.copy()
+    if inst.kind != KPARTITE:
+        np.fill_diagonal(loops, 1.0)  # the unit self-loops the step bound charges
+    cost, lp = exact_first_step(loops, wm, L, p)
     si = cc.step_inequality_check(inst, x, scheme, alpha)
     assert_within_ulps(si.lhs, cost / two_n)
     assert_within_ulps(si.rhs, Fraction(alpha) * lp / two_n)
-    np.fill_diagonal(wp, 0.0)  # step_cost_formula's sums have no self-loops
     cost0, _ = exact_first_step(wp, wm, L, p)
     formula = cc.step_cost_formula(inst, x, scheme)
     assert_within_ulps(formula["e_alg_0"], cost0 / two_n)
     assert_within_ulps(formula["e_lp_0"], lp / two_n)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_step_bound_is_exact_cost_plus_self_loop_closed_form(name, seed):
+    # each unit self-loop of u is violated at pivot w with probability p_uw (1 - p_uw)
+    gen, scheme_name, alpha = CASES[name]
+    inst = gen(seed)
+    x = metric_point(inst.n, 100 + seed)
+    scheme = cc.get_scheme(scheme_name)
+    model = pair_model(inst, x)
+    for m in model:
+        assert not np.diag(m).any()
+    p = cut_probabilities(inst, x, scheme)
+    cost0, _ = exact_first_step(*model, p)
+    loops = sum(v * (1 - v) for v in map(Fraction, p.ravel().tolist()))
+    if inst.kind == KPARTITE:
+        loops = 0
+    want = cost0 / (2 * inst.n) + loops / inst.n
+    assert_within_ulps(cc.step_inequality_check(inst, x, scheme, alpha).lhs, want)
 
 
 def _tied_matrix():
@@ -169,7 +191,6 @@ def test_pivot_terms_sum_to_the_triangle_kernel(name, seed):
     inst = gen(seed)
     x = metric_point(inst.n, 100 + seed)
     wp, wm, L = pair_model(inst, x)
-    np.fill_diagonal(wp, 0.0)
     p = cut_probabilities(inst, x, cc.get_scheme(scheme_name))
     xm = np.clip(x.matrix, 0.0, 1.0)
     rng = np.random.default_rng(seed)
