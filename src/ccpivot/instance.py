@@ -262,14 +262,8 @@ class Clustering:
 
 
 def _canonicalize(a: np.ndarray) -> np.ndarray:
-    seen: dict[int, int] = {}
-    out = np.empty_like(a)
-    for i, c in enumerate(a):
-        c = int(c)
-        if c not in seen:
-            seen[c] = len(seen)
-        out[i] = seen[c]
-    return out
+    seen: dict[int, int] = {}  # a new id takes the count of ids before it
+    return np.array([seen.setdefault(c, len(seen)) for c in a.tolist()], dtype=np.int64)
 
 
 def clustering_cost(inst: Instance, c: Clustering) -> float:

@@ -49,17 +49,21 @@ class LpNumericalError(RuntimeError):
 
 
 class LpSolution:
-    """Symmetric pairwise distances, one stored entry per unordered pair."""
+    """Symmetric pairwise distances, one stored entry per unordered pair.
 
-    __slots__ = ("n", "vec", "_matrix")
+    vec is a read-only copy of the caller's array, so the cached matrix and
+    the rounding tables that rounding.py keeps in _tables cannot go stale."""
+
+    __slots__ = ("n", "vec", "_matrix", "_tables")
 
     def __init__(self, n: int, vec: np.ndarray):
         self.n = n
-        vec = np.asarray(vec, dtype=np.float64)
+        vec = np.array(vec, dtype=np.float64)
         if vec.shape != (n * (n - 1) // 2,):
             raise ValueError("wrong vector length for n")
+        vec.flags.writeable = False
         self.vec = vec
-        self._matrix = None
+        self._matrix = self._tables = None
 
     @staticmethod
     def from_matrix(m: np.ndarray) -> "LpSolution":
@@ -77,6 +81,7 @@ class LpSolution:
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
             self._matrix = symmetric_from_upper(self.n, self.vec)
+            self._matrix.flags.writeable = False
         return self._matrix
 
     @staticmethod

@@ -25,6 +25,8 @@ word t of the master stream. The words are computed in blocks
 would make, so outputs at a given seed do not depend on how the stream
 is computed.
 
+The cut probabilities, their keep rows and the pair model are prepared
+once per LP point (``_tables``) and read by every entry that rounds it.
 Single runs (``pivot_round``) use the scalar kernel. Monte-Carlo trials
 run in lockstep chunks: each pass of ``_pivot_batch`` makes one pivot
 step in every run of the chunk on vertex-major (n, runs) arrays. The
@@ -355,6 +357,21 @@ def cut_probabilities(inst: Instance, x: LpSolution, scheme: RoundingScheme) -> 
     return p
 
 
+def _tables(inst: Instance, x: LpSolution, scheme: RoundingScheme):
+    """(P, keep rows, (W+, W-, L)): cut_probabilities, 1 - P as lists for the
+    scalar pivot kernel, and pair_model, read-only, prepared once per point. x
+    keeps those of the last (inst, scheme) it was rounded with, keyed by
+    identity, so an instance or scheme must not be mutated once it is used."""
+    t = x._tables
+    if t is None or t[0] is not inst or t[1] is not scheme:
+        P = cut_probabilities(inst, x, scheme)
+        model = pair_model(inst, x)
+        for a in (P, *model):
+            a.flags.writeable = False
+        t = x._tables = (inst, scheme, P, (1.0 - P).tolist(), model)
+    return t[2:]
+
+
 # ---------------------------------------------------------------------------
 # randomized pivot rounding
 # ---------------------------------------------------------------------------
@@ -472,11 +489,11 @@ def _run_width(n: int) -> int:
     return n + n * (n + 1) // 2
 
 
-def _pivot_run(seed: int, keep: np.ndarray) -> list:
-    """The pivot steps of one run on the stream of seed; keep (n, n) = 1 - p."""
+def _pivot_run(seed: int, keep: list) -> list:
+    """The pivot steps of one run on the stream of seed; keep rows of 1 - p."""
     rng = SplitMix64(seed)
     words = rng.block(_run_width(len(keep)))
-    return _pivot_kernel(keep.tolist(), words.tolist(), unit_floats(words).tolist(), rng)
+    return _pivot_kernel(keep, words.tolist(), unit_floats(words).tolist(), rng)
 
 
 def _pivot_chunk(seeds: np.ndarray, keep: np.ndarray, redone: list | None = None) -> np.ndarray:
@@ -490,7 +507,7 @@ def _pivot_chunk(seeds: np.ndarray, keep: np.ndarray, redone: list | None = None
     words = block_rows(seeds, _run_width(n))
     ids, rejected = _pivot_batch(keep, words, unit_floats(words))
     for t in np.flatnonzero(rejected):
-        ids[t] = _assignment(n, _pivot_run(int(seeds[t]), keep))
+        ids[t] = _assignment(n, _pivot_run(int(seeds[t]), keep.tolist()))
     if redone is not None:
         redone.append(int(rejected.sum()))
     return ids
@@ -509,7 +526,7 @@ def pivot_round(
     inst: Instance, x: LpSolution, scheme: RoundingScheme, seed: int
 ) -> tuple[Clustering, PivotTrace]:
     """One run of the randomized pivot algorithm on any class, with its trace."""
-    steps = _pivot_run(seed, 1.0 - cut_probabilities(inst, x, scheme))
+    steps = _pivot_run(seed, _tables(inst, x, scheme)[1])
     return Clustering(_assignment(inst.n, steps)), PivotTrace(steps)
 
 
@@ -551,8 +568,8 @@ def _first_step(inst: Instance, x: LpSolution, scheme: RoundingScheme):
     """(cost, lp, P, 2n): pivot_terms' columns summed over all pivots on the cut
     probabilities P; over 2n they are the first step's exact expected violated and
     removed LP mass."""
-    P = cut_probabilities(inst, x, scheme)
-    cost, lp = pivot_terms(*pair_model(inst, x), P)
+    P, _keep, model = _tables(inst, x, scheme)
+    cost, lp = pivot_terms(*model, P)
     return cost.sum(), lp.sum(), P, 2.0 * max(inst.n, 1)  # n = 0: no step, both sums 0
 
 
@@ -591,6 +608,9 @@ def _active_model(wp, wm, L, active: np.ndarray):
     return wp[sub], wm[sub], L[sub]
 
 
+_LIST_ROWS = 24  # a greedy block's trailing rows that run on lists; longer rows are faster in numpy
+
+
 def greedy_round_probabilities(wp, wm, L, P: np.ndarray, alpha: float) -> np.ndarray:
     """Round each off-diagonal P_uv to 0 or 1, never decreasing the step surplus.
 
@@ -608,14 +628,19 @@ def greedy_round_probabilities(wp, wm, L, P: np.ndarray, alpha: float) -> np.nda
     so (C c0)_i = (C c)_i. Row w of H holds C c for pivot w. A rounding
     changes one entry of two columns, and H follows by one row update
     each, so a pair is scored in O(k) rather than by re-evaluating its
-    two quadratic forms.
+    two quadratic forms. The last _LIST_ROWS rows run on Python lists
+    (_greedy_rows), which beat a dozen numpy calls per row on short rows
+    and update only the entries of H read later; the leading rows of a
+    wider block update H row-wise in numpy. Every entry read sees the
+    same float operations in the same order either way.
     """
     P = P.copy()
     k = len(P)
     C = 4.0 * wp - 2.0 * wm - 2.0 * alpha * L
     d = 2.0 * wm.sum(axis=1) - 2.0 * wp.sum(axis=1)
     H = P.T @ C
-    for i in range(k - 1):
+    lead = max(k - _LIST_ROWS, 0)
+    for i in range(lead):
         rest = slice(i + 1, k)
         # pair (i, j): column j's gain at entry i, plus column i's gain at
         # entry j less its (C c)_j, which h = H[i] tracks through this row;
@@ -630,6 +655,38 @@ def greedy_round_probabilities(wp, wm, L, P: np.ndarray, alpha: float) -> np.nda
             new.append(best)
         H[rest] += np.outer(new - P[i, rest], C[i])
         P[i, rest] = P[rest, i] = new
+    tail = slice(lead, k)
+    P[tail, tail] = _greedy_rows(H[tail, tail].tolist(), C[tail, tail].tolist(),
+                                 d[tail].tolist(), P[tail, tail].tolist())
+    return P
+
+
+def _greedy_rows(H: list, C: list, d: list, P: list) -> list:
+    """greedy_round_probabilities' row loop on lists, entry for entry; returns P rounded.
+
+    A flip at (i, j) updates row i of H past column j, and after row i the
+    rows below it are updated past column i: the entries read later. A
+    zero step would add only a signed zero, which no decision can tell
+    apart, so it is skipped.
+    """
+    k = len(P)
+    for i in range(k - 1):
+        hi, ci, pi, di = H[i], C[i], P[i], d[i]
+        deltas = []
+        for j in range(i + 1, k):
+            best = 1.0 if hi[j] + (H[j][i] + di + d[j]) > 0.0 else 0.0
+            step = best - P[j][i]
+            if step:
+                cj = C[j]
+                for m in range(j + 1, k):
+                    hi[m] += step * cj[m]
+            deltas.append(best - pi[j])
+            pi[j] = P[j][i] = best
+        for r, step in enumerate(deltas, start=i + 1):
+            if step:
+                hr = H[r]
+                for m in range(i + 1, k):
+                    hr[m] += step * ci[m]
     return P
 
 
@@ -649,8 +706,7 @@ def derandomize_round(
     Each step logs one DEBUG line on the ``ccpivot.rounding`` logger.
     """
     _finite("alpha", alpha)
-    base = cut_probabilities(inst, x, scheme)
-    wp, wm, L = pair_model(inst, x)
+    base, _keep, (wp, wm, L) = _tables(inst, x, scheme)
     active = np.arange(inst.n)
     assignment = np.full(inst.n, -1, dtype=np.int64)
     cid = 0
@@ -699,20 +755,20 @@ def monte_carlo_ratio(
     Per-trial seeds come from the master stream, so any single trial can
     be replayed in isolation: trial t equals pivot_round with seed
     word t. The keep table (1 - cut_probabilities) and the pair weights
-    are computed once per run; the trials run in lockstep chunks of about
-    CHUNK_WORDS stream words, each drawing its seeds as the master
-    stream's next words. Logs one DEBUG line on the ``ccpivot.rounding``
+    come from the point's prepared tables; the trials run in lockstep
+    chunks of about CHUNK_WORDS stream words, each drawing its seeds as
+    the master stream's next words. Logs one DEBUG line on the ``ccpivot.rounding``
     logger: trials, chunks, runs redone by the scalar kernel and seconds.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     t0 = time.perf_counter()
     n = inst.n
-    keep = 1.0 - cut_probabilities(inst, x, scheme)
+    P, _keep, (wp, wm, _L) = _tables(inst, x, scheme)
+    keep = 1.0 - P
     # an empty instance's runs read no words; count one word each
     per_chunk = max(1, CHUNK_WORDS // max(1, _run_width(n)))
     master = SplitMix64(seed)
-    wp, wm = inst.pair_weights()
     costs = np.empty(trials)
     redone: list[int] = []
     for lo in range(0, trials, per_chunk):

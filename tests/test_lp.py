@@ -234,6 +234,24 @@ def test_solution_matrix_is_symmetric_from_upper(n):
     assert np.diag(m).tobytes() == np.zeros(n).tobytes()
 
 
+def test_point_owns_a_read_only_copy_of_its_vector():
+    # a point that aliased the caller's array kept a stale cached matrix:
+    # validate_solution and pivot_round read the old values, lp_objective the new
+    inst = cc.gen_complete_random(3, 0.5, 1)
+    v = np.full(3, 0.5)
+    x = cc.LpSolution(3, v)
+    m = x.matrix
+    v[:] = [1.0, 0.0, 0.0]  # violates x_01 <= x_02 + x_21
+    assert not cc.validate_solution(cc.LpSolution(3, v.copy())).feasible()
+    assert x.vec.tolist() == [0.5, 0.5, 0.5] and x.matrix is m
+    assert cc.validate_solution(x).feasible()
+    assert cc.lp_objective(inst, x) == cc.lp_objective(inst, cc.LpSolution.constant(3, 0.5))
+    for a in (x.vec, x.matrix):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    assert v.flags.writeable  # the caller's array is left as it was
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf])
 def test_validate_infinite_entries_raise_no_warning(bad):
     import warnings

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ccpivot as cc
+from ccpivot import rounding
 from ccpivot.rounding import (
     IneligibleSchemeError,
     Piece,
@@ -434,6 +435,111 @@ def test_pivot_terms_match_scalar_reference(kind):
         # the batched scores pick the pivots that scoring each one alone picks
         c = cc.derandomize_round(inst, x, scheme, alpha)
         assert c == cc.Clustering(reference_derandomize(inst, x, scheme, alpha))
+
+
+def numpy_rows_greedy(wp, wm, L, P: np.ndarray, alpha: float) -> np.ndarray:
+    """The greedy as it ran with a dozen numpy calls per row: the reference
+    that greedy_round_probabilities must match bit for bit."""
+    P = P.copy()
+    k = len(P)
+    C = 4.0 * wp - 2.0 * wm - 2.0 * alpha * L
+    d = 2.0 * wm.sum(axis=1) - 2.0 * wp.sum(axis=1)
+    H = P.T @ C
+    for i in range(k - 1):
+        rest = slice(i + 1, k)
+        # pair (i, j): column j's gain at entry i, plus column i's gain at
+        # entry j less its (C c)_j, which h = H[i] tracks through this row;
+        # column j changes only at entry i here, so rows j > i follow after it
+        fixed = (H[rest, i] + d[i] + d[rest]).tolist()
+        h = H[i]
+        new = []
+        for j, g in enumerate(fixed, start=i + 1):
+            best = 1.0 if h[j] + g > 0.0 else 0.0
+            if best != P[j, i]:
+                h += (best - P[j, i]) * C[j]
+            new.append(best)
+        H[rest] += np.outer(new - P[i, rest], C[i])
+        P[i, rest] = P[rest, i] = new
+    return P
+
+
+def greedy_blocks():
+    """(label, pair model, P) blocks of every class, sizes 1 to 60: LP points
+    and their sub-blocks up to 11, constant 0.4 at every size, and x = 0
+    points whose first gains are sums of integer degrees, so some are exact ties."""
+    gens = {"complete": lambda n, s: cc.gen_complete_random(n, 0.5, s),
+            "kpartite": lambda n, s: cc.gen_kpartite_random([(n + 2) // 3, (n + 1) // 3, n // 3], 0.5, s),
+            "weighted": lambda n, s: cc.gen_weighted_random(n, s)}
+    scheme = {"complete": "complete206", "kpartite": "kpartite3", "weighted": "weighted_ti_150"}
+    for kind, gen in gens.items():
+        s = cc.get_scheme(scheme[kind])
+        for n in range(3 if kind == "kpartite" else 1, 61):
+            inst = gen(n, n)
+            points = [("0.4", cc.LpSolution.constant(n, 0.4))]
+            if n in (4, 8, 11):
+                points += [("lp", cc.solve_relaxation(inst)[0]), ("zero", cc.LpSolution.constant(n, 0.0))]
+            for label, x in points:
+                model, P = pair_model(inst, x), cut_probabilities(inst, x, s)
+                yield (kind, n, label), model, P
+                if label == "lp":
+                    for m in range(1, n):
+                        active = np.sort(np.random.default_rng(m).choice(n, m, replace=False))
+                        yield (kind, n, label, m), _active_model(*model, active), P[np.ix_(active, active)]
+
+
+def test_greedy_is_bit_identical_to_the_numpy_rows():
+    ties = 0
+    for label, model, P in greedy_blocks():
+        wp, wm, _L = model
+        d = 2.0 * wm.sum(axis=1) - 2.0 * wp.sum(axis=1)
+        if not P.any():  # P = 0: H = 0, so the first row's gains are d[0] + d[j]
+            ties += sum(g == 0.0 for g in (d[0] + d[1:]).tolist())
+        for alpha in (1.5, 2.06, 3.0):
+            want = numpy_rows_greedy(*model, P, alpha)
+            assert greedy_round_probabilities(*model, P, alpha).tobytes() == want.tobytes(), (label, alpha)
+    assert ties >= 10
+
+
+def rounded(inst, x, scheme, alpha):
+    """Every output of the entries that read the point's prepared tables."""
+    pivots = [cc.pivot_round(inst, x, scheme, seed) for seed in (1, 2)]
+    mc = cc.monte_carlo_ratio(inst, x, scheme, 20, 3)
+    return ([(c.assignment.tolist(), t.steps) for c, t in pivots],
+            cc.pivot_round_weighted(inst, x, scheme, 4).assignment.tolist(),
+            cc.derandomize_round(inst, x, scheme, alpha).assignment.tolist(),
+            (mc.mean, mc.stddev, mc.min, mc.max),
+            cc.step_inequality_check(inst, x, scheme, alpha), cc.step_cost_formula(inst, x, scheme))
+
+
+def test_prepared_tables_follow_the_instance_and_scheme():
+    n = 9
+    I, J = cc.gen_complete_random(n, 0.5, 1), cc.gen_complete_random(n, 0.5, 2)
+    A, B = cc.get_scheme("complete206"), cc.get_scheme("acn_linear")
+    x = cc.solve_relaxation(I)[0]
+    for inst, scheme in ((I, A), (I, B), (I, A), (J, A), (I, A), (J, B)):
+        fresh = cc.LpSolution(n, x.vec)
+        assert rounded(inst, x, scheme, 2.5) == rounded(inst, fresh, scheme, 2.5), (inst is I, scheme.name)
+    P, _keep, model = rounding._tables(J, x, B)
+    for a in (P, *model):
+        assert not a.flags.writeable
+    got = cut_probabilities(J, x, B)
+    assert got.flags.writeable and got is not P and np.array_equal(got, P)
+    assert all(a.flags.writeable and a is not b for a, b in zip(pair_model(J, x), model))
+
+
+def test_every_entry_refuses_a_point_of_another_size():
+    inst, s = cc.gen_complete_random(5, 0.5, 1), cc.get_scheme("complete206")
+    x = cc.LpSolution.constant(5, 0.4)
+    rounded(inst, x, s, 2.06)  # x now holds tables for inst
+    for other in (cc.gen_complete_random(4, 0.5, 1), cc.gen_complete_random(6, 0.5, 1)):
+        for call in (lambda: cut_probabilities(other, x, s), lambda: pair_model(other, x),
+                     lambda: cc.pivot_round(other, x, s, 1), lambda: cc.pivot_round_weighted(other, x, s, 1),
+                     lambda: cc.derandomize_round(other, x, s, 2.06),
+                     lambda: cc.monte_carlo_ratio(other, x, s, 5, 1),
+                     lambda: cc.step_inequality_check(other, x, s, 2.06),
+                     lambda: cc.step_cost_formula(other, x, s)):
+            with pytest.raises(ValueError, match="vertices"):
+                call()
 
 
 def test_derand_logs_one_line_per_step(caplog):
