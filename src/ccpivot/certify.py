@@ -28,7 +28,10 @@ probability array once per batch, and keeps its minimum with
 sweep order, and a NaN counts as -inf, so it can only fail a sweep.
 The labeled corners stay ordered triples, as each is a row of the
 report, and the corners of every type assignment form one batch;
-full-grid batches and weighted mixture blocks are sized by ``_MIX_BLOCK``.
+full-grid batches and weighted bound blocks are sized by ``_MIX_BLOCK``.
+The weighted sweep mixes a (lam row, length) point only where a lower
+bound on its tile of ``_TILE`` lengths does not rule it out, so its
+minimum and witness are those of mixing every point, to the last bit.
 The module reads schemes alone; the first step's sums over an instance are in rounding.
 """
 
@@ -265,22 +268,36 @@ class CertificateReport:
                 for r in self.results
             ],
         }
-        return json.dumps(doc, indent=1)
+        return json.dumps(_json_safe(doc), indent=1, allow_nan=False)
 
 
-# Full-grid batches join whole l0 slabs up to this many points; a weighted mixture
-# buffer holds at most this many (lam row, length) entries, or one row. On the
-# weighted sweep at grid 0.01 (2,608 sorted lengths, 2-core host, minimum of 11
-# calls) one row per block (2^12) took 30-52 ms a call, two rows (6,144) 20-21 ms,
-# three (2^13) 42-52 ms and six (2^14) 35-43 ms; the full-grid fallback at grid
-# 0.005 then takes 90 batches instead of 37, in the same 0.16-0.17 s.
+def _json_safe(v):
+    """v with every non-finite float as None, which JSON writes as null."""
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, dict):
+        return {k: _json_safe(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_json_safe(x) for x in v]
+    return v
+
+
+# Full-grid batches join whole l0 slabs up to this many points (the fallback at grid
+# 0.005 takes 90 batches in 0.16-0.17 s on a 2-core host); a weighted bound block
+# holds at most this many (lam row, tile) entries, or one row. The weighted sweep
+# bounds runs of _TILE lengths: at grid 0.01 (2,608 lengths, weighted_ti_150 at 1.5,
+# minimum of 45 calls, 2-core host) tiles of 8/16/32/64 took 4.9/3.5/4.1/9.4 ms a call.
 _MIX_BLOCK = 6144
+_TILE = 16
 
 
 def _grid(step: float) -> np.ndarray:
+    """0, step, ..., 1 for a step of 1/k; any other step is refused, not rounded to one."""
     if not 0.0 < step <= 1.0:  # NaN fails too
         raise ValueError(f"grid step must be in (0, 1], got {step!r}")
-    k = int(round(1.0 / step))
+    k = round(1.0 / step)
+    if abs(1.0 / step - k) > 1e-9 * k:
+        raise ValueError(f"grid step must be 1/k for an integer k, got {step!r}")
     return np.linspace(0.0, 1.0, k + 1)
 
 
@@ -288,9 +305,12 @@ def _assignments(canonical: tuple[str, str, str]):
     return sorted(set(itertools.permutations(canonical)))
 
 
-def _metric_triples(s0, s1, s2) -> list:
-    """Triples of s0 x s1 x s2, in product order, that satisfy the triangle inequality."""
-    return [t for t in itertools.product(s0, s1, s2) if _is_metric(*t)]
+def _metric_triples(s0, s1, s2) -> np.ndarray:
+    """Triples of s0 x s1 x s2, in product order, that satisfy the triangle inequality, as rows."""
+    a, b, c = (v.ravel() for v in np.meshgrid(*(np.asarray(s, dtype=np.float64)
+                                                for s in (s0, s1, s2)), indexing="ij"))
+    ok = (a <= b + c + 1e-12) & (b <= a + c + 1e-12) & (c <= a + b + 1e-12)
+    return np.stack([a[ok], b[ok], c[ok]], axis=1)
 
 
 def _length_batches(values, full_grid: bool):
@@ -387,21 +407,21 @@ def certify(
     # every assignment's corner triples, priced as one batch; each reads its own slice
     corners = corner_sets(scheme)
     triples = {types: _metric_triples(*(corners[t] for t in types)) for types in rows}
-    flat = [t for types in rows for t in triples[types]]
+    flat = np.concatenate([triples[types] for types in rows])
     points += len(flat)
     starts = itertools.accumulate((len(triples[t]) for t in rows), initial=0)
     corner_s = {types: s[i:i + len(triples[types])] for types, i, s in
-                zip(rows, starts, _type_surpluses(rows, list(zip(*flat)), scheme, alpha))}
+                zip(rows, starts, _type_surpluses(rows, flat.T, scheme, alpha))}
     results = []
     for canonical in canonicals:
         best = min((found[t] for t in _assignments(canonical)), key=lambda b: b[0])
         corner_best, corner_rows = (math.inf, None), []
         for types in _assignments(canonical):
             label, s = "".join(types), corner_s[types]
-            corner_rows += [{"types": label, "lengths": list(t), "surplus": float(v)}
-                            for t, v in zip(triples[types], s)]
+            corner_rows += [{"types": label, "lengths": t, "surplus": float(v)}
+                            for t, v in zip(triples[types].tolist(), s)]
             corner_best = _lowest(corner_best, s, lambda i: {
-                "types": label, "family": "corner", "lengths": list(triples[types][i]),
+                "types": label, "family": "corner", "lengths": triples[types][i].tolist(),
             })
         witness = best[1] if best[0] <= corner_best[0] else corner_best[1]
         results.append(
@@ -554,12 +574,29 @@ def certify_weighted_ti(
     polytope: at grid 0.01 and lam grid 1/12, 2,608 lengths by 1,105
     rows. Every other ordering is a sorted triple relabeled and adds no
     point, as every coin outcome is swept and the lam grid is closed
-    under permutation. The eight per-coin surplus arrays are
-    computed once, and so are the eight coin weights of every lam row;
-    each block of lam rows only multiplies and adds them into two
-    buffers reused from block to block. The sweep is serial: ``jobs`` is
-    accepted and ignored. It stays because the benchmark passes
-    ``jobs=1``; both go together at the next change to the benchmark.
+    under permutation. The eight per-coin surplus arrays S are computed
+    once, and so are the eight coin weights W of every lam row.
+
+    Most points are never mixed. The lengths are cut, in sweep order,
+    into tiles of ``_TILE``, with M[c, t] the minimum of S[c] over tile t.
+    As every W is >= 0, LB = sum_c W[c, r] * M[c, t] is at most every
+    mixture of row r in tile t; both float sums (eight rounded products
+    and additions, sum_c W about 1) are within 16 * 2**-53 * max|S| of
+    their real values, which ``margin`` covers many times over. A
+    block of lam rows mixes (with ``_coin_mixture``, as
+    ``weighted_surplus`` does) only its tiles with LB <= cap + margin,
+    where cap is the lowest mixture found so far; the first block takes
+    it from each row's lowest-bound tile. A skipped point is then
+    strictly above a mixed value, so it is neither the minimum nor tied
+    with it, and ``_lowest`` sees the rest in (row, length) order. A
+    tile holding a NaN or an infinite surplus is always mixed, as
+    0 * inf is NaN, so the first NaN still reads -inf. ``mixed_points``
+    in the report's meta counts the points mixed: for weighted_ti_150 at
+    1.5, 1% of ``surplus_points`` at grid 0.01 and 0.02% at 1e-3.
+
+    The sweep is serial: ``jobs`` is accepted and ignored. It stays
+    because the benchmark passes ``jobs=1``; both go together at the
+    next change to the benchmark.
     """
     _finite("alpha", alpha)
     elig = check_eligibility(scheme)
@@ -568,28 +605,57 @@ def certify_weighted_ti(
             f"scheme {scheme.name!r} fails the tight-triangle eligibility check"
         )
     g = _grid(lam_grid_step)
-    lam_rows = np.array(_metric_triples(g, g, g), dtype=np.float64)
+    lam_rows = _metric_triples(g, g, g)
     pts = sorted(set(scheme.f_plus.breakpoints()) | set(scheme.f_minus.breakpoints()))
     ls = [np.concatenate(p) for p in zip(*_length_batches(_grid(length_grid_step), False),
                                          *_length_batches(pts, True))]
     surpluses = list(_type_surpluses(_COIN_TYPES, ls, scheme, alpha))
-    weights = _coin_weights(lam_rows.T)[:, :, None]
+    weights = _coin_weights(lam_rows.T)
     L = len(ls[0])
-    rows = max(1, _MIX_BLOCK // L)
-    out, tmp = np.empty((2, rows, L))
-    best = (math.inf, None)
+    starts = np.arange(0, L, _TILE)
+    sizes = np.diff(starts, append=L)
+    lows, highs = (np.array([f.reduceat(s, starts) for s in surpluses])
+                   for f in (np.minimum, np.maximum))
+    # a tile holding a NaN or an infinite surplus is always mixed (0 * inf is NaN)
+    wild = ~np.isfinite(highs - lows).all(axis=0)
+    scale = max(np.max(f, where=~wild, initial=0.0) for f in (-lows, highs))
+    margin = 1e-12 * (1.0 + scale)
+    span = np.arange(_TILE)
+
+    def mix(w, tiles):
+        """Exact mixtures over the lengths of tiles, one weight column per tile, and their columns.
+
+        The tail of a short last tile repeats length L - 1, after it in sweep order.
+        """
+        cols = np.minimum(tiles[:, None] * _TILE + span, L - 1)
+        out = np.empty(cols.shape)
+        return _coin_mixture(w[:, :, None], (s[cols] for s in surpluses), out,
+                             np.empty_like(out)), cols
+
+    rows = max(1, _MIX_BLOCK // len(starts))
+    best, mixed_points = (math.inf, None), 0
     for r0 in range(0, len(lam_rows), rows):
-        block = lam_rows[r0:r0 + rows]
-        mixed = _coin_mixture(weights[:, r0:r0 + rows], surpluses, out[:len(block)],
-                              tmp[:len(block)])
+        w = weights[:, r0:r0 + rows]
+        # at most every mixture in its tile, up to the margin; einsum runs numpy's own
+        # loops, so no BLAS build changes the bits and no BLAS buffer is mapped
+        bound = np.einsum("cr,ct->rt", w, lows)
+        upper = best[0]
+        if upper == math.inf:  # nothing mixed yet: the rows' lowest-bound tiles give a cap
+            upper = np.min(mix(w, np.argmin(bound, axis=1))[0])
+        r, t = np.nonzero(wild | ~(bound > upper + margin))
+        if not len(t):
+            continue
+        mixed, cols = mix(w[:, r], t)
+        mixed_points += int(sizes[t].sum())
         best = _lowest(best, mixed.ravel(), lambda i: {
-            "lam_minus": [float(v) for v in block[i // L]],
-            "lengths": [float(l[i % L]) for l in ls],
+            "lam_minus": [float(v) for v in lam_rows[r0 + r[i // _TILE]]],
+            "lengths": [float(l[cols.flat[i]]) for l in ls],
         })
 
     return CertificateReport(
         scheme=scheme.name, alpha=alpha, graph_class=WEIGHTED, grid_step=length_grid_step,
         tol=tol, eligible=True, used_full_grid=False,
         results=[TypeResult("weighted-mixture", best[0], best[1], math.inf, [])],
-        sweep={"lam_grid_step": lam_grid_step, "surplus_points": L * len(lam_rows)},
+        sweep={"lam_grid_step": lam_grid_step, "surplus_points": L * len(lam_rows),
+               "mixed_points": mixed_points},
     )

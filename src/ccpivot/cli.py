@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .certify import certify, certify_weighted_ti
+from .certify import _grid, certify, certify_weighted_ti
 from .instance import (
     COMPLETE,
     KPARTITE,
@@ -63,9 +63,9 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_NUMERICAL = 70
 
-# walls of the CLI (peak RSS, 2-core host): at grid 1e-3 the weighted sweep takes 75 MB
-# and 4 s, the complete-class full-grid fallback 74 MB and 22 s; at 5e-4, 207 MB and
-# 19 s, and 215 MB and 230 s. A 1,000-vertex instance takes about 0.5 GB as JSON.
+# walls of the CLI (peak RSS, 2-core host): at grid 1e-3 the weighted sweep takes 77 MB
+# and 0.3 s, the complete-class full-grid fallback 74 MB and 22 s; at 5e-4, 215 MB and
+# 1.8 s, and 215 MB and 230 s. A 1,000-vertex instance takes about 0.5 GB as JSON.
 MIN_GRID_STEP = 1e-3
 MAX_GEN_N = 1000
 # bench's walls (2-core host): 10**6 trials hold 8 MB of costs and take 2.4 s per
@@ -105,8 +105,9 @@ def _int_list(text):
 
 _count = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _probability = _checked(float, lambda v: 0.0 <= v <= 1.0, "a probability in [0, 1]")
-_grid_step = _checked(float, lambda v: MIN_GRID_STEP <= v <= 1.0,
-                      f"a grid step in [{MIN_GRID_STEP:g}, 1] (MIN_GRID_STEP)")
+# _grid raises ValueError on a step above 1 or not 1/k for an integer k
+_grid_step = _checked(float, lambda v: MIN_GRID_STEP <= v and len(_grid(v)) > 1,
+                      f"a grid step 1/k in [{MIN_GRID_STEP:g}, 1] (MIN_GRID_STEP)")
 _part_sizes = _checked(_int_list, lambda v: min(v) >= 1,
                        "a comma-separated list of integers >= 1")
 _alpha = _checked(float, lambda v: 1.0 < v < math.inf, "a finite ratio > 1")

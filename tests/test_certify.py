@@ -193,7 +193,7 @@ def test_certifiers_refuse_non_finite_alpha(alpha):
 W150 = cc.get_scheme("weighted_ti_150")
 
 
-@pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf, 1.5, 2.0])
+@pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf, 1.5, 2.0, 0.4, 0.7])
 @pytest.mark.parametrize("sweep", [
     lambda step: cc.certify(S206, 2.06, "complete", grid_step=step),
     lambda step: cc.certify(KP3, 3.0, "kpartite", grid_step=step),
@@ -201,7 +201,8 @@ W150 = cc.get_scheme("weighted_ti_150")
     lambda step: cc.certify_weighted_ti(W150, 1.5, length_grid_step=0.1, lam_grid_step=step),
 ], ids=["certify", "certify-kpartite", "weighted-length", "weighted-lam"])
 def test_sweeps_refuse_a_grid_step_outside_the_unit_interval(sweep, step):
-    # a step above 1/2 would round to the one-point grid [0.0] and pass on the corners alone
+    # a step above 1/2 would round to the one-point grid [0.0] and pass on the corners alone;
+    # a step that is not 1/k would be swept as another (0.4 as 0.5, 0.7 as 1)
     with pytest.raises(ValueError, match="grid step"):
         sweep(step)
 

@@ -140,6 +140,15 @@ def test_certify_weighted_class(tmp_path):
                 "--grid", "0.05", "--tol", "1e-7", "-o", str(out)]) == 1
 
 
+def test_weighted_report_file_is_strict_json(tmp_path):
+    # no corners on the weighted class: corner_min is written as null, not Infinity
+    out = tmp_path / "w.json"
+    assert run(["certify", "weighted_ti_150", "--alpha", "1.5", "--class", "weighted",
+                "--grid", "0.05", "-o", str(out)]) == 0
+    doc = json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(f"{c} is not JSON"))
+    assert doc["verdict"] == "PASS" and doc["types"][0]["corner_min"] is None
+
+
 def test_certify_weighted_jobs_match_serial(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["certify", "weighted_ti_153", "--alpha", "1.53", "--class", "weighted",
@@ -260,6 +269,10 @@ BAD_ARGV = {
                                   "--class", "weighted", "--grid", "0"],
     "certify weighted --grid -0.01": ["certify", "weighted_ti_150", "--alpha", "1.5",
                                       "--class", "weighted", "--grid", "-0.01"],
+    # not 1/k for an integer k: the sweeps would take 0.5 and 1 instead
+    "certify --grid 0.4": ["certify", "complete206", "--alpha", "2.06", "--grid", "0.4"],
+    "certify weighted --grid 0.7": ["certify", "weighted_ti_150", "--alpha", "1.5",
+                                    "--class", "weighted", "--grid", "0.7"],
     "bench --instances 0": BENCH + ["--instances", "0"],
     "bench --trials 0": BENCH + ["--trials", "0"],
     "bench --parts 2,a": BENCH + ["--parts", "2,a"],

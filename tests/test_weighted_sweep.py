@@ -3,12 +3,14 @@
 `certify_weighted_ti` prices sorted length triples l0 <= l1 <= l2, one
 per triangle: the tight family (a, b, a+b) with a <= b, then the sorted
 metric triples of the breakpoints. It computes the eight per-coin surplus
-arrays and the eight coin weights of every lam row once, and mixes them
-over blocks of lam rows with the same mixture `weighted_surplus` uses.
-The sorted reference below builds the same lengths with Python loops and
-recomputes the whole coin mixture for every lam row, as the sweep first
-did; both must give the same minimum to the last bit and the same
-witness, at any block size. The all-orderings reference sweeps all three
+arrays and the eight coin weights of every lam row once, and mixes them,
+with the same mixture `weighted_surplus` uses, only on the tiles of
+lengths that a lower bound does not rule out. The sorted reference below
+builds the same lengths with Python loops and recomputes the whole coin
+mixture for every lam row, as the sweep first did, and the untiled
+reference is the block loop that mixed every entry; all must give the
+same minimum to the last bit and the same witness, at any block size.
+The all-orderings reference sweeps all three
 tight families, (a, b, a+b), (a, a+b, b) and (a+b, a, b), over every pair,
 and the ordered corner triples; the tests show that they add nothing,
 because every ordering is a sorted triple relabeled (each edge keeps its
@@ -200,9 +202,9 @@ def test_one_family_matches_three_family_reference_default_grid():
 
 
 def set_rows_per_block(monkeypatch, scheme, length_grid_step, rows):
-    """Make each mixture block hold `rows` lam rows (the last one fewer)."""
-    n_lengths = len(sorted_lengths(scheme, length_grid_step)[0])
-    monkeypatch.setattr(certify_mod, "_MIX_BLOCK", rows * n_lengths + n_lengths - 1)
+    """Make each bound block hold `rows` lam rows (the last one fewer)."""
+    n_tiles = -(-len(sorted_lengths(scheme, length_grid_step)[0]) // certify_mod._TILE)
+    monkeypatch.setattr(certify_mod, "_MIX_BLOCK", rows * n_tiles + n_tiles - 1)
 
 
 @pytest.mark.parametrize("rows", [2, 3])
@@ -222,60 +224,177 @@ def test_blocks_match_per_row_reference(monkeypatch, rows, name, alpha, length_g
     assert lam_rows.index(witness["lam_minus"]) == witness_row
 
 
+def untiled_sweep(scheme, alpha, length_grid_step, lam_grid_step):
+    """(minimum, witness) of the sweep before tiles, which mixed every (lam row, length) entry.
+
+    From `g = ...` on, this is that sweep's code verbatim, on the module's helpers,
+    imported at call time so that a test's patched helper is the one it runs.
+    """
+    from ccpivot.certify import (_COIN_TYPES, _MIX_BLOCK, _coin_mixture, _coin_weights, _grid,
+                                 _length_batches, _lowest, _metric_triples, _type_surpluses)
+
+    g = _grid(lam_grid_step)
+    lam_rows = np.array(_metric_triples(g, g, g), dtype=np.float64)
+    pts = sorted(set(scheme.f_plus.breakpoints()) | set(scheme.f_minus.breakpoints()))
+    ls = [np.concatenate(p) for p in zip(*_length_batches(_grid(length_grid_step), False),
+                                         *_length_batches(pts, True))]
+    surpluses = list(_type_surpluses(_COIN_TYPES, ls, scheme, alpha))
+    weights = _coin_weights(lam_rows.T)[:, :, None]
+    L = len(ls[0])
+    rows = max(1, _MIX_BLOCK // L)
+    out, tmp = np.empty((2, rows, L))
+    best = (math.inf, None)
+    for r0 in range(0, len(lam_rows), rows):
+        block = lam_rows[r0:r0 + rows]
+        mixed = _coin_mixture(weights[:, r0:r0 + rows], surpluses, out[:len(block)],
+                              tmp[:len(block)])
+        best = _lowest(best, mixed.ravel(), lambda i: {
+            "lam_minus": [float(v) for v in block[i // L]],
+            "lengths": [float(l[i % L]) for l in ls],
+        })
+    return best
+
+
+@pytest.mark.parametrize("name", ["weighted_ti_150", "weighted_ti_153"])
+@pytest.mark.parametrize("alpha", [1.2, 1.4, 1.49, 1.5, 1.53, 1.55, 1.6, 2.0])
+@pytest.mark.parametrize("length_grid_step", [0.2, 0.1, 0.05, 0.01, 0.002])
+def test_tiles_match_the_untiled_sweep(name, alpha, length_grid_step):
+    # from alpha 1.53 on the minimum is 0, tied on every lam row at lengths (0, 0, 0):
+    # the first in sweep order must win
+    scheme = cc.get_scheme(name)
+    for lam_grid_step in (1.0 / 12.0, 0.25, 0.1):
+        rep = cc.certify_weighted_ti(scheme, alpha, length_grid_step=length_grid_step,
+                                     lam_grid_step=lam_grid_step)
+        want, witness = untiled_sweep(scheme, alpha, length_grid_step, lam_grid_step)
+        assert rep.min_surplus.hex() == want.hex()
+        assert rep.worst().witness == witness
+        if length_grid_step == 0.01:  # the pruning must not fade away unnoticed
+            assert rep.sweep["mixed_points"] < 0.05 * rep.sweep["surplus_points"]
+
+
+def plant(monkeypatch, coin, j, value):
+    """Make the sweep's surplus array of one coin outcome read value at length j."""
+    surpluses = certify_mod._type_surpluses
+
+    def planted(type_rows, lengths, scheme, alpha):
+        for types, s in zip(type_rows, surpluses(type_rows, lengths, scheme, alpha)):
+            if types == coin:
+                s = s.copy()
+                s[j] = value
+            yield s
+
+    monkeypatch.setattr(certify_mod, "_type_surpluses", planted)
+
+
+N_LENGTHS = 43  # weighted_ti_150 at grid 0.1: tiles [0, 16), [16, 32) and the short [32, 43)
+
+
 @pytest.mark.parametrize("rows", [2, 3, None])
-@pytest.mark.parametrize("planted, first", [
-    ({(7, 40), (10, 3)}, (7, 40)),  # row 7 is in block 3 (0-based) of 2 rows and block 2 of 3
-    ({(64, 5)}, (64, 5)),  # the last of 65 rows, in the short last block
+@pytest.mark.parametrize("coin, value", [
+    (("-", "+", "-"), math.nan),  # NaN on every lam row: the first is row 0
+    # +inf times a zero weight is NaN; the weight of "+++" is zero first on row 4,
+    # (0, 1, 1), in block 2 of 2 rows and block 1 of 3 (on rows 0-3 the mixture is +inf)
+    (("+", "+", "+"), math.inf),
 ])
-def test_nan_in_a_later_block_counts_as_minus_inf(monkeypatch, rows, planted, first):
-    # NaN planted at (lam row, length) points; the first in sweep order
-    # (row-major over lam rows, then lengths) is the witness, whatever the blocks
+@pytest.mark.parametrize("j", [20, N_LENGTHS - 1])  # a middle tile, the short last tile
+def test_nan_in_a_later_block_counts_as_minus_inf(monkeypatch, rows, coin, value, j):
+    # the report reads -inf at the first NaN mixture in sweep order (row-major over
+    # lam rows, then lengths), as the untiled sweep does, whatever the blocks
     scheme = cc.get_scheme("weighted_ti_150")
+    lam_rows = reference_lam_rows(0.25)
+    ls = sorted_lengths(scheme, 0.1)
+    assert len(ls[0]) == N_LENGTHS
+    first = 0 if math.isnan(value) else 4
+    assert certify_mod._coin_weights(lam_rows[first])[COINS.index(coin)] == 0
     if rows is not None:
         set_rows_per_block(monkeypatch, scheme, 0.1, rows)
-    lam_rows = reference_lam_rows(0.25)
-    weights = certify_mod._coin_weights(lam_rows.T)  # (8, lam rows); one column per row
-    ls = sorted_lengths(scheme, 0.1)
-    mixture = certify_mod._coin_mixture
-
-    def with_nans(w, surpluses, out, tmp):  # w: a block's coin weights as (8, rows, 1)
-        mixed = mixture(w, surpluses, out, tmp)
-        for r, j in planted:
-            mixed[np.all(w[:, :, 0].T == weights[:, r], axis=1), j] = math.nan
-        return mixed
-
-    monkeypatch.setattr(certify_mod, "_coin_mixture", with_nans)
-    rep = cc.certify_weighted_ti(scheme, 1.5, length_grid_step=0.1, lam_grid_step=0.25)
+    plant(monkeypatch, coin, j, value)
+    with np.errstate(invalid="ignore"):  # 0 * inf
+        rep = cc.certify_weighted_ti(scheme, 1.5, length_grid_step=0.1, lam_grid_step=0.25)
+        untiled = untiled_sweep(scheme, 1.5, 0.1, 0.25)
     worst = rep.worst()
     assert worst.min_surplus == -math.inf and not rep.passed
-    assert worst.witness == {"lam_minus": [float(v) for v in lam_rows[first[0]]],
-                             "lengths": [float(l[first[1]]) for l in ls]}
+    assert worst.witness == {"lam_minus": [float(v) for v in lam_rows[first]],
+                             "lengths": [float(l[j]) for l in ls]}
+    assert untiled == (-math.inf, worst.witness)
+
+
+@pytest.mark.parametrize("coin, value", [(("-", "+", "-"), math.nan), (("+", "+", "+"), math.inf)])
+def test_a_non_finite_surplus_costs_only_its_tile(monkeypatch, coin, value):
+    # the tile of a planted NaN or +inf is mixed on every lam row; the others are still
+    # bounded, with a margin from the finite surpluses alone
+    scheme = cc.get_scheme("weighted_ti_150")
+    lam_rows = reference_lam_rows(1.0 / 12.0)
+    zero = certify_mod._coin_weights(lam_rows.T)[COINS.index(coin)] == 0
+    first = 0 if math.isnan(value) else int(np.flatnonzero(zero)[0])
+    j = 1000
+    plant(monkeypatch, coin, j, value)
+    with np.errstate(invalid="ignore"):  # 0 * inf
+        rep = cc.certify_weighted_ti(scheme, 1.5)
+    assert rep.min_surplus == -math.inf
+    assert rep.worst().witness == {
+        "lam_minus": [float(v) for v in lam_rows[first]],
+        "lengths": [float(l[j]) for l in sorted_lengths(scheme, 0.01)]}
+    assert rep.sweep["mixed_points"] < 0.05 * rep.sweep["surplus_points"]
 
 
 @pytest.mark.parametrize("rows", [2, 3, None])
 @pytest.mark.parametrize("name, alpha", [("weighted_ti_150", 1.5), ("weighted_ti_153", 1.49)])
 def test_block_mixture_is_weighted_surplus(monkeypatch, rows, name, alpha):
-    # every (lam row, length) entry the sweep mixes, to the last bit (and the sign of zero)
+    # every (lam row, length) entry the sweep mixes is weighted_surplus to the last bit
+    # (and the sign of zero); every entry it skips lies strictly above the minimum
     scheme = cc.get_scheme(name)
     lam_rows = reference_lam_rows(0.25)
-    ls = sorted_lengths(scheme, 0.1)
+    ls = sorted_lengths(scheme, 0.05)
     want = weighted_surplus(lam_rows.T[:, :, None], ls, scheme, alpha)
     assert want.shape == (len(lam_rows), len(ls[0]))
+    row_of = {r: i for i, r in enumerate(map(tuple, lam_rows.tolist()))}
+    cols_of = {}  # (0, 0, 0) and (0, 1, 1) are tight triples and corner triples both
+    for j, t in enumerate(zip(*(l.tolist() for l in ls))):
+        cols_of.setdefault(t, []).append(j)
     if rows is not None:
-        set_rows_per_block(monkeypatch, scheme, 0.1, rows)
+        set_rows_per_block(monkeypatch, scheme, 0.05, rows)
     blocks = []
-    mixture = certify_mod._coin_mixture
+    lowest = certify_mod._lowest
 
-    def recorded(w, surpluses, out, tmp):
-        blocks.append(mixture(w, surpluses, out, tmp).copy())
-        return out
+    def recorded(best, s, witness):
+        blocks.append([(witness(i), s[i]) for i in range(len(s))])
+        return lowest(best, s, witness)
 
-    monkeypatch.setattr(certify_mod, "_coin_mixture", recorded)
-    cc.certify_weighted_ti(scheme, alpha, length_grid_step=0.1, lam_grid_step=0.25)
-    if rows is not None:
-        assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
-        assert 0 < len(blocks[-1]) < rows
-    assert np.concatenate(blocks).tobytes() == want.tobytes()
+    monkeypatch.setattr(certify_mod, "_lowest", recorded)
+    rep = cc.certify_weighted_ti(scheme, alpha, length_grid_step=0.05, lam_grid_step=0.25)
+    mixed, ids = np.zeros(want.shape, dtype=bool), []
+    for block in blocks:
+        seen = set()
+        for w, v in block:
+            r = row_of[tuple(w["lam_minus"])]
+            seen.add(r)
+            for j in cols_of[tuple(w["lengths"])]:
+                assert v.tobytes() == want[r, j].tobytes()
+                mixed[r, j] = True
+        if rows is not None:
+            ids.append({r // rows for r in seen})
+    if rows is not None:  # one bound block per call, in order (a block may mix nothing)
+        assert all(len(i) == 1 for i in ids)
+        assert [min(i) for i in ids] == sorted({min(i) for i in ids})
+    assert 0 < np.count_nonzero(mixed) < 0.5 * mixed.size
+    assert np.all(want[~mixed] > rep.min_surplus)
+
+
+def test_weighted_reports_are_strict_json(monkeypatch):
+    # a weighted report has no corners (corner_min is inf) and a NaN sweep reads -inf;
+    # both are written as null, which every JSON parser reads
+    def strict(text):
+        return json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} is not JSON"))
+
+    scheme = cc.get_scheme("weighted_ti_150")
+    doc = strict(cc.certify_weighted_ti(scheme, 1.5, length_grid_step=0.05).to_json())
+    assert doc["verdict"] == "PASS" and doc["types"][0]["corner_min"] is None
+    assert doc["min_surplus"] == doc["types"][0]["min_surplus"] < 0
+    plant(monkeypatch, COINS[3], 5, math.nan)
+    doc = strict(cc.certify_weighted_ti(scheme, 1.5, length_grid_step=0.05).to_json())
+    assert doc["verdict"] == "FAIL" and doc["min_surplus"] is None
+    assert doc["types"][0]["min_surplus"] is None
 
 
 def _integer_metric_triples(m):
