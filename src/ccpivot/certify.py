@@ -115,9 +115,9 @@ def triple_sums(types, lengths, probs):
     return alg, lp
 
 
-def _is_metric(a, b, c) -> bool:
-    """Each length is at most the sum of the other two, within 1e-12."""
-    return a <= b + c + 1e-12 and b <= a + c + 1e-12 and c <= a + b + 1e-12
+def _is_metric(a, b, c):
+    """Each length is at most the sum of the other two, within 1e-12 (floats or arrays)."""
+    return (a <= b + c + 1e-12) & (b <= a + c + 1e-12) & (c <= a + b + 1e-12)
 
 
 def triple_costs(types, lengths, scheme: RoundingScheme, alpha: float) -> TripleCosts:
@@ -291,14 +291,19 @@ _MIX_BLOCK = 6144
 _TILE = 16
 
 
-def _grid(step: float) -> np.ndarray:
-    """0, step, ..., 1 for a step of 1/k; any other step is refused, not rounded to one."""
+def _grid_intervals(step: float) -> int:
+    """k for a grid step of 1/k; any other step is refused, not rounded to one."""
     if not 0.0 < step <= 1.0:  # NaN fails too
         raise ValueError(f"grid step must be in (0, 1], got {step!r}")
     k = round(1.0 / step)
     if abs(1.0 / step - k) > 1e-9 * k:
         raise ValueError(f"grid step must be 1/k for an integer k, got {step!r}")
-    return np.linspace(0.0, 1.0, k + 1)
+    return k
+
+
+def _grid(step: float) -> np.ndarray:
+    """0, step, ..., 1 for a step of 1/k."""
+    return np.linspace(0.0, 1.0, _grid_intervals(step) + 1)
 
 
 def _assignments(canonical: tuple[str, str, str]):
@@ -309,7 +314,7 @@ def _metric_triples(s0, s1, s2) -> np.ndarray:
     """Triples of s0 x s1 x s2, in product order, that satisfy the triangle inequality, as rows."""
     a, b, c = (v.ravel() for v in np.meshgrid(*(np.asarray(s, dtype=np.float64)
                                                 for s in (s0, s1, s2)), indexing="ij"))
-    ok = (a <= b + c + 1e-12) & (b <= a + c + 1e-12) & (c <= a + b + 1e-12)
+    ok = _is_metric(a, b, c)
     return np.stack([a[ok], b[ok], c[ok]], axis=1)
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .certify import _grid, certify, certify_weighted_ti
+from .certify import _grid_intervals, certify, certify_weighted_ti
 from .instance import (
     COMPLETE,
     KPARTITE,
@@ -105,8 +105,9 @@ def _int_list(text):
 
 _count = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _probability = _checked(float, lambda v: 0.0 <= v <= 1.0, "a probability in [0, 1]")
-# _grid raises ValueError on a step above 1 or not 1/k for an integer k
-_grid_step = _checked(float, lambda v: MIN_GRID_STEP <= v and len(_grid(v)) > 1,
+# a step of 1/k with k <= 1 / MIN_GRID_STEP; _grid_intervals raises ValueError on a step
+# outside (0, 1] or not 1/k for an integer k
+_grid_step = _checked(float, lambda v: _grid_intervals(v) <= round(1 / MIN_GRID_STEP),
                       f"a grid step 1/k in [{MIN_GRID_STEP:g}, 1] (MIN_GRID_STEP)")
 _part_sizes = _checked(_int_list, lambda v: min(v) >= 1,
                        "a comma-separated list of integers >= 1")

@@ -319,6 +319,41 @@ def test_nan_in_a_later_block_counts_as_minus_inf(monkeypatch, rows, coin, value
     assert untiled == (-math.inf, worst.witness)
 
 
+@pytest.mark.parametrize("rows", [2, 3])
+@pytest.mark.parametrize("plant_in_last_row", ["nan weight", "lowest surplus"])
+@pytest.mark.parametrize("j", [20, N_LENGTHS - 1])
+def test_the_short_last_row_block_is_swept(monkeypatch, rows, plant_in_last_row, j):
+    # 65 lam rows on grid 0.25: the last bound block is row 64, (1, 1, 1), alone at 2 rows
+    # and with row 63 at 3. Either a NaN coin weight on row 64 alone makes every mixture
+    # of that row NaN, the first at length 0, or a surplus of "---" planted far below the
+    # rest is weighted in full on row 64 alone, which holds the minimum at length j
+    scheme = cc.get_scheme("weighted_ti_150")
+    lam_rows = reference_lam_rows(0.25)
+    last = len(lam_rows) - 1
+    assert len(lam_rows) % rows != 0 and tuple(lam_rows[last]) == (1.0, 1.0, 1.0)
+    set_rows_per_block(monkeypatch, scheme, 0.1, rows)
+    if plant_in_last_row == "nan weight":
+        weights = certify_mod._coin_weights
+
+        def nan_on_last_row(lam_minus):
+            w = weights(lam_minus)
+            w[COINS.index(("+", "-", "+")), last] = math.nan
+            return w
+
+        monkeypatch.setattr(certify_mod, "_coin_weights", nan_on_last_row)
+        low, at = (-math.inf, -math.inf), 0  # the first NaN reads -inf
+    else:
+        plant(monkeypatch, ("-", "-", "-"), j, -1e300)
+        low, at = (-1.01e300, -0.99e300), j
+    rep = cc.certify_weighted_ti(scheme, 1.5, length_grid_step=0.1, lam_grid_step=0.25)
+    untiled = untiled_sweep(scheme, 1.5, 0.1, 0.25)
+    witness = {"lam_minus": [1.0, 1.0, 1.0],
+               "lengths": [float(l[at]) for l in sorted_lengths(scheme, 0.1)]}
+    assert rep.worst().witness == witness and untiled[1] == witness
+    assert rep.min_surplus.hex() == untiled[0].hex() and not rep.passed
+    assert low[0] <= rep.min_surplus <= low[1]
+
+
 @pytest.mark.parametrize("coin, value", [(("-", "+", "-"), math.nan), (("+", "+", "+"), math.inf)])
 def test_a_non_finite_surplus_costs_only_its_tile(monkeypatch, coin, value):
     # the tile of a planted NaN or +inf is mixed on every lam row; the others are still
