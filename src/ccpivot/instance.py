@@ -420,9 +420,18 @@ def lift_clustering(c: Clustering, vmap: np.ndarray, seed: int) -> Clustering:
     uniformly from the seeded stream.
     """
     vmap = np.asarray(vmap)
+    if vmap.ndim != 1 or not np.issubdtype(vmap.dtype, np.integer):
+        raise ValueError("vertex map must be a flat vector of integers")
+    if not vmap.size:
+        raise ValueError("vertex map is empty")
     if c.n != vmap.shape[0]:
         raise ValueError("clustering does not cover the blowup graph")
+    if vmap.min() < 0:
+        raise ValueError(f"vertex map holds a negative id {int(vmap.min())}")
     n_orig = int(vmap.max()) + 1
+    missing = np.flatnonzero(np.bincount(vmap, minlength=n_orig) == 0)
+    if missing.size:
+        raise ValueError(f"original vertex {int(missing[0])} has no copy in the vertex map")
     rng = SplitMix64(seed)
     out = np.empty(n_orig, dtype=np.int64)
     for u in range(n_orig):

@@ -9,37 +9,43 @@ It serves every n up to ``MAX_EXACT_N``; tied optima resolve to the
 DP's first minimum, so the argmin is some optimum, not a canonical one.
 
 The DP pushes values forward. For each lowest vertex l from n - 1 down
-to 0, a block B whose lowest vertex is l pushes g[B] + opt[S] into
+to 1, a block B whose lowest vertex is l pushes g[B] + opt[S] into
 opt[B | S] for every set S of vertices above l that misses B (each such
 opt[S] is final by then), with ``np.minimum.at`` since the targets of
-different blocks collide. The blocks go in order of size, so when B
-comes up opt[B] is its best partition into two or more blocks, and B
-pushes only if g[B] < opt[B]: only if it beats every proper partition
-of itself. That is exact, because an optimal partition with the most
-blocks has only such blocks (one that some partition of it matches
-could be split at no cost). Labeled block costs are small integers,
-exact in float; on weighted instances a block within 1e-9 of its best
-partition still pushes, so float near-ties keep the value table
-bit-identical to the plain per-mask DP. A lowest vertex with 3^m <=
-``_DP_CHUNK`` candidates (m vertices above it) pushes them all in one
-call, untested: per-size calls would cost more than the pruning saves.
+different blocks collide. Vertex 0 pushes nothing: a mask that holds it
+is never a rest, so of its 3^(n-1) targets only V would be read. V
+instead pulls once, the minimum over the 2^(n-1) blocks B holding
+vertex 0 of g[B] + opt[V - B], every such rest final after vertex 1;
+that pull is the first step of the argmin rebuild below. The pushing
+blocks go in order of size, so when B comes up opt[B] is its best
+partition into two or more blocks, and B pushes only if g[B] < opt[B]:
+only if it beats every proper partition of itself. That is exact,
+because an optimal partition with the most blocks has only such blocks
+(one that some partition of it matches could be split at no cost).
+Labeled block costs are small integers, exact in float; on weighted
+instances a block within 1e-9 of its best partition still pushes, so
+float near-ties keep the value table bit-identical to the plain
+per-mask DP. A lowest vertex with 3^m <= ``_DP_CHUNK`` candidates (m
+vertices above it) pushes them all in one call, untested: per-size
+calls would cost more than the pruning saves.
 The argmin is rebuilt on the optimal path alone (at most n masks) from
 all of each mask's candidates in the per-mask DP's order, so it is the
-same as well.
+same as well; at V, whose pull reads every block holding vertex 0, not
+only the kept ones, the value is the per-mask DP's by construction.
 
 How much is pruned depends on the instance. On a 2-core host the DP
-pushed 1.90M of the 7.17M candidates of a 15-vertex blow-up (three
-weighted vertices with five copies each) in 21-25 ms, and solves a
-random complete instance at n = 20 in 0.9 s. When every pair is "+" no
-block is beaten by a partition of itself and nothing is pruned: 16
-vertices then take about 0.14 s and 20 vertices 27 s, about 1.1 and 2
-times a pull over the same candidates, since the scattered writes of
-``np.minimum.at`` miss the cache once opt outgrows it. Memory is two
-2^n float tables (block costs g and opt), a 2^n byte table of
-popcounts, three chunk buffers of max(_DP_CHUNK, 2^(n-1)) 8-byte
-entries (fewer when all (3^n - 1) / 2 candidates fit) and a pair table
-of at most 2 x 3^10 2-byte entries: about 3 MB at n = 16 and 34 MB at
-the n = 20 wall.
+pushed 0.77M of the 7.17M candidates of a 15-vertex blow-up (three
+weighted vertices with five copies each) and pulled 16,384 in 8 ms, and
+solves a random complete instance at n = 20 in 0.3 s. When every pair
+is "+" no block is beaten by a partition of itself and nothing is
+pruned: all (3^(n-1) - 1) / 2 candidates above vertex 0 are pushed, and
+16, 18 and 20 vertices take about 0.05 s, 0.6 s and 9 s, since the
+scattered writes of ``np.minimum.at`` miss the cache once opt outgrows
+it. Memory is two 2^n float tables (block costs g and opt), a 2^n byte
+table of popcounts, three chunk buffers of max(_DP_CHUNK, 2^(n-1))
+8-byte entries (fewer when all (3^n - 1) / 2 candidates fit) and a pair
+table of at most 2 x 3^10 2-byte entries: about 3 MB at n = 16 and
+34 MB at the n = 20 wall.
 
 The exact expectations of the randomized pivot algorithm run the same
 kind of DP over active sets, on the marginal cut probabilities p of
@@ -72,8 +78,8 @@ from .instance import Clustering, Instance
 from .lp import LpSolution, solve_relaxation
 from .rounding import RoundingScheme, cut_probabilities
 
-# The DP's wall: up to (3^n - 1) / 2 candidates, all of them pushed when nothing
-# is pruned (every pair "+": 27 s at n = 20; a random complete instance: 0.9 s)
+# The DP's wall: up to (3^(n-1) - 1) / 2 candidates pushed and 2^(n-1) pulled, all
+# of them when nothing is pruned (every pair "+": 9 s at n = 20; random complete: 0.3 s)
 MAX_EXACT_N = 20
 MAX_EXPECT_N = 14  # the expectation DP's cap: n 3^(n-1) (pivot, cluster) terms
 _DP_CHUNK = 1 << 16  # DP candidates evaluated per numpy call (masks x blocks)
@@ -169,11 +175,13 @@ def _brute_force_subset_dp(inst: Instance) -> tuple[Clustering, float]:
     bufs = (np.empty(cap, dtype=np.int64), np.empty(cap), np.empty(cap))
     # a lowest vertex with m <= flat vertices above it has 3^m <= _DP_CHUNK
     # candidates: it pushes them all in one call, untested
-    flat = max((m for m in range(n) if 3**m <= _DP_CHUNK), default=0)
+    flat = max((m for m in range(n - 1) if 3**m <= _DP_CHUNK), default=0)
     pair_block, pair_rest = _disjoint_pairs(flat)
     bit = np.left_shift(1, np.arange(n))
     kept = pushed = 0
-    for low in range(n - 1, -1, -1):
+    # vertex 0 pushes nothing: a mask holding it is never a rest, so of its
+    # targets only V is read, and the top pull below fills it
+    for low in range(n - 1, 0, -1):
         # with this stride, from 1 << low run the masks whose lowest vertex is low
         # and from 0 the masks above low, all final: entry t of either view holds
         # the vertices above low picked by the bits of t
@@ -223,12 +231,17 @@ def _brute_force_subset_dp(inst: Instance) -> tuple[Clustering, float]:
         vals = np.take(g, np.add(rests, low, out=rests), out=bufs[1][: len(rests)], mode="clip")
         rests = np.subtract(mask, rests, out=rests)
         vals += np.take(opt, rests, out=bufs[2][: len(rests)], mode="clip")
-        block = mask - int(rests[np.argmin(vals)])
+        best = int(np.argmin(vals))
+        if mask == size - 1:
+            # the top pull: every rest lies above vertex 0, final, and every
+            # block holding vertex 0 is read, so this is the per-mask DP at V
+            opt[mask] = vals[best]
+        block = mask - int(rests[best])
         assignment[block & bit != 0] = cid
         mask ^= block
         cid += 1
-    log.debug("subset DP n=%d: %d blocks kept, %d of %d candidates pushed, %.3f s",
-              n, kept, pushed, 3**n // 2, time.perf_counter() - start)
+    log.debug("subset DP n=%d: %d blocks kept, %d of %d candidates pushed, %d pulled, %.3f s",
+              n, kept, pushed, 3**n // 2, size >> 1, time.perf_counter() - start)
     return Clustering(assignment), float(base + opt[size - 1])
 
 

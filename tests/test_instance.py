@@ -683,6 +683,17 @@ def test_lift_serialize_and_clustering_refusals():
     _blown, vmap = cc.weighted_to_unweighted(w, N=2, seed=3)
     with pytest.raises(ValueError, match="does not cover"):
         cc.lift_clustering(cc.Clustering.single_cluster(5), vmap, seed=4)
+    # a bad vertex map is named, not dropped silently or left to numpy's errors
+    pair = cc.Clustering([0, 0])
+    for bad in ([0.0, 1.0], [[0, 1]], ["0", "1"]):
+        with pytest.raises(ValueError, match="flat vector of integers"):
+            cc.lift_clustering(pair, bad, seed=1)
+    with pytest.raises(ValueError, match="negative id -1"):
+        cc.lift_clustering(pair, [-1, 0], seed=1)
+    with pytest.raises(ValueError, match="original vertex 1 has no copy"):
+        cc.lift_clustering(pair, [0, 2], seed=1)
+    with pytest.raises(ValueError, match="vertex map is empty"):
+        cc.lift_clustering(cc.Clustering([]), np.zeros(0, dtype=np.int64), seed=1)
     with pytest.raises(ValueError, match="unknown format"):
         cc.serialize_instance(w, fmt="xml")
     with pytest.raises(ValueError, match="flat vector"):

@@ -3,11 +3,13 @@
 The reference functions below fill the block-cost table one bit row at
 a time and run the DP one mask at a time with a full choice table, the
 plain reading of the recursion. The push DP, which pushes only from
-blocks that beat every partition of themselves, and its path backtrack
-must reproduce them exactly: the same g bytes, the same optimum to the
-last bit and the same argmin.
+blocks that beat every partition of themselves and only from vertex 1
+up, its top pull for the whole vertex set and its path backtrack must
+reproduce them exactly: the same g bytes, the same optimum to the last
+bit and the same argmin.
 """
 
+import itertools
 import logging
 import re
 
@@ -142,6 +144,22 @@ def test_tiny_chunks_give_the_same_results(kind, n, seed, chunk, monkeypatch):
     assert_same(make(kind, n, seed))
 
 
+def test_every_complete_labeling_up_to_five_vertices():
+    # all 2^(n (n - 1) / 2) labelings, 1,024 at n = 5: every top pull the DP can face there
+    for n in range(1, 6):
+        upper = np.triu_indices(n, 1)
+        for signs in itertools.product((1, -1), repeat=len(upper[0])):
+            labels = np.zeros((n, n), dtype=np.int8)
+            labels[upper] = signs
+            assert_same(cc.Instance.complete(labels + labels.T))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_small_weighted_instances(n):
+    for seed in range(1, 21):
+        assert_same(make("weighted", n, seed))
+
+
 def test_all_tied_instance_keeps_first_argmin():
     # every partition of an all-neutral instance costs 0; the first candidate
     # of each mask is its lowest vertex alone, so the argmin is all singletons
@@ -155,11 +173,11 @@ def test_all_tied_instance_keeps_first_argmin():
 # -- pruning and its DEBUG line ------------------------------------------------
 
 DP_LINE = re.compile(r"subset DP n=(\d+): (\d+) blocks kept, (\d+) of (\d+) candidates pushed, "
-                     r"(\d+\.\d{3}) s")
+                     r"(\d+) pulled, (\d+\.\d{3}) s")
 
 
 def dp_counts(inst, caplog):
-    """(n, kept, pushed, candidates, seconds) from the one line of a brute_force_opt call."""
+    """(n, kept, pushed, candidates, pulled, seconds) from the one line of a brute_force_opt call."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="ccpivot.oracle"):
         cc.brute_force_opt(inst)
@@ -173,11 +191,13 @@ def dp_counts(inst, caplog):
 
 def test_dp_logs_one_line_per_call(caplog):
     n = 12
-    got_n, kept, pushed, total, seconds = dp_counts(make("weighted", n, 5), caplog)
+    got_n, kept, pushed, total, pulled, seconds = dp_counts(make("weighted", n, 5), caplog)
     assert got_n == n
     assert total == (3**n - 1) // 2
-    assert 1 <= kept <= 2**n - 1
-    assert kept <= pushed <= total
+    # vertices 1 to n - 1 push, vertex 0's 2^(n - 1) blocks are pulled into V
+    assert 1 <= kept <= 2 ** (n - 1) - 1
+    assert kept <= pushed <= (3 ** (n - 1) - 1) // 2
+    assert pulled == 2 ** (n - 1)
     assert seconds >= 0.0
 
 
@@ -199,11 +219,12 @@ def test_all_plus_prunes_nothing_and_all_minus_keeps_singletons(chunk, caplog, m
     plus, minus = cc.gen_complete_random(n, 1.0, 1), cc.gen_complete_random(n, 0.0, 1)
     assert_same(plus)
     assert_same(minus)
-    # every block beats its partitions when all pairs are "+"
-    assert dp_counts(plus, caplog)[2] == (3**n - 1) // 2
+    # every block beats its partitions when all pairs are "+": vertices 1 to n - 1
+    # push all their candidates, and the top pull reads all of vertex 0's blocks
+    assert dp_counts(plus, caplog)[2:5] == ((3 ** (n - 1) - 1) // 2, (3**n - 1) // 2, 2 ** (n - 1))
     if chunk == 1:
-        # every lowest vertex is tested, and only its singleton beats its partitions
-        assert dp_counts(minus, caplog)[1:3] == (n, 2**n - 1)
+        # every lowest vertex from 1 up is tested, and only its singleton beats its partitions
+        assert dp_counts(minus, caplog)[1:3] == (n - 1, 2 ** (n - 1) - 1)
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -216,6 +237,6 @@ def test_empty_and_single_vertex(n):
 
 
 def test_blowup_pushes_under_half_of_its_candidates(caplog):
-    n, _kept, pushed, total, _s = dp_counts(make("blowup", (3, 5), 73), caplog)
+    n, _kept, pushed, total, _pulled, _s = dp_counts(make("blowup", (3, 5), 73), caplog)
     assert n == 15
     assert pushed < total // 2
