@@ -132,16 +132,21 @@ class Piece:
         return base**expo
 
 
+@dataclass(frozen=True)
 class PiecewiseFn:
     """Piecewise function on [0, 1], vectorized, with owned breakpoints.
 
     The pieces tile [0, 1] exactly: the first owns 0, the last ends at 1,
     and each starts where the one before it ends. A point belongs to the
     last piece whose left end admits it, so a call writes the pieces in
-    order, each over the points it admits.
+    order, each over the points it admits. Frozen, its pieces kept as a tuple.
     """
 
-    def __init__(self, pieces: list[Piece]):
+    pieces: tuple[Piece, ...]
+
+    def __post_init__(self):
+        pieces = tuple(self.pieces)
+        object.__setattr__(self, "pieces", pieces)
         if not pieces:
             raise ValueError("need at least one piece")
         if not (pieces[0].lo == 0.0 and pieces[0].closed_left and pieces[-1].hi == 1.0):
@@ -149,7 +154,6 @@ class PiecewiseFn:
         for a, b in zip(pieces, pieces[1:]):
             if a.hi != b.lo:
                 raise ValueError("pieces must tile [0, 1] without gaps or overlaps")
-        self.pieces = pieces
 
     def __call__(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -213,9 +217,10 @@ def step_fn(threshold: float) -> PiecewiseFn:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoundingScheme:
-    """Named (f_plus, f_minus, f_neutral) triple; f_neutral may be absent."""
+    """Named (f_plus, f_minus, f_neutral) triple; f_neutral may be absent. Frozen, with
+    its functions: registry schemes are shared, and _tables keys on their identity."""
 
     name: str
     f_plus: PiecewiseFn
@@ -361,7 +366,7 @@ def _tables(inst: Instance, x: LpSolution, scheme: RoundingScheme):
     """(P, keep rows, (W+, W-, L)): cut_probabilities, 1 - P as lists for the
     scalar pivot kernel, and pair_model, read-only, prepared once per point. x
     keeps those of the last (inst, scheme) it was rounded with, keyed by
-    identity, so an instance or scheme must not be mutated once it is used."""
+    identity, so an instance must not be mutated once it is used (schemes are frozen)."""
     t = x._tables
     if t is None or t[0] is not inst or t[1] is not scheme:
         P = cut_probabilities(inst, x, scheme)
@@ -608,9 +613,6 @@ def _active_model(wp, wm, L, active: np.ndarray):
     return wp[sub], wm[sub], L[sub]
 
 
-_LIST_ROWS = 24  # a greedy block's trailing rows that run on lists; longer rows are faster in numpy
-
-
 def greedy_round_probabilities(wp, wm, L, P: np.ndarray, alpha: float) -> np.ndarray:
     """Round each off-diagonal P_uv to 0 or 1, never decreasing the step surplus.
 
@@ -628,52 +630,23 @@ def greedy_round_probabilities(wp, wm, L, P: np.ndarray, alpha: float) -> np.nda
     so (C c0)_i = (C c)_i. Row w of H holds C c for pivot w. A rounding
     changes one entry of two columns, and H follows by one row update
     each, so a pair is scored in O(k) rather than by re-evaluating its
-    two quadratic forms. The last _LIST_ROWS rows run on Python lists
-    (_greedy_rows), which beat a dozen numpy calls per row on short rows
-    and update only the entries of H read later; the leading rows of a
-    wider block update H row-wise in numpy. Every entry read sees the
-    same float operations in the same order either way.
+    two quadratic forms. The rows run on Python lists, which beat a dozen
+    numpy calls per row, and update only the entries of H read later: a
+    flip at (i, j) updates row i of H past column j, and after row i the
+    rows below it are updated past column i. A zero step would add only
+    a signed zero, which no decision can tell apart, so it is skipped.
     """
-    P = P.copy()
     k = len(P)
     C = 4.0 * wp - 2.0 * wm - 2.0 * alpha * L
-    d = 2.0 * wm.sum(axis=1) - 2.0 * wp.sum(axis=1)
-    H = P.T @ C
-    lead = max(k - _LIST_ROWS, 0)
-    for i in range(lead):
-        rest = slice(i + 1, k)
-        # pair (i, j): column j's gain at entry i, plus column i's gain at
-        # entry j less its (C c)_j, which h = H[i] tracks through this row;
-        # column j changes only at entry i here, so rows j > i follow after it
-        fixed = (H[rest, i] + d[i] + d[rest]).tolist()
-        h = H[i]
-        new = []
-        for j, g in enumerate(fixed, start=i + 1):
-            best = 1.0 if h[j] + g > 0.0 else 0.0
-            if best != P[j, i]:
-                h += (best - P[j, i]) * C[j]
-            new.append(best)
-        H[rest] += np.outer(new - P[i, rest], C[i])
-        P[i, rest] = P[rest, i] = new
-    tail = slice(lead, k)
-    P[tail, tail] = _greedy_rows(H[tail, tail].tolist(), C[tail, tail].tolist(),
-                                 d[tail].tolist(), P[tail, tail].tolist())
-    return P
-
-
-def _greedy_rows(H: list, C: list, d: list, P: list) -> list:
-    """greedy_round_probabilities' row loop on lists, entry for entry; returns P rounded.
-
-    A flip at (i, j) updates row i of H past column j, and after row i the
-    rows below it are updated past column i: the entries read later. A
-    zero step would add only a signed zero, which no decision can tell
-    apart, so it is skipped.
-    """
-    k = len(P)
+    d = (2.0 * wm.sum(axis=1) - 2.0 * wp.sum(axis=1)).tolist()
+    H = (P.T @ C).tolist()
+    C, P = C.tolist(), P.tolist()
     for i in range(k - 1):
         hi, ci, pi, di = H[i], C[i], P[i], d[i]
         deltas = []
         for j in range(i + 1, k):
+            # pair (i, j): column j's gain at entry i, plus column i's gain at
+            # entry j less its (C c)_j, which hi tracks through this row
             best = 1.0 if hi[j] + (H[j][i] + di + d[j]) > 0.0 else 0.0
             step = best - P[j][i]
             if step:
@@ -682,12 +655,13 @@ def _greedy_rows(H: list, C: list, d: list, P: list) -> list:
                     hi[m] += step * cj[m]
             deltas.append(best - pi[j])
             pi[j] = P[j][i] = best
+        # column j changed only at entry i in this row, so rows j > i follow after it
         for r, step in enumerate(deltas, start=i + 1):
             if step:
                 hr = H[r]
                 for m in range(i + 1, k):
                     hr[m] += step * ci[m]
-    return P
+    return np.array(P, dtype=np.float64).reshape(k, k)
 
 
 def derandomize_round(

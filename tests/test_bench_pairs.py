@@ -35,8 +35,19 @@ def test_summarize_medians_iqr_and_wins():
     assert wall["parent"]["q1"] == 2.0 and wall["parent"]["q3"] == pytest.approx(2.3)
     assert wall["parent"]["iqr"] == pytest.approx(0.3)
     assert wall["change"]["values"] == [c for _p, c in walls]
+    # per-pair change/parent: 0.8, 1.7/2.2, 1.5/2.1, 1.05, 1.6/2.4
+    assert wall["ratio"]["median"] == pytest.approx(1.7 / 2.2)
+    assert wall["ratio"]["q1"] == pytest.approx((1.6 / 2.4 + 1.5 / 2.1) / 2)
+    assert wall["ratio"]["q3"] == pytest.approx((0.8 + 1.05) / 2)
+    assert wall["ratio"]["iqr"] == pytest.approx((0.8 + 1.05 - 1.6 / 2.4 - 1.5 / 2.1) / 2)
+    assert "values" not in wall["ratio"]
     rss = s["peak_rss_mb"]
     assert rss["change_lower"] == 0 and rss["parent"]["iqr"] == 0.0
+    assert rss["ratio"]["median"] == pytest.approx(1.025)
+    # a pair whose parent value is 0 has no ratio; none left gives None
+    assert bench_pairs.compare({"parent": [0.0, 2.0], "change": [1.0, 1.0]}, "s")["ratio"] == {
+        "median": 0.5, "q1": 0.5, "q3": 0.5, "iqr": 0.0}
+    assert bench_pairs.compare({"parent": [0.0], "change": [1.0]}, "s")["ratio"] is None
 
 
 def test_summarize_one_pair():

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -94,6 +95,27 @@ def test_user_defined_scheme_pieces():
     s = cc.RoundingScheme.from_json(text)
     assert s.f_plus(0.75) == pytest.approx(0.25)
     assert s.f_minus(0.04) == pytest.approx(0.2)
+
+
+def test_registry_schemes_are_frozen():
+    s = cc.get_scheme("complete206")
+    inst, x = cc.gen_complete_random(6, 0.5, 1), cc.LpSolution.constant(6, 0.4)
+    before = rounding._tables(inst, x, s)[0].copy()
+    pieces = s.f_plus.to_json_obj()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.f_plus = cc.get_scheme("acn_linear").f_plus
+    with pytest.raises(AttributeError):
+        s.f_plus.pieces.append(Piece(0.0, 1.0, "constant", (1.0,)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.f_plus.pieces = cc.get_scheme("acn_linear").f_plus.pieces
+    # a list the caller goes on changing is copied, not kept
+    own = [Piece(0.0, 1.0, "linear", (0.0, 1.0))]
+    fn = PiecewiseFn(own)
+    own.append(Piece(1.0, 2.0, "constant", (1.0,)))
+    assert len(fn.pieces) == 1
+    assert cc.get_scheme("complete206") is s and s.f_plus.to_json_obj() == pieces
+    assert np.array_equal(rounding._tables(inst, x, s)[0], before)
+    assert np.array_equal(before, cut_probabilities(inst, x, s))
 
 
 # -- randomized pivot --------------------------------------------------------
@@ -323,11 +345,11 @@ def scalar_pivot_terms(wp, wm, L, pw):
     return 2.0 * (pw @ wp @ q) + q @ wm @ q, L.sum() - pw @ L @ pw
 
 
-def greedy_on(wp, wm, L, p, alpha, active):
-    """p with its active block rounded by greedy_round_probabilities."""
+def greedy_on(wp, wm, L, p, alpha, active, greedy=greedy_round_probabilities):
+    """p with its active block rounded by greedy (greedy_round_probabilities by default)."""
     block = np.ix_(active, active)
     got = p.copy()
-    got[block] = greedy_round_probabilities(*_active_model(wp, wm, L, active), p[block], alpha)
+    got[block] = greedy(*_active_model(wp, wm, L, active), p[block], alpha)
     return got
 
 
@@ -390,13 +412,14 @@ def test_greedy_matches_full_recompute_reference(kind):
         assert cc.clustering_cost(inst, c) <= alpha * cc.lp_objective(inst, x) + 1e-9
 
 
-def reference_derandomize(inst, x, scheme, alpha):
-    """derandomize_round with each pivot scored alone by scalar_pivot_terms."""
+def reference_derandomize(inst, x, scheme, alpha, greedy=greedy_round_probabilities):
+    """derandomize_round with each pivot scored alone by scalar_pivot_terms
+    and each block rounded by greedy."""
     wp, wm, L = pair_model(inst, x)
     base = cut_probabilities(inst, x, scheme)
     active, assignment, cid = np.arange(inst.n), np.full(inst.n, -1), 0
     while active.size:
-        p = greedy_on(wp, wm, L, base, alpha, active)
+        p = greedy_on(wp, wm, L, base, alpha, active, greedy)
         model = _active_model(wp, wm, L, active)
         best_w, best_val = -1, -math.inf
         for w in active:
@@ -498,6 +521,25 @@ def test_greedy_is_bit_identical_to_the_numpy_rows():
             want = numpy_rows_greedy(*model, P, alpha)
             assert greedy_round_probabilities(*model, P, alpha).tobytes() == want.tobytes(), (label, alpha)
     assert ties >= 10
+
+
+WIDE_CLASSES = {
+    # 40-vertex instances (MAX_LP_N) at constant metric points: no LP solve needed
+    "complete": (cc.gen_complete_random(40, 0.5, 1), "complete206", 2.06),
+    "kpartite": (cc.gen_kpartite_random([13, 13, 14], 0.5, 1), "kpartite3", 3.0),
+    "weighted": (cc.gen_gap_triangle_ineq(20), "weighted_ti_150", 1.5),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WIDE_CLASSES))
+def test_derandomize_at_forty_vertices_matches_the_numpy_rows(kind):
+    inst, scheme_name, alpha = WIDE_CLASSES[kind]
+    scheme = cc.get_scheme(scheme_name)
+    for v in (0.3, 0.4, 0.6):
+        x = cc.LpSolution.constant(inst.n, v)
+        c = cc.derandomize_round(inst, x, scheme, alpha)
+        assert c == cc.Clustering(reference_derandomize(inst, x, scheme, alpha, numpy_rows_greedy)), v
+        assert cc.clustering_cost(inst, c) <= alpha * cc.lp_objective(inst, x) + 1e-9, v
 
 
 def rounded(inst, x, scheme, alpha):

@@ -10,7 +10,10 @@ pairs and change first on odd ones, so a drift of the host over the
 runs weighs on both sides alike. The summary goes to
 ``BENCH_<label>.json`` at the root of this repository: per end-to-end
 metric, the median and quartiles on each side, the relative change of
-the medians, and how many pairs came out lower on the change; and per
+the medians, how many pairs came out lower on the change, and the
+median and quartiles of the per-pair change/parent ratio (pairs with a
+parent value of 0 left out), whose spread leaves out the variation
+between the seeds' instances; and per
 side, the medians of the run records' host factor and raw
 (uncalibrated) ``wall_s`` and ``task_p50_ms``, so a calibration shift on
 unchanged work is told apart from a change in the work.
@@ -107,6 +110,9 @@ def compare(vals: dict, unit: str) -> dict:
     base = entry["parent"]["median"]
     entry["median_change_frac"] = (entry["change"]["median"] - base) / base if base else None
     entry["change_lower"] = sum(c < p for p, c in zip(vals["parent"], vals["change"]))
+    # both sides of a pair run one seed, so a ratio compares the same instances
+    ratios = [c / p for p, c in zip(vals["parent"], vals["change"]) if p]
+    entry["ratio"] = spread(ratios) if ratios else None
     entry["pairs"] = len(vals["parent"])
     return entry
 
